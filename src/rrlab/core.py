@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from operator import itemgetter, neg
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, RingMismatchError
 
@@ -127,26 +129,50 @@ class MonomialOrder:
             raise PreconditionError(f"unknown order kind {self.kind!r}")
 
     def resolved_priority(self, nvars: int) -> Tuple[int, ...]:
-        if self.priority is None:
-            return tuple(range(nvars))
-        if sorted(self.priority) != list(range(nvars)):
-            raise PreconditionError("priority is not a permutation of the variables")
-        return self.priority
+        return _resolve_priority(self.priority, nvars)
+
+    def key_function(self, nvars: int) -> Callable[[Exponents], tuple]:
+        """key() for exponent vectors of length nvars, with the priority
+        resolved and checked once per (order, nvars); hot loops call the
+        returned closure directly."""
+        return _compiled_key(self.kind, self.priority, nvars)
 
     def key(self, exps: Exponents):
-        prio = self.resolved_priority(len(exps))
-        if self.kind == "lex":
-            return tuple(exps[i] for i in prio)
-        deg = sum(exps)
-        if self.kind == "grlex":
-            return (deg,) + tuple(exps[i] for i in prio)
-        # grevlex: among equal degrees, the monomial whose reversed-priority
-        # exponents are larger compares smaller.
-        return (deg,) + tuple(-exps[i] for i in reversed(prio))
+        return self.key_function(len(exps))(exps)
 
     def compare(self, a: Exponents, b: Exponents) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
+
+
+def _tuple_getter(idx: Tuple[int, ...]) -> Callable[[Exponents], tuple]:
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    # itemgetter of one index returns a bare item, of none it is an error
+    return lambda exps: tuple(exps[i] for i in idx)
+
+
+def _resolve_priority(priority: Optional[Tuple[int, ...]], nvars: int) -> Tuple[int, ...]:
+    if priority is None:
+        return tuple(range(nvars))
+    if sorted(priority) != list(range(nvars)):
+        raise PreconditionError("priority is not a permutation of the variables")
+    return priority
+
+
+@lru_cache(maxsize=64)
+def _compiled_key(kind: str, priority: Optional[Tuple[int, ...]],
+                  nvars: int) -> Callable[[Exponents], tuple]:
+    prio = _resolve_priority(priority, nvars)
+    if kind == "lex":
+        return _tuple_getter(prio)
+    if kind == "grlex":
+        get = _tuple_getter(prio)
+        return lambda exps: (sum(exps), *get(exps))
+    # grevlex: among equal degrees, the monomial whose reversed-priority
+    # exponents are larger compares smaller.
+    rev = _tuple_getter(tuple(reversed(prio)))
+    return lambda exps: (sum(exps), *map(neg, rev(exps)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ polynomial-ring Groebner bases; results are read as cosets.
 
 from __future__ import annotations
 
-import threading
+import heapq
+from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Monomial, MonomialOrder, Polynomial,
@@ -20,15 +21,9 @@ from .monomial import MonomialIdeal, minimalize
 DEFAULT_PAIR_CAP = 200_000
 
 
-class _ElimKey:
-    """Block order: the last variable first (lex), then base order on the rest."""
-
-    def __init__(self, base: MonomialOrder, nvars: int):
-        self.base = base
-        self.nvars = nvars  # of the extended ring
-
-    def __call__(self, exps: Exponents):
-        return (exps[-1],) + self.base.key(exps[:-1])
+def _elim_key(base_key):
+    """Block order: the last variable first (lex), then base_key on the rest."""
+    return lambda exps: (exps[-1], *base_key(exps[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +48,7 @@ def _normal_form(terms: dict, basis: List[Tuple[Exponents, object, dict]], key) 
                 for ge, gc in g.items():
                     t = exps_mul(ge, shift)
                     v = work.get(t, None)
-                    nv = (0 if v is None else v) - factor * gc
+                    nv = -factor * gc if v is None else v - factor * gc
                     if nv:
                         work[t] = nv
                     elif v is not None:
@@ -68,13 +63,13 @@ def _normal_form(terms: dict, basis: List[Tuple[Exponents, object, dict]], key) 
 
 
 def _prep(polys: Sequence[dict], key) -> List[Tuple[Exponents, object, dict]]:
+    """Reducer triples (lt, ltcoef, terms), sorted by leading term (stable, so
+    equal leading terms keep their input order; keeps reduction deterministic)."""
     out = []
     for g in polys:
         if g:
             lt = _lt(g, key)
             out.append((lt, g[lt], g))
-    # prefer reducers with small leading terms (cheaper tails first is a wash;
-    # sorting by lt keeps reduction deterministic)
     out.sort(key=lambda t: key(t[0]))
     return out
 
@@ -91,7 +86,7 @@ def _spoly(f: dict, g: dict, key) -> dict:
     for e, c in g.items():
         t = exps_mul(e, sg)
         v = out.get(t, None)
-        nv = (0 if v is None else v) - c / cg
+        nv = -c / cg if v is None else v - c / cg
         if nv:
             out[t] = nv
         elif v is not None:
@@ -100,19 +95,34 @@ def _spoly(f: dict, g: dict, key) -> dict:
 
 
 def _buchberger(gens: Sequence[dict], key, pair_cap: int = DEFAULT_PAIR_CAP) -> List[dict]:
+    """Raw (unreduced) Groebner basis of gens under the order given by key.
+
+    Pairs follow the normal strategy: the pair whose lcm of leading terms has
+    the smallest total degree goes first, ties broken by the term order of
+    that lcm and then by the index pair (i, j).  Each pair's sort entry is
+    computed once, when the pair is made, and kept on a heap; the set of open
+    pairs serves the chain criterion.  The reducer list is sorted once and
+    each new remainder is inserted in place.
+    """
     G = [dict(g) for g in gens if g]
     if not G:
         return []
     lts = [_lt(g, key) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+
+    def entry(i: int, j: int):
+        lcm = exps_lcm(lts[i], lts[j])
+        return (sum(lcm), key(lcm), i, j)
+
+    heap = [entry(i, j) for j in range(len(G)) for i in range(j)]
+    heapq.heapify(heap)
+    pairs = {(i, j) for _, _, i, j in heap}
+    reducers = _prep(G, key)
     processed = 0
-    while pairs:
+    while heap:
         processed += 1
         if processed > pair_cap:
             raise ResourceLimitError(f"Buchberger pair cap {pair_cap} exceeded")
-        # normal strategy: smallest lcm degree first
-        i, j = min(pairs, key=lambda p: (sum(exps_lcm(lts[p[0]], lts[p[1]])),
-                                         key(exps_lcm(lts[p[0]], lts[p[1]])), p))
+        _, _, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
         li, lj = lts[i], lts[j]
         lcm = exps_lcm(li, lj)
@@ -132,11 +142,15 @@ def _buchberger(gens: Sequence[dict], key, pair_cap: int = DEFAULT_PAIR_CAP) -> 
         if skip:
             continue
         s = _spoly(G[i], G[j], key)
-        r = _normal_form(s, _prep(G, key), key)
+        r = _normal_form(s, reducers, key)
         if r:
+            lt = _lt(r, key)
             G.append(r)
-            lts.append(_lt(r, key))
+            lts.append(lt)
+            insort(reducers, (lt, r[lt], r), key=lambda t: key(t[0]))
             new = len(G) - 1
+            for k in range(new):
+                heapq.heappush(heap, entry(k, new))
             pairs.update((k, new) for k in range(new))
     return G
 
@@ -171,8 +185,8 @@ class GroebnerBasis:
         self.ring = ring
         self.order = order
         self._polys = polys
-        self._key = order.key
-        self._prepped = _prep(polys, order.key)
+        self._key = order.key_function(ring.nvars)
+        self._prepped = _prep(polys, self._key)
 
     @property
     def polynomials(self) -> Tuple[Polynomial, ...]:
@@ -209,7 +223,6 @@ class IdealHandle:
         self.pair_cap = pair_cap
         self._gb: Dict[object, GroebnerBasis] = {}
         self._powers: List[Tuple[Polynomial, ...]] = [self.gens]
-        self._lock = threading.Lock()
 
     # -- construction helpers ---------------------------------------------
 
@@ -243,14 +256,13 @@ class IdealHandle:
     def groebner_basis(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
         order = order or self.ring.order
         sig = self._order_sig(order)
-        with self._lock:
-            gb = self._gb.get(sig)
+        gb = self._gb.get(sig)
         if gb is not None:
             return gb
-        raw = _buchberger(self._effective_gens(), order.key, self.pair_cap)
-        gb = GroebnerBasis(self.ring, order, _autoreduce(raw, order.key))
-        with self._lock:
-            self._gb[sig] = gb
+        key = order.key_function(self.ring.nvars)
+        raw = _buchberger(self._effective_gens(), key, self.pair_cap)
+        gb = GroebnerBasis(self.ring, order, _autoreduce(raw, key))
+        self._gb[sig] = gb
         return gb
 
     # -- predicates ----------------------------------------------------------
@@ -294,13 +306,11 @@ class IdealHandle:
             raise PreconditionError("negative power")
         if n == 0:
             return IdealHandle(self.ring, [self.ring.one()], self.pair_cap)
-        with self._lock:
-            while len(self._powers) < n:
-                prev = self._powers[-1]
-                nxt = tuple(dict.fromkeys(a * b for a in prev for b in self.gens))
-                self._powers.append(nxt)
-            gens = self._powers[n - 1]
-        return IdealHandle(self.ring, gens, self.pair_cap)
+        while len(self._powers) < n:
+            prev = self._powers[-1]
+            nxt = tuple(dict.fromkeys(a * b for a in prev for b in self.gens))
+            self._powers.append(nxt)
+        return IdealHandle(self.ring, self._powers[n - 1], self.pair_cap)
 
     def intersect(self, other: "IdealHandle") -> "IdealHandle":
         """Elimination: t*A + (1-t)*B in R[t], keep the t-free basis elements."""
@@ -311,8 +321,7 @@ class IdealHandle:
     def _intersect_raw(self, b_side: List[dict]) -> "IdealHandle":
         """Intersection of (self + quotient) with the plain ideal gen'd by b_side."""
         ring = self.ring
-        ext_names = ring.variables + (_fresh_name(ring),)
-        key = _ElimKey(ring.order, len(ext_names))
+        key = _elim_key(ring.order.key_function(ring.nvars))
 
         def up(terms: dict, tdeg: int) -> dict:
             return {e + (tdeg,): c for e, c in terms.items()}
@@ -327,7 +336,7 @@ class IdealHandle:
             merged = dict(g0)
             for e, c in tg.items():
                 v = merged.get(e, None)
-                nv = (0 if v is None else v) - c
+                nv = -c if v is None else v - c
                 if nv:
                     merged[e] = nv
                 elif v is not None:
@@ -376,16 +385,9 @@ class IdealHandle:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
-def _fresh_name(ring: RingDescriptor) -> str:
-    name = "t@"
-    while name in ring.variables:
-        name += "@"
-    return name
-
-
 def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     """Quotient f/b for f known to be a multiple of b."""
-    key = f.ring.order.key
+    key = f.ring.order.key_function(f.ring.nvars)
     work = dict(f.terms)
     lt = _lt(b.terms, key)
     ltc = b.terms[lt]
@@ -400,7 +402,7 @@ def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
         for ge, gc in b.terms.items():
             t = exps_mul(ge, shift)
             v = work.get(t, None)
-            nv = (0 if v is None else v) - factor * gc
+            nv = -factor * gc if v is None else v - factor * gc
             if nv:
                 work[t] = nv
             elif v is not None:

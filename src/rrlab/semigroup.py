@@ -300,6 +300,7 @@ class AffineSemigroup2D:
             raise PreconditionError("generators must be non-negative")
         self.gens = gens
         self._memo = {(0, 0): True}
+        self._lattice = _lattice_basis(gens)
 
     def contains(self, p: Pair) -> bool:
         p = tuple(p)
@@ -308,29 +309,82 @@ class AffineSemigroup2D:
         hit = self._memo.get(p)
         if hit is not None:
             return hit
-        # iterative worklist to keep recursion shallow
-        result = self._search(p)
-        return result
+        if not self._in_group(p):
+            # A member is a sum of generators, so it lies in the group they
+            # generate.  Checking that first spares the search below, which
+            # must visit every point under p before it can answer False.
+            return False
+        return self._search(p)
+
+    def _in_group(self, p: Pair) -> bool:
+        a, b, c = self._lattice
+        if a == 0:
+            if p[0]:
+                return False
+            rest = p[1]
+        else:
+            if p[0] % a:
+                return False
+            rest = p[1] - (p[0] // a) * b
+        return rest % c == 0 if c else rest == 0
 
     def _search(self, p: Pair) -> bool:
+        """Memoized DFS on p minus generators, with an explicit stack of
+        [point, index of the next generator to try] frames."""
         memo = self._memo
-        stack = [(p, 0)]
-        # DFS with explicit memoization over (remaining point)
-        def rec(q: Pair) -> bool:
-            known = memo.get(q)
-            if known is not None:
-                return known
-            ok = False
-            for a, b in self.gens:
-                if a <= q[0] and b <= q[1] and rec((q[0] - a, q[1] - b)):
-                    ok = True
+        gens = self.gens
+        stack = [[p, 0]]
+        while stack:
+            frame = stack[-1]
+            (x, y), start = frame
+            result = False
+            for idx in range(start, len(gens)):
+                a, b = gens[idx]
+                if a > x or b > y:
+                    continue
+                known = memo.get((x - a, y - b))
+                if known is None:
+                    frame[1] = idx  # try this generator again once that is known
+                    stack.append([(x - a, y - b), 0])
+                    result = None
                     break
-            memo[q] = ok
-            return ok
-        return rec(p)
+                if known:
+                    result = True
+                    break
+            if result is not None:
+                memo[(x, y)] = result
+                stack.pop()
+        return memo[p]
 
     def __repr__(self):
         return "<" + ", ".join(map(str, self.gens)) + ">"
+
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _lattice_basis(gens: Sequence[Pair]) -> Tuple[int, int, int]:
+    """(a, b, c) such that the subgroup of Z^2 generated by gens is
+    Z*(a, b) + Z*(0, c), with a, c >= 0 and b == 0 whenever a == 0."""
+    a = b = c = 0
+    for x, y in gens:
+        g, s, t = _xgcd(a, x)
+        if g:
+            # unimodular change of basis of {(a, b), (x, y)}:
+            # s*(a, b) + t*(x, y) = (g, .), (a*(x, y) - x*(a, b)) / g = (0, .)
+            c = gcd(c, (a * y - x * b) // g)
+            a, b = g, s * b + t * y
+        else:
+            c = gcd(c, y)
+    return a, b, c
 
 
 def affine_membership(S: AffineSemigroup2D, p: Pair) -> bool:

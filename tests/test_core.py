@@ -7,7 +7,7 @@ import pytest
 from rrlab.core import (Field, MonomialOrder, Polynomial, QQ, RingDescriptor,
                         compare_monomials, exps_divides, exps_lcm,
                         monomial_quotient)
-from rrlab.errors import RingMismatchError
+from rrlab.errors import PreconditionError, RingMismatchError
 from rrlab.parser import parse_polynomial
 
 
@@ -79,6 +79,36 @@ def test_order_priority_permutes_variables():
     R = RingDescriptor(("X", "Y"))
     y_first = MonomialOrder("lex", (1, 0))
     assert y_first.compare((3, 0), (0, 1)) < 0  # Y beats any power of X
+
+
+def test_order_rejects_bad_priority():
+    with pytest.raises(PreconditionError):
+        MonomialOrder("lex", (0, 0)).key((1, 2))
+    with pytest.raises(PreconditionError):
+        MonomialOrder("grevlex", (0, 1)).key((1, 2, 3))  # wrong length
+
+
+def _reference_key(kind, prio, exps):
+    """The order key written out from its definition."""
+    if kind == "lex":
+        return tuple(exps[i] for i in prio)
+    if kind == "grlex":
+        return (sum(exps),) + tuple(exps[i] for i in prio)
+    return (sum(exps),) + tuple(-exps[i] for i in reversed(prio))
+
+
+def test_order_key_matches_definition():
+    rng = random.Random(11)
+    for nvars in (1, 2, 3, 4):
+        prios = [None, tuple(rng.sample(range(nvars), nvars))]
+        for kind in ("lex", "grlex", "grevlex"):
+            for prio in prios:
+                order = MonomialOrder(kind, prio)
+                resolved = prio or tuple(range(nvars))
+                for _ in range(30):
+                    e = tuple(rng.randint(0, 5) for _ in range(nvars))
+                    assert order.key(e) == _reference_key(kind, resolved, e)
+                    assert order.key_function(nvars)(e) == order.key(e)
 
 
 def test_order_total_on_samples():

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from rrlab.core import MonomialOrder, Polynomial, QQ, RingDescriptor
+from rrlab.core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
+from rrlab.errors import ResourceLimitError
 from rrlab.groebner import IdealHandle, reduced_groebner_basis
 from rrlab.monomial import MonomialIdeal
 from rrlab.parser import parse_polynomial
@@ -156,3 +157,23 @@ def test_monomial_round_trip():
     H = IdealHandle.from_monomial(I)
     assert H.is_monomial()
     assert H.to_monomial_ideal() == I
+
+
+def test_pair_cap_stops_buchberger():
+    R = _ring()
+    gens = [parse_polynomial(R, t) for t in ("X^2 - Y", "X*Y - 1", "Y^2 - X")]
+    assert len(IdealHandle(R, gens).groebner_basis()) >= 1  # finishes uncapped
+    with pytest.raises(ResourceLimitError):
+        IdealHandle(R, gens, pair_cap=1).groebner_basis()
+
+
+def test_basis_over_prime_field():
+    # Over F_7 a reduction that creates a new term must negate a field
+    # element, not subtract it from the integer 0.
+    R = RingDescriptor(("X", "Y"), Field(7))
+    H = _handle(R, "X^2 - Y", "X*Y - 1")
+    basis = {str(g) for g in H.groebner_basis().polynomials}
+    assert basis == {"X^2 + 6*Y", "X*Y + 6", "Y^2 + 6*X"}
+    assert H.contains(parse_polynomial(R, "Y^3 - 1"))
+    assert not H.contains(parse_polynomial(R, "Y - 1"))
+    assert H.intersect(_handle(R, "Y")).contains(parse_polynomial(R, "X*Y - Y^3"))

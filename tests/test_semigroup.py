@@ -111,3 +111,29 @@ def test_affine_closure_gains_witness():
     assert res.certified
     assert res.value.contains((2, 5))
     assert not I.contains((2, 5))
+
+
+def test_affine_membership_deep_queries():
+    # Deep searches once overflowed the interpreter stack.
+    S = AffineSemigroup2D([(1, 0), (0, 2)])
+    assert not S.contains((3000, 3001))
+    assert S.contains((3000, 3000))
+
+
+def test_affine_membership_on_a_proper_sublattice():
+    # The generators span a proper subgroup of Z^2 (index 3, index 2, rank 1).
+    # Points off it are rejected without search; all answers must still match
+    # brute force.
+    for gens in ([(1, 1), (2, 5), (0, 3)], [(1, 0), (0, 2)], [(2, 4), (3, 6)]):
+        S = AffineSemigroup2D(gens)
+        reach = {(0, 0)}
+        frontier = [(0, 0)]
+        while frontier:
+            p = frontier.pop()
+            for g in S.gens:
+                q = (p[0] + g[0], p[1] + g[1])
+                if q[0] <= 20 and q[1] <= 20 and q not in reach:
+                    reach.add(q)
+                    frontier.append(q)
+        for p in product(range(21), repeat=2):
+            assert S.contains(p) == (p in reach)
