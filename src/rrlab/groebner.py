@@ -16,7 +16,7 @@ from .core import (Exponents, Monomial, MonomialOrder, Polynomial,
                    exps_quotient)
 from .errors import (PreconditionError, ResourceLimitError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
-from .monomial import MonomialIdeal, minimalize
+from .monomial import MonomialIdeal
 
 DEFAULT_PAIR_CAP = 200_000
 

@@ -1,31 +1,73 @@
 """Exact calculus for monomial ideals.
 
 A monomial ideal is stored by its (unique) minimal generator set of
-exponent vectors, so structural equality is ideal equality.  All ops are
-pure; PowerLadder memoizes minimal generators of powers behind a lock.
+exponent vectors, in ascending order, so structural equality is ideal
+equality.  All ops are pure; PowerLadder memoizes minimal generators of
+powers.
+
+The generator-set kernels use integer operations instead of a Python loop
+over each pair of tuples.
+
+``minimalize`` works on bitsets.  The distinct candidates are sorted and
+numbered; for each coordinate i and value v, one mask holds the candidates
+whose i-th exponent is at most v.  The AND of a candidate's masks is the set
+of candidates that divide it, so the candidate is minimal exactly when that
+AND is its own bit alone.
+
+Colon and intersection pack each exponent vector into one int.  The packing
+lives only inside one call.  With ``top`` the largest exponent of either
+operand, every variable gets a field of ``w = top.bit_length() + 1`` bits,
+the first variable in the highest field.  Every exponent fits below the top
+bit of its field, the guard bit; ``G`` is the mask of all guard bits.  In
+``(b | G) - a`` a field never borrows from the next, and its guard stays set
+exactly when that field of ``a`` is at most that of ``b``.  So:
+
+- ``a | b``  iff  ``((b | G) - a) & G == G``;
+- ``max(a - b, 0)``, fieldwise, is ``(a | G) - b`` with the fields whose
+  guard was cleared zeroed and the guards dropped;
+- ``lcm(a, b) = b + max(a - b, 0)``, whose fields stay below the guards.
+
+Fields do not overlap and the first variable is the most significant, so
+ascending packed order is the lexicographic order on the tuples.  If
+``a | b`` and ``a != b`` then ``a`` is lexicographically smaller, so a scan
+in ascending packed order meets every divisor of a value before the value
+itself, and the survivors, unpacked in that order, come out ``sorted``.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
-from .core import (Exponents, Monomial, RingDescriptor, exps_divides,
-                   exps_lcm, exps_mul, exps_quotient)
+from .core import Exponents, Monomial, RingDescriptor, exps_divides, exps_mul
 from .errors import PreconditionError, RingMismatchError, ZeroIdealError
 
 
 def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
     """Divisibility-pruned canonical generator tuple."""
-    by_degree = sorted(set(exps), key=lambda e: (sum(e), e))
-    kept: List[Exponents] = []
-    for e in by_degree:
-        if not any(exps_divides(k, e) for k in kept):
-            kept.append(e)
-    return tuple(sorted(kept))
+    cands = sorted(set(exps))
+    if len(cands) < 2:
+        return tuple(cands)
+    # divisors[j]: the mask of candidates that divide candidate j.  The
+    # candidates are in lexicographic order, so those whose first exponent
+    # is at most v form a prefix; that keeps every mask below its own bit.
+    first = [c[0] for c in cands]
+    ends = {v: j + 1 for j, v in enumerate(first)}
+    divisors = [(1 << ends[v]) - 1 for v in first]
+    for i in range(1, len(cands[0])):
+        column = [c[i] for c in cands]
+        at_most = {}
+        for j, v in enumerate(column):
+            at_most[v] = at_most.get(v, 0) | (1 << j)
+        acc = 0
+        for v in sorted(at_most):
+            acc |= at_most[v]
+            at_most[v] = acc
+        for j, v in enumerate(column):
+            divisors[j] &= at_most[v]
+    return tuple(c for c, m in zip(cands, divisors) if not m & (m - 1))
 
 
 @dataclass(frozen=True)
@@ -119,37 +161,97 @@ def minimal_generators(ring: RingDescriptor, gens: Iterable[Exponents]) -> Monom
 # colon / intersection
 
 
+class _Fields:
+    """The guarded packing of one call's exponent vectors (see the module
+    docstring), sized by the largest exponent of the operands."""
+
+    __slots__ = ("width", "shifts", "low", "guards")
+
+    def __init__(self, nvars: int, *gen_sets: Tuple[Exponents, ...]):
+        top = max((x for gs in gen_sets for g in gs for x in g), default=0)
+        self.width = w = top.bit_length() + 1
+        self.shifts = tuple(range((nvars - 1) * w, -1, -w))
+        self.low = (1 << (w - 1)) - 1
+        self.guards = sum(1 << (s + w - 1) for s in self.shifts)
+
+    def pack(self, gens: Iterable[Exponents]) -> List[int]:
+        w = self.width
+        out = []
+        for e in gens:
+            p = 0
+            for x in e:
+                p = (p << w) | x
+            out.append(p)
+        return out
+
+    def unpack(self, packed: Iterable[int]) -> Tuple[Exponents, ...]:
+        shifts, low = self.shifts, self.low
+        return tuple(tuple((p >> s) & low for s in shifts) for p in packed)
+
+    def minimal(self, packed: Iterable[int]) -> List[int]:
+        """The divisibility-minimal values, ascending: a value survives when
+        no smaller survivor divides it."""
+        G = self.guards
+        kept: List[int] = []
+        for c in sorted(set(packed)):
+            cg = c | G
+            for k in kept:
+                if (cg - k) & G == G:
+                    break
+            else:
+                kept.append(c)
+        return kept
+
+    def quotients(self, As: Sequence[int], b: int) -> List[int]:
+        """Minimal generators of (A : b): the minimal max(a - b, 0).
+
+        m - (m >> (w - 1)) turns the guards that stayed set into masks of
+        their fields' low bits."""
+        G, s = self.guards, self.width - 1
+        out = []
+        for a in As:
+            d = (a | G) - b
+            m = d & G
+            out.append(d & (m - (m >> s)))
+        return self.minimal(out)
+
+    def lcms(self, As: Sequence[int], Bs: Sequence[int]) -> List[int]:
+        """Minimal generators of A ∩ B: the minimal b + max(a - b, 0)."""
+        G, s = self.guards, self.width - 1
+        out = []
+        for a in As:
+            aG = a | G
+            for b in Bs:
+                d = aG - b
+                m = d & G
+                out.append(b + (d & (m - (m >> s))))
+        return self.minimal(out)
+
+
 def colon_single(A: MonomialIdeal, b: Exponents) -> MonomialIdeal:
-    return MonomialIdeal(A.ring, minimalize(exps_quotient(g, b) for g in A.gens))
+    F = _Fields(A.ring.nvars, A.gens, (b,))
+    [bp] = F.pack((b,))
+    return MonomialIdeal(A.ring, F.unpack(F.quotients(F.pack(A.gens), bp)))
 
 
 def intersect_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     A._check(B)
-    return MonomialIdeal(A.ring, minimalize(exps_lcm(a, b) for a in A.gens for b in B.gens))
+    F = _Fields(A.ring.nvars, A.gens, B.gens)
+    return MonomialIdeal(A.ring, F.unpack(F.lcms(F.pack(A.gens), F.pack(B.gens))))
 
 
 def colon_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     """(A : B) = intersection over B's generators of (A : b)."""
     A._check(B)
-    result = None
-    for b in B.gens:
-        part = colon_single(A, b)
-        result = part if result is None else intersect_monomial(result, part)
-    if result is None:
+    if not B.gens:
         raise ZeroIdealError("colon by the zero ideal")
-    return result
-
-
-def sum_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
-    return A + B
-
-
-def product_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
-    return A * B
-
-
-def num_min_gens(A: MonomialIdeal) -> int:
-    return A.num_min_gens()
+    F = _Fields(A.ring.nvars, A.gens, B.gens)
+    As = F.pack(A.gens)
+    result = None
+    for b in F.pack(B.gens):
+        part = F.quotients(As, b)
+        result = part if result is None else F.lcms(result, part)
+    return MonomialIdeal(A.ring, F.unpack(result))
 
 
 # ---------------------------------------------------------------------------
@@ -160,35 +262,27 @@ class PowerLadder:
     """Memoized minimal generator sets for I^1, I^2, ..."""
 
     _cache: dict = {}
-    _cache_lock = threading.Lock()
 
     def __new__(cls, base: MonomialIdeal):
         key = (base.ring.variables, base.gens)
-        with cls._cache_lock:
-            inst = cls._cache.get(key)
-            if inst is None:
-                inst = super().__new__(cls)
-                inst.base = base
-                inst._powers = [base.gens]
-                inst._lock = threading.Lock()
-                cls._cache[key] = inst
-            return inst
+        inst = cls._cache.get(key)
+        if inst is None:
+            inst = super().__new__(cls)
+            inst.base = base
+            inst._powers = [base.gens]
+            cls._cache[key] = inst
+        return inst
 
     def power(self, n: int) -> MonomialIdeal:
         if n < 0:
             raise PreconditionError("negative power")
         if n == 0:
             return unit_ideal(self.base.ring)
-        with self._lock:
-            while len(self._powers) < n:
-                prev = self._powers[-1]
-                nxt = minimalize(exps_mul(a, b) for a in prev for b in self.base.gens)
-                self._powers.append(nxt)
-            return MonomialIdeal(self.base.ring, self._powers[n - 1])
-
-
-def ideal_power_monomial(I: MonomialIdeal, n: int) -> MonomialIdeal:
-    return PowerLadder(I).power(n)
+        while len(self._powers) < n:
+            prev = self._powers[-1]
+            nxt = minimalize(exps_mul(a, b) for a in prev for b in self.base.gens)
+            self._powers.append(nxt)
+        return MonomialIdeal(self.base.ring, self._powers[n - 1])
 
 
 def member_of_power(m: Exponents, ladder: PowerLadder, n: int) -> bool:
@@ -384,13 +478,3 @@ def integral_closure_monomial(I: MonomialIdeal) -> MonomialIdeal:
             found.append(e)
     return MonomialIdeal(I.ring, minimalize(found))
 
-
-def integral_power_witness(e: Exponents, I: MonomialIdeal, k_max: Optional[int] = None) -> Optional[int]:
-    """Smallest k <= k_max with m^k in I^k (power-test oracle), else None."""
-    if k_max is None:
-        k_max = len(I.gens) + I.ring.nvars
-    ladder = PowerLadder(I)
-    for k in range(1, k_max + 1):
-        if member_of_power(tuple(k * x for x in e), ladder, k):
-            return k
-    return None

@@ -4,7 +4,7 @@ Grammar (semicolon-terminated statements)::
 
     program   := (ring | semiring | affine | ideal | command ";")*
     ring      := "ring" NAME "=" field "[" vars "]" ("/" "(" polys ")")?
-    field     := "QQ" | "F" INT
+    field     := "QQ" | "F" INT | "F"DIGITS     -- F_p as `F 7` or `F7`
     semiring  := "semiring" NAME "=" "<" ints ">"
     affine    := "affine" NAME "=" "<" pairs ">"
     ideal     := "ideal" NAME "=" "(" gens ")"
@@ -247,6 +247,8 @@ class _Parser:
             char = 0
         elif ft.value == "F":
             char = int(self.expect("int").value)
+        elif ft.value[0] == "F" and ft.value[1:].isascii() and ft.value[1:].isdigit():
+            char = int(ft.value[1:])  # `F7`, as Field prints it
         else:
             raise SyntacticError(f"unknown field {ft.value!r}", ft.line, ft.col)
         self.expect("sym", "[")

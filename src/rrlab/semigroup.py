@@ -301,6 +301,7 @@ class AffineSemigroup2D:
         self.gens = gens
         self._memo = {(0, 0): True}
         self._lattice = _lattice_basis(gens)
+        self._rays = _extreme_rays(gens)
 
     def contains(self, p: Pair) -> bool:
         p = tuple(p)
@@ -309,12 +310,17 @@ class AffineSemigroup2D:
         hit = self._memo.get(p)
         if hit is not None:
             return hit
-        if not self._in_group(p):
-            # A member is a sum of generators, so it lies in the group they
-            # generate.  Checking that first spares the search below, which
-            # must visit every point under p before it can answer False.
+        if not (self._in_cone(p) and self._in_group(p)):
+            # A member is a sum of generators, so it lies in the cone they
+            # span and in the group they generate.  Checking both first
+            # spares the search below, which must visit every point under p
+            # before it can answer False.
             return False
         return self._search(p)
+
+    def _in_cone(self, p: Pair) -> bool:
+        (a, b), (c, d) = self._rays
+        return a * p[1] - b * p[0] >= 0 and p[0] * d - p[1] * c >= 0
 
     def _in_group(self, p: Pair) -> bool:
         a, b, c = self._lattice
@@ -385,6 +391,18 @@ def _lattice_basis(gens: Sequence[Pair]) -> Tuple[int, int, int]:
         else:
             c = gcd(c, y)
     return a, b, c
+
+
+def _extreme_rays(gens: Sequence[Pair]) -> Tuple[Pair, Pair]:
+    """The generators of least and greatest angle to the first axis; their
+    rays bound the cone that all the generators span."""
+    low = high = gens[0]
+    for x, y in gens:
+        if x * low[1] - y * low[0] > 0:
+            low = (x, y)
+        if high[0] * y - high[1] * x > 0:
+            high = (x, y)
+    return low, high
 
 
 def affine_membership(S: AffineSemigroup2D, p: Pair) -> bool:

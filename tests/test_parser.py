@@ -2,9 +2,10 @@
 
 import pytest
 
-from rrlab.core import RingDescriptor
-from rrlab.errors import (ArityError, LexicalError, SyntacticError,
-                          UnknownIdentifierError)
+from rrlab.cli import Session
+from rrlab.core import Field, RingDescriptor
+from rrlab.errors import (ArityError, LexicalError, PreconditionError,
+                          SyntacticError, UnknownIdentifierError)
 from rrlab.parser import (format_program, parse_polynomial, parse_program)
 
 PROGRAM = """
@@ -98,3 +99,30 @@ def test_error_positions_point_at_offender():
         assert e.line == 2
     else:
         pytest.fail("expected a syntax error")
+
+
+def _declared_ring(text):
+    session = Session()
+    [decl] = parse_program(text).statements
+    session.declare(decl)
+    return session.ring
+
+
+def test_printed_ring_parses_back():
+    for field in (Field(0), Field(7)):
+        base = RingDescriptor(("X", "Y"), field)
+        quotient = [parse_polynomial(base, "X^3 - Y^2")]
+        for ring in (base, base.with_quotient(quotient)):
+            again = _declared_ring(f"ring R = {ring!r};")
+            assert repr(again) == repr(ring)
+            assert again.compatible(ring)
+
+
+def test_prime_field_spellings():
+    for text in ("F 7", "F7"):
+        assert _declared_ring(f"ring R = {text}[X, Y];").field == Field(7)
+    for text in ("F 6", "F6"):
+        with pytest.raises(PreconditionError, match="6 is not prime"):
+            _declared_ring(f"ring R = {text}[X, Y];")
+    with pytest.raises(SyntacticError, match="unknown field 'Fx7'"):
+        parse_program("ring R = Fx7[X, Y];")

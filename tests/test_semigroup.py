@@ -120,20 +120,47 @@ def test_affine_membership_deep_queries():
     assert S.contains((3000, 3000))
 
 
+def _reachable(S, box):
+    """Every sum of S's generators with both coordinates at most box."""
+    reach = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        p = frontier.pop()
+        for g in S.gens:
+            q = (p[0] + g[0], p[1] + g[1])
+            if q[0] <= box and q[1] <= box and q not in reach:
+                reach.add(q)
+                frontier.append(q)
+    return reach
+
+
 def test_affine_membership_on_a_proper_sublattice():
     # The generators span a proper subgroup of Z^2 (index 3, index 2, rank 1).
     # Points off it are rejected without search; all answers must still match
     # brute force.
     for gens in ([(1, 1), (2, 5), (0, 3)], [(1, 0), (0, 2)], [(2, 4), (3, 6)]):
         S = AffineSemigroup2D(gens)
-        reach = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            p = frontier.pop()
-            for g in S.gens:
-                q = (p[0] + g[0], p[1] + g[1])
-                if q[0] <= 20 and q[1] <= 20 and q not in reach:
-                    reach.add(q)
-                    frontier.append(q)
+        reach = _reachable(S, 20)
         for p in product(range(21), repeat=2):
             assert S.contains(p) == (p in reach)
+
+
+def test_affine_membership_outside_the_cone():
+    # (100, 500) lies in Z^2, the group of the generators, but above the
+    # steepest ray (1, 3); it is rejected without searching the box below.
+    S = AffineSemigroup2D([(1, 0), (1, 2), (1, 3)])
+    assert not S.contains((100, 500))
+    assert len(S._memo) < 100
+    assert S.contains((100, 300))
+
+
+def test_affine_membership_in_narrow_cones():
+    # Cones bounded by generators in any order, including a single ray and
+    # both axes; all answers must match brute force.
+    for gens in ([(1, 0), (1, 2), (1, 3)], [(3, 1), (1, 1), (2, 5)],
+                 [(2, 1), (1, 3)], [(0, 1), (2, 1)], [(1, 1), (2, 2)],
+                 [(0, 2), (0, 3)], [(4, 1), (5, 1), (1, 0)]):
+        S = AffineSemigroup2D(gens)
+        reach = _reachable(S, 20)
+        for p in product(range(21), repeat=2):
+            assert S.contains(p) == (p in reach), (gens, p)
