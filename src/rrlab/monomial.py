@@ -32,6 +32,15 @@ ascending packed order is the lexicographic order on the tuples.  If
 ``a | b`` and ``a != b`` then ``a`` is lexicographically smaller, so a scan
 in ascending packed order meets every divisor of a value before the value
 itself, and the survivors, unpacked in that order, come out ``sorted``.
+
+``colon_monomial`` takes an optional floor ideal ``F`` and then returns
+``(A : B) + F``.  Monomial ideals form a distributive lattice, so
+``(A : B) + F`` is the intersection over B's generators b of
+``(A : b) + F``, and ``(F + E1) ∩ (F + E2) = F + (E1 ∩ E2)``.  The call
+therefore carries only the extras, the generators outside ``F``: each
+candidate set is filtered against ``F`` before it is minimalized (a multiple
+of a member of ``F`` is in ``F``, so filtering first keeps the same minimal
+extras), and once no extra is left the answer is ``F`` itself.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import Exponents, Monomial, RingDescriptor, exps_divides, exps_mul
 from .errors import PreconditionError, RingMismatchError, ZeroIdealError
@@ -188,22 +197,26 @@ class _Fields:
         shifts, low = self.shifts, self.low
         return tuple(tuple((p >> s) & low for s in shifts) for p in packed)
 
-    def minimal(self, packed: Iterable[int]) -> List[int]:
-        """The divisibility-minimal values, ascending: a value survives when
+    def minimal(self, packed: Iterable[int],
+                floor: Sequence[int] = ()) -> List[int]:
+        """The divisibility-minimal values outside the ideal ``floor``
+        generates, ascending: a value survives when no floor generator and
         no smaller survivor divides it."""
         G = self.guards
         kept: List[int] = []
         for c in sorted(set(packed)):
             cg = c | G
-            for k in kept:
+            for k in itertools.chain(floor, kept):
                 if (cg - k) & G == G:
                     break
             else:
                 kept.append(c)
         return kept
 
-    def quotients(self, As: Sequence[int], b: int) -> List[int]:
-        """Minimal generators of (A : b): the minimal max(a - b, 0).
+    def quotients(self, As: Sequence[int], b: int,
+                  floor: Sequence[int] = ()) -> List[int]:
+        """Minimal generators of (A : b) outside floor: the minimal
+        max(a - b, 0).
 
         m - (m >> (w - 1)) turns the guards that stayed set into masks of
         their fields' low bits."""
@@ -213,10 +226,12 @@ class _Fields:
             d = (a | G) - b
             m = d & G
             out.append(d & (m - (m >> s)))
-        return self.minimal(out)
+        return self.minimal(out, floor)
 
-    def lcms(self, As: Sequence[int], Bs: Sequence[int]) -> List[int]:
-        """Minimal generators of A ∩ B: the minimal b + max(a - b, 0)."""
+    def lcms(self, As: Sequence[int], Bs: Sequence[int],
+             floor: Sequence[int] = ()) -> List[int]:
+        """Minimal generators of A ∩ B outside floor: the minimal
+        b + max(a - b, 0)."""
         G, s = self.guards, self.width - 1
         out = []
         for a in As:
@@ -225,7 +240,7 @@ class _Fields:
                 d = aG - b
                 m = d & G
                 out.append(b + (d & (m - (m >> s))))
-        return self.minimal(out)
+        return self.minimal(out, floor)
 
 
 def colon_single(A: MonomialIdeal, b: Exponents) -> MonomialIdeal:
@@ -240,18 +255,31 @@ def intersect_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(A.ring, F.unpack(F.lcms(F.pack(A.gens), F.pack(B.gens))))
 
 
-def colon_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
-    """(A : B) = intersection over B's generators of (A : b)."""
+def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
+                   floor: Optional[MonomialIdeal] = None) -> MonomialIdeal:
+    """(A : B) = intersection over B's generators of (A : b).
+
+    With a floor ideal, returns (A : B) + floor, working only on the
+    generators outside floor (see the module docstring); when (A : B) adds
+    nothing to floor, floor itself is returned."""
     A._check(B)
     if not B.gens:
         raise ZeroIdealError("colon by the zero ideal")
-    F = _Fields(A.ring.nvars, A.gens, B.gens)
-    As = F.pack(A.gens)
-    result = None
+    floor_gens: Tuple[Exponents, ...] = ()
+    if floor is not None:
+        A._check(floor)
+        floor_gens = floor.gens
+    F = _Fields(A.ring.nvars, A.gens, B.gens, floor_gens)
+    As, Fs = F.pack(A.gens), F.pack(floor_gens)
+    extras = None
     for b in F.pack(B.gens):
-        part = F.quotients(As, b)
-        result = part if result is None else F.lcms(result, part)
-    return MonomialIdeal(A.ring, F.unpack(result))
+        part = F.quotients(As, b, Fs)
+        extras = part if extras is None else F.lcms(extras, part, Fs)
+        if not extras:  # only possible with a floor
+            return floor
+    if floor is not None:
+        extras = F.minimal(Fs + extras)
+    return MonomialIdeal(A.ring, F.unpack(extras))
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,25 @@ I^{k+1} : I^k.  No terminating criterion exists, so every result carries a
 status: StabilizedWindow (the chain repeated for `window` consecutive
 steps) or BoundReached (the step cap was hit; the value is only a lower
 bound).  Probes likewise return bounded verdicts, never certificates.
+
+The chain ascends, so each step only has to find what lies beyond the
+running value.  The monomial colon takes that value as a floor and returns
+it unchanged when the step adds nothing; such a step reports itself quiet
+(None) and skips the containment test.  Backends whose colon has no floor
+compute the full colon and leave the test to the chain driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product as iter_product
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Tuple, Union
 
 from .core import Exponents, Monomial, Polynomial, exps_mul
 from .errors import (PreconditionError, UnsupportedOperationError,
                      ZeroIdealError)
 from .groebner import IdealHandle
 from .monomial import (MonomialIdeal, PowerLadder, colon_monomial,
-                       colon_single, intersect_monomial, unit_ideal)
+                       colon_single, intersect_monomial, variable_ideal)
 
 IdealLike = Union[MonomialIdeal, IdealHandle]
 
@@ -126,8 +131,8 @@ class _MonomialAlg:
     def power(self, I: MonomialIdeal, n: int) -> MonomialIdeal:
         return PowerLadder(I).power(n)
 
-    def colon(self, A, B):
-        return colon_monomial(A, B)
+    def colon(self, A, B, floor=None):
+        return colon_monomial(A, B, floor)
 
     def colon_elem(self, A, e: Exponents):
         return colon_single(A, e)
@@ -165,10 +170,6 @@ class _MonomialAlg:
                 return Monomial(A.ring, g)
         return None
 
-    def cheap_upper_bound_skip(self, power_ideal, elem_k, acc) -> bool:
-        # colon by a single monomial is as cheap as the full colon; no fast path
-        return False
-
 
 class _HandleAlg:
     def __init__(self, I: IdealHandle):
@@ -178,7 +179,7 @@ class _HandleAlg:
     def power(self, I: IdealHandle, n: int) -> IdealHandle:
         return I.power(n)
 
-    def colon(self, A, B):
+    def colon(self, A, B, floor=None):
         return A.colon(B)
 
     def colon_elem(self, A, f: Polynomial):
@@ -304,9 +305,12 @@ def _check_regular(I: IdealLike, regular_element) -> None:
 
 def _run_chain(alg, start, candidate_fn, cfg: ClosureConfig,
                early_stop: bool = True):
-    """Union the ascending chain candidate_fn(k), k = 1..k_max.
+    """Union the ascending chain candidate_fn(k, acc), k = 1..k_max.
 
-    Returns (accumulated value, status, growth step indices).
+    candidate_fn returns the k-th chain value, or None for a quiet step,
+    one known to add nothing to the running value acc; only other values
+    are tested against acc.  Returns (accumulated value, status, growth
+    step indices).
     """
     acc = start
     growth: List[int] = []
@@ -326,6 +330,15 @@ def _run_chain(alg, start, candidate_fn, cfg: ClosureConfig,
     return acc, BoundReached(cfg.k_max), tuple(growth)
 
 
+def _floor_colon(alg, A, B, acc):
+    """A : B with acc as the floor, or None when it adds nothing to acc.
+
+    acc lies in A : B on an ascending chain, so (A : B) + acc is the step's
+    value either way."""
+    cand = alg.colon(A, B, acc)
+    return None if cand is acc else cand
+
+
 def _power_chain_step(alg, I, n: int):
     """Step function for the chain I^{n+k} : I^k."""
     def step(k: int, acc):
@@ -334,7 +347,7 @@ def _power_chain_step(alg, I, n: int):
             probe = alg.elem_power(alg.probe_gen, k)
             if alg.cheap_upper_bound_skip(top, probe, acc):
                 return None
-        return alg.colon(top, alg.power(I, k))
+        return _floor_colon(alg, top, alg.power(I, k), acc)
     return step
 
 
@@ -382,7 +395,7 @@ def rr_closure_via_reduction(I: IdealLike, J: IdealLike, n: int,
             probe = alg.elem_power(alg.gens(J)[0], k)
             if alg.cheap_upper_bound_skip(top, probe, acc):
                 return None
-        return alg.colon(top, alg.gen_power_ideal(J, k))
+        return _floor_colon(alg, top, alg.gen_power_ideal(J, k), acc)
 
     start = alg.power(I, n)
     value, status, growth = _run_chain(alg, start, step, cfg)
@@ -500,38 +513,32 @@ def rr_defect(I: IdealLike, n: int, cfg: ClosureConfig = DEFAULT_CONFIG,
 # graded-ring probes (monomial ideals)
 
 
-def _box_monomials(bound_per_var: Sequence[int]):
-    return iter_product(*(range(b + 1) for b in bound_per_var))
-
-
 def depth_zero_witness_search(I: MonomialIdeal,
                               cfg: ClosureConfig = DEFAULT_CONFIG):
     """Look for m in I^n \\ I^{n+1} killed into I^{n+1} by every variable.
 
     FailsAt(n, m) reports a witness that the associated graded ring has a
     degree-n socle element (depth zero); Holds(n_max) reports none found.
+
+    The m outside I^{n+1} that every variable multiplies into I^{n+1} are
+    exactly the minimal generators of I^{n+1} : (X_1, ..., X_d) outside
+    I^{n+1}: were m = x_i * m' with m' in that colon, m would lie in
+    I^{n+1}.  They are tried in ascending (lexicographic) order.  No
+    coordinate of a colon generator exceeds those of I^{n+1}'s generators,
+    so all of them lie in the box [0, (n + 1) * max exponent of I]^d, and
+    the witness is the first one a scan of that box would meet.
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedOperationError("witness search is monomial-only")
     ladder = PowerLadder(I)
-    nvars = I.ring.nvars
-    maxexp = max(max(g) for g in I.gens)
+    variables = variable_ideal(I.ring)
     for n in range(1, cfg.n_max + 1):
         In = ladder.power(n)
         In1 = ladder.power(n + 1)
         In2 = ladder.power(n + 2)
-        box = [(n + 1) * maxexp] * nvars
-        for m in _box_monomials(box):
-            if not In.contains(m) or In1.contains(m):
-                continue
-            bumped_ok = True
-            for i in range(nvars):
-                up = list(m)
-                up[i] += 1
-                if not In1.contains(tuple(up)):
-                    bumped_ok = False
-                    break
-            if not bumped_ok:
+        inside = set(In1.gens)
+        for m in colon_monomial(In1, variables, In1).gens:
+            if m in inside or not In.contains(m):
                 continue
             if all(In2.contains(exps_mul(m, g)) for g in I.gens):
                 return FailsAt(n, Monomial(I.ring, m))

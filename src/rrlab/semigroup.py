@@ -225,7 +225,7 @@ class _NSAlg:
     def power(self, I, n):
         return I.power(n)
 
-    def colon(self, A, B):
+    def colon(self, A, B, floor=None):
         return A.colon(B)
 
     def colon_elem(self, A, z: int):
@@ -263,9 +263,6 @@ class _NSAlg:
             if not B.contains(g):
                 return g
         return None
-
-    def cheap_upper_bound_skip(self, power_ideal, elem_k, acc):
-        return False
 
 
 def ns_rr_closure(E: SemigroupIdeal, n: int = 1,
@@ -528,7 +525,7 @@ class _AffineAlg:
     def power(self, I, n):
         return I.power(n)
 
-    def colon(self, A, B):
+    def colon(self, A, B, floor=None):
         return A.colon(B)
 
     def colon_elem(self, A, p):
@@ -566,9 +563,6 @@ class _AffineAlg:
             if not B.contains(g):
                 return g
         return None
-
-    def cheap_upper_bound_skip(self, power_ideal, elem_k, acc):
-        return False
 
 
 def affine_ideal_ops(I: AffineIdeal, J: AffineIdeal, op: str):

@@ -1,6 +1,7 @@
 """Closure chains, membership probes, defect modules and graded probes."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -151,13 +152,79 @@ def test_gr_nzd_probe_degree_checks():
 
 
 def test_depth_zero_witness_search():
-    # x*(X,Y)-socle in degree 1: (X^2, X*Y, Y^3) has X in I \ I^2 with
-    # X*I in I^2?  Use a known depth-zero example instead.
     I = _mono((2, 0), (1, 1), (0, 3))
-    v = depth_zero_witness_search(I, ClosureConfig(n_max=3))
-    assert isinstance(v, (Holds, FailsAt))
+    assert depth_zero_witness_search(I, ClosureConfig(n_max=3)) == Holds(3)
     clean = _mono((1, 0), (0, 1))
     assert depth_zero_witness_search(clean, ClosureConfig(n_max=3)) == Holds(3)
+
+
+def test_depth_zero_witnesses():
+    cfg = ClosureConfig(n_max=2)
+    I = _mono((5, 0), (4, 1), (1, 4), (0, 5))
+    assert depth_zero_witness_search(I, cfg) == FailsAt(1, I.ring.monomial((3, 7)))
+    I = _mono((7, 0), (6, 1), (3, 5), (2, 6))
+    assert depth_zero_witness_search(I, cfg) == FailsAt(1, I.ring.monomial((7, 9)))
+
+
+def _box_scan_depth_zero(gens, n_max):
+    """The first (n, m), m in lexicographic order over the box
+    [0, (n+1)*max exponent]^d, with m in I^n \\ I^{n+1}, x_i*m in I^{n+1}
+    for every variable and m*I in I^{n+2}; None when there is none."""
+    nvars = len(gens[0])
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def inside(m, P):
+        return any(divides(p, m) for p in P)
+
+    def power(n):
+        P = {(0,) * nvars}
+        for _ in range(n):
+            P = {add(p, g) for p in P for g in gens}
+            P = {p for p in P if not any(q != p and divides(q, p) for q in P)}
+        return P
+
+    units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    top = max(max(g) for g in gens)
+    for n in range(1, n_max + 1):
+        In, In1, In2 = power(n), power(n + 1), power(n + 2)
+        for m in product(range((n + 1) * top + 1), repeat=nvars):
+            if (inside(m, In) and not inside(m, In1)
+                    and all(inside(add(m, u), In1) for u in units)
+                    and all(inside(add(m, g), In2) for g in gens)):
+                return n, m
+    return None
+
+
+def test_depth_zero_witness_search_matches_box_scan():
+    rng = random.Random(7)
+    outcomes = set()
+    for trial in range(60):
+        kind = trial % 3
+        if kind == 0:
+            # (X^a, X^(a-1)*Y^s, X^t*Y^(b-1), Y^b): often depth zero
+            a, b = rng.randint(3, 8), rng.randint(3, 8)
+            gens = [(a, 0), (a - 1, rng.randint(1, 2)),
+                    (rng.randint(1, 2), b - 1), (0, b)]
+        else:
+            # two or three variables, often not zero-dimensional
+            nvars = kind + 1
+            top = 5 if nvars == 2 else 3
+            gens = [tuple(rng.randint(0, top) for _ in range(nvars))
+                    for _ in range(rng.randint(1, 4))]
+            gens = [g for g in gens if any(g)] or [(1,) * nvars]
+        I = MonomialIdeal.from_gens(RingDescriptor(
+            ("X", "Y", "Z")[:len(gens[0])]), gens)
+        found = _box_scan_depth_zero(I.gens, 2)
+        expected = Holds(2) if found is None else FailsAt(
+            found[0], I.ring.monomial(found[1]))
+        assert depth_zero_witness_search(I, ClosureConfig(n_max=2)) == expected, I
+        outcomes.add(type(expected))
+    assert outcomes == {Holds, FailsAt}
 
 
 def test_handle_backend_matches_monomial_backend():
