@@ -12,12 +12,12 @@ import sys
 from typing import List, Optional
 
 from .core import Field, MonomialOrder, QQ, RingDescriptor
-from .errors import (ArityError, InputError, PreconditionError, RRLabError,
-                     ResourceLimitError, UnsupportedOperationError)
+from .errors import (ArityError, InputError, RRLabError, ResourceLimitError,
+                     UnsupportedOperationError)
 from .groebner import IdealHandle
 from .monomial import (MonomialIdeal, associated_primes_monomial,
-                       colon_monomial, integral_closure_monomial,
-                       intersect_monomial, is_borel_fixed, socle_candidates)
+                       integral_closure_monomial, is_borel_fixed,
+                       socle_candidates)
 from .parser import (AffineDecl, Command, IdealDecl, InputProgram, RingDecl,
                      SemiringDecl, eval_pair, eval_poly, eval_t_exponent,
                      parse_program)
@@ -125,29 +125,6 @@ def _as_monomial(I) -> MonomialIdeal:
     raise UnsupportedOperationError("this command needs a monomial ideal")
 
 
-def _colon(A, B):
-    if isinstance(A, MonomialIdeal):
-        return colon_monomial(A, B)
-    return A.colon(B)
-
-
-def _intersect(A, B):
-    if isinstance(A, MonomialIdeal):
-        return intersect_monomial(A, B)
-    return A.intersect(B)
-
-
-def _closure_result(I, n: int, cfg: ClosureConfig):
-    exact = getattr(type(I), "rr_power_result", None)
-    if exact is not None:
-        return exact(I, n, cfg)
-    return rr_power(I, n, cfg)
-
-
-def _ideal_str(I) -> str:
-    return str(I)
-
-
 def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     """Execute one command against the session; returns a report fragment."""
     if cmd.overrides:
@@ -166,11 +143,9 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     if name in ("rr_closure", "is_rr_closed", "rr_defect", "rr_power"):
         I = session.ideal(args[0])
         if name == "rr_closure":
-            res = _closure_result(I, 1, cfg)
-            out.update(res.to_dict())
+            out.update(rr_closure(I, cfg).to_dict())
         elif name == "rr_power":
-            res = _closure_result(I, args[1][1], cfg)
-            out.update(res.to_dict())
+            out.update(rr_power(I, args[1][1], cfg).to_dict())
         elif name == "is_rr_closed":
             out.update(is_rr_closed(I, cfg).to_dict())
         else:
@@ -188,33 +163,28 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
         out["basis"] = [str(p) for p in H.groebner_basis().polynomials]
     elif name == "lt":
         H = _as_handle(session.ideal(args[0]), session)
-        out["value"] = _ideal_str(H.leading_term_ideal())
+        out["value"] = str(H.leading_term_ideal())
     elif name == "normal_form":
         f = session.element(args[0])
         H = _as_handle(session.ideal(args[1]), session)
         out["value"] = str(H.groebner_basis().normal_form(f))
     elif name == "membership":
         m, I = session.element(args[0]), session.ideal(args[1])
-        if isinstance(I, MonomialIdeal):
-            [(e, _)] = m.terms.items()
-            out["member"] = I.contains(e)
-        else:
-            out["member"] = I.contains(m)
+        out["member"] = I.contains(I.element(m))
     elif name in ("colon", "intersect", "sum", "product"):
         A, B = session.ideal(args[0]), session.ideal(args[1])
-        value = {"colon": _colon, "intersect": _intersect,
-                 "sum": lambda a, b: a + b,
-                 "product": lambda a, b: a * b}[name](A, B)
-        out["value"] = _ideal_str(value)
+        value = {"colon": A.colon, "intersect": A.intersect,
+                 "sum": A.__add__, "product": A.__mul__}[name](B)
+        out["value"] = str(value)
     elif name == "power":
-        out["value"] = _ideal_str(session.ideal(args[0]).power(args[1][1]))
+        out["value"] = str(session.ideal(args[0]).power(args[1][1]))
     elif name == "min_gens":
         I = session.ideal(args[0])
         gens = I.gens
         out["count"] = len(gens)
-        out["generators"] = _ideal_str(I)
+        out["generators"] = str(I)
     elif name == "integral_closure":
-        out["value"] = _ideal_str(
+        out["value"] = str(
             integral_closure_monomial(_as_monomial(session.ideal(args[0]))))
     elif name == "ass_primes":
         primes = associated_primes_monomial(_as_monomial(session.ideal(args[0])))

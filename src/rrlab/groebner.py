@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Monomial, MonomialOrder, Polynomial,
-                   RingDescriptor, exps_divides, exps_lcm, exps_mul,
-                   exps_quotient)
-from .errors import (PreconditionError, ResourceLimitError, RingMismatchError,
+                   RingDescriptor, exps_divides, exps_lcm, exps_mul)
+from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
 
@@ -281,6 +280,23 @@ class IdealHandle:
         b = other.groebner_basis()._polys
         return [sorted(g.items()) for g in a] == [sorted(g.items()) for g in b]
 
+    def element(self, m) -> Polynomial:
+        if isinstance(m, Monomial):
+            return m.as_polynomial()
+        if isinstance(m, Polynomial):
+            return m
+        raise UnsupportedOperationError(f"cannot probe with {type(m).__name__}")
+
+    def gens_outside(self, other: "IdealHandle") -> Iterator[Polynomial]:
+        return (g for g in self.gens if not other.contains(g))
+
+    def first_gen_outside(self, other: "IdealHandle") -> Optional[Polynomial]:
+        return next(self.gens_outside(other), None)
+
+    def principal_reduction_index(self) -> None:
+        """No principal reduction is known here (see ratliff_rush.rr_power)."""
+        return None
+
     def is_zero(self) -> bool:
         if not self.ring.quotient:
             return len(self.groebner_basis()) == 0
@@ -300,6 +316,13 @@ class IdealHandle:
         self.ring.check_compatible(other.ring)
         return IdealHandle(self.ring, [a * b for a in self.gens for b in other.gens],
                            self.pair_cap)
+
+    def times(self, f: Polynomial) -> "IdealHandle":
+        """The ideal f * I."""
+        return IdealHandle(self.ring, [f * g for g in self.gens], self.pair_cap)
+
+    def gen_powers(self, k: int) -> "IdealHandle":
+        return IdealHandle(self.ring, [g ** k for g in self.gens], self.pair_cap)
 
     def power(self, n: int) -> "IdealHandle":
         if n < 0:
@@ -362,13 +385,26 @@ class IdealHandle:
         quots = [_exact_divide(g, b) for g in inter.gens]
         return IdealHandle(self.ring, quots, self.pair_cap)
 
-    def colon(self, other: "IdealHandle") -> "IdealHandle":
+    def colon(self, other: "IdealHandle",
+              floor: Optional["IdealHandle"] = None) -> "IdealHandle":
+        """The intersection of the colons by each generator of other.
+
+        With a floor F, the colon by the generator b of least (total degree,
+        term count) comes first.  It contains the whole colon, so when F
+        contains it F itself is returned, a step that adds nothing to F;
+        otherwise it is reused as b's part of the intersection."""
         if not other.gens:
             raise ZeroIdealError("colon by the zero ideal")
         self.ring.check_compatible(other.ring)
+        probe = first = None
+        if floor is not None:
+            probe = min(other.gens, key=lambda g: (g.total_degree(), len(g.terms)))
+            first = self.colon_element(probe)
+            if floor.contains_ideal(first):
+                return floor
         result: Optional[IdealHandle] = None
         for b in other.gens:
-            part = self.colon_element(b)
+            part = first if b is probe else self.colon_element(b)
             result = part if result is None else result.intersect(part)
         return result
 

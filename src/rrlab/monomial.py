@@ -2,8 +2,8 @@
 
 A monomial ideal is stored by its (unique) minimal generator set of
 exponent vectors, in ascending order, so structural equality is ideal
-equality.  All ops are pure; PowerLadder memoizes minimal generators of
-powers.
+equality.  All ops are pure; each ideal keeps a PowerLadder that memoizes
+the minimal generators of its powers and goes away with it.
 
 The generator-set kernels use integer operations instead of a Python loop
 over each pair of tuples.
@@ -48,10 +48,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .core import Exponents, Monomial, RingDescriptor, exps_divides, exps_mul
-from .errors import PreconditionError, RingMismatchError, ZeroIdealError
+from .core import (Exponents, Monomial, Polynomial, RingDescriptor,
+                   exps_divides, exps_mul)
+from .errors import (PreconditionError, RingMismatchError,
+                     UnsupportedOperationError, ZeroIdealError)
 
 
 def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
@@ -113,12 +115,30 @@ class MonomialIdeal:
     def contains(self, e: Exponents) -> bool:
         return any(exps_divides(g, e) for g in self.gens)
 
-    def contains_monomial(self, m: Monomial) -> bool:
-        return self.contains(m.exps)
-
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         self._check(other)
         return all(self.contains(g) for g in other.gens)
+
+    def element(self, m) -> Exponents:
+        """The exponent vector of a Monomial, a one-term Polynomial or a
+        tuple."""
+        if isinstance(m, Monomial):
+            return m.exps
+        if isinstance(m, Polynomial):
+            if len(m.terms) != 1:
+                raise UnsupportedOperationError(
+                    "monomial-ideal probes take a single monomial")
+            return next(iter(m.terms))
+        if isinstance(m, tuple):
+            return m
+        raise UnsupportedOperationError(f"cannot probe with {type(m).__name__}")
+
+    def gens_outside(self, other: "MonomialIdeal") -> Iterator[Monomial]:
+        return (Monomial(self.ring, g) for g in self.gens
+                if not other.contains(g))
+
+    def first_gen_outside(self, other: "MonomialIdeal") -> Optional[Monomial]:
+        return next(self.gens_outside(other), None)
 
     # -- semiring ops ------------------------------------------------------
 
@@ -133,6 +153,26 @@ class MonomialIdeal:
 
     def power(self, n: int) -> "MonomialIdeal":
         return PowerLadder(self).power(n)
+
+    def times(self, e: Exponents) -> "MonomialIdeal":
+        """The ideal e * I.  Multiplying by e keeps the generators minimal
+        and in lexicographic order."""
+        return MonomialIdeal(self.ring, tuple(exps_mul(e, g) for g in self.gens))
+
+    def gen_powers(self, k: int) -> "MonomialIdeal":
+        return MonomialIdeal.from_gens(
+            self.ring, [tuple(k * x for x in g) for g in self.gens])
+
+    def colon(self, other: "MonomialIdeal",
+              floor: Optional["MonomialIdeal"] = None) -> "MonomialIdeal":
+        return colon_monomial(self, other, floor)
+
+    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        return intersect_monomial(self, other)
+
+    def principal_reduction_index(self) -> None:
+        """No principal reduction is known here (see ratliff_rush.rr_power)."""
+        return None
 
     def num_min_gens(self) -> int:
         return len(self.gens)
@@ -287,30 +327,38 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
 
 
 class PowerLadder:
-    """Memoized minimal generator sets for I^1, I^2, ..."""
+    """Memoized minimal generator sets for I^1, I^2, ...
 
-    _cache: dict = {}
+    PowerLadder(I) returns the ladder kept on I itself, so it lives exactly
+    as long as I does.  It holds I's ring and generators, not I, so no
+    reference cycle keeps it alive."""
+
+    __slots__ = ("ring", "_powers", "__weakref__")
 
     def __new__(cls, base: MonomialIdeal):
-        key = (base.ring.variables, base.gens)
-        inst = cls._cache.get(key)
+        inst = base.__dict__.get("_ladder")
         if inst is None:
             inst = super().__new__(cls)
-            inst.base = base
+            inst.ring = base.ring
             inst._powers = [base.gens]
-            cls._cache[key] = inst
+            object.__setattr__(base, "_ladder", inst)  # base is frozen
         return inst
+
+    @property
+    def base(self) -> MonomialIdeal:
+        return MonomialIdeal(self.ring, self._powers[0])
 
     def power(self, n: int) -> MonomialIdeal:
         if n < 0:
             raise PreconditionError("negative power")
         if n == 0:
-            return unit_ideal(self.base.ring)
+            return unit_ideal(self.ring)
+        gens = self._powers[0]
         while len(self._powers) < n:
             prev = self._powers[-1]
-            nxt = minimalize(exps_mul(a, b) for a in prev for b in self.base.gens)
+            nxt = minimalize(exps_mul(a, b) for a in prev for b in gens)
             self._powers.append(nxt)
-        return MonomialIdeal(self.base.ring, self._powers[n - 1])
+        return MonomialIdeal(self.ring, self._powers[n - 1])
 
 
 def member_of_power(m: Exponents, ladder: PowerLadder, n: int) -> bool:
@@ -497,10 +545,16 @@ def in_newton_polyhedron(e: Exponents, gens: Sequence[Exponents]) -> bool:
 
 
 def integral_closure_monomial(I: MonomialIdeal) -> MonomialIdeal:
+    """The members of the Newton polyhedron in the box of I's largest
+    exponents, minimalized.
+
+    The closure is an ideal, so a point that a member found so far divides
+    is a member without a simplex run; the box is scanned in lexicographic
+    order, which meets divisors before their multiples."""
     box = [max(g[i] for g in I.gens) for i in range(I.ring.nvars)]
     found = list(I.gens)
     for e in itertools.product(*(range(b + 1) for b in box)):
-        if I.contains(e):
+        if any(exps_divides(g, e) for g in found):
             continue
         if in_newton_polyhedron(e, I.gens):
             found.append(e)

@@ -9,12 +9,9 @@ claims are never stronger than what was computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional
 
-from .core import Monomial, Polynomial
-from .errors import PreconditionError, UnsupportedOperationError
-from .groebner import IdealHandle
-from .monomial import MonomialIdeal, unit_ideal
+from .errors import PreconditionError
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, FailsAt, Holds,
                            rr_power, superficial_probe)
 
@@ -30,41 +27,21 @@ def _eq(A, B) -> bool:
     return A.contains_ideal(B) and B.contains_ideal(A)
 
 
-def _unit_like(I):
-    """The ideal playing the role of I^0 = R for each backend."""
-    if isinstance(I, MonomialIdeal):
-        return unit_ideal(I.ring)
-    if isinstance(I, IdealHandle):
-        return IdealHandle(I.ring, [I.ring.one()], I.pair_cap)
-    return I.power(0)
+def _closures(I, powers, cfg: ClosureConfig):
+    """([closure value of I^m for m in powers], status string).
 
-
-def _principal(I, x):
-    """The principal ideal (x) in I's backend."""
-    if isinstance(I, MonomialIdeal):
-        if isinstance(x, Monomial):
-            x = x.exps
-        return MonomialIdeal.from_gens(I.ring, [x])
-    if isinstance(I, IdealHandle):
-        if isinstance(x, Monomial):
-            x = x.as_polynomial()
-        return IdealHandle(I.ring, [x], I.pair_cap)
-    maker = getattr(type(I), "from_gens", None)
-    if maker is not None:
-        return maker(I.S, [x])
-    raise UnsupportedOperationError(f"no principal ideal for {type(I).__name__}")
-
-
-def _rr_value(I, m: int, cfg: ClosureConfig):
-    """(closure value of I^m, status string); exact backends short-circuit."""
-    if m == 0:
-        return _unit_like(I), EXACT
-    exact = getattr(type(I), "rr_power_result", None)
-    if exact is not None:
-        res = exact(I, m, cfg)
-    else:
+    I^0 is the whole ring, closed by convention; the status is EXACT unless
+    some chain reached its bound."""
+    values, status = [], EXACT
+    for m in powers:
+        if m == 0:
+            values.append(I.power(0))
+            continue
         res = rr_power(I, m, cfg)
-    return res.value, (EXACT if res.certified else BOUNDED)
+        if not res.certified:
+            status = BOUNDED
+        values.append(res.value)
+    return values, status
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +98,7 @@ def rr_reduction_number(I, J, cfg: ClosureConfig = DEFAULT_CONFIG):
     status).  None when even n = n_max fails within the bound."""
     if not I.contains_ideal(J):
         raise PreconditionError("J must be contained in I")
-    status = EXACT
-    tilde = []
-    for m in range(cfg.n_max + 2):
-        value, st = _rr_value(I, m, cfg)
-        if st != EXACT:
-            status = BOUNDED
-        tilde.append(value)
+    tilde, status = _closures(I, range(cfg.n_max + 2), cfg)
     holds_at = [ _eq(tilde[m + 1], J * tilde[m]) for m in range(cfg.n_max + 1) ]
     n = cfg.n_max + 1
     for m in range(cfg.n_max, -1, -1):
@@ -145,13 +116,9 @@ def s_invariant(I, cfg: ClosureConfig = DEFAULT_CONFIG):
 
     When every checked power is closed this reports s = 0 (the zeroth power
     is the whole ring, closed by convention)."""
-    status = EXACT
-    closed = [True]  # m = 0
-    for m in range(1, cfg.n_max + 1):
-        value, st = _rr_value(I, m, cfg)
-        if st != EXACT:
-            status = BOUNDED
-        closed.append(_eq(value, I.power(m)))
+    tilde, status = _closures(I, range(1, cfg.n_max + 1), cfg)
+    closed = [True] + [_eq(value, I.power(m))
+                       for m, value in enumerate(tilde, start=1)]
     n = cfg.n_max + 1
     for m in range(cfg.n_max, -1, -1):
         if closed[m]:
@@ -214,22 +181,14 @@ def prop41_equivalence_check(I, x, t: int,
     probes as superficial."""
     if t < 0:
         raise PreconditionError("level t must be >= 0")
-    X = _principal(I, x)
+    X = I.power(0).times(I.element(x))
     if not isinstance(is_reduction(I, X, cfg.n_max), Holds):
         raise PreconditionError("(x) did not verify as a reduction of I")
     sup = superficial_probe(x, I, cfg)
     if not isinstance(sup, Holds):
         raise PreconditionError("x did not probe as a superficial element")
 
-    status = EXACT
-    def T(m):
-        nonlocal status
-        value, st = _rr_value(I, m, cfg)
-        if st != EXACT:
-            status = BOUNDED
-        return value
-
-    T_t, T_t1, T_t2 = T(t), T(t + 1), T(t + 2)
+    (T_t, T_t1, T_t2), status = _closures(I, (t, t + 1, t + 2), cfg)
     x_Tt = X * T_t
     rhs = x_Tt + T_t2
     cond_b = rhs.contains_ideal(I * T_t + T_t2)

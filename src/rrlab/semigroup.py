@@ -9,13 +9,12 @@ generator sets are unique, so structural equality is ideal equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import (PreconditionError, ResourceLimitError, ZeroIdealError)
 from .ratliff_rush import (ClosureConfig, ClosureResult, DEFAULT_CONFIG,
-                           StabilizedWindow)
+                           rr_power)
 
 Pair = Tuple[int, int]
 
@@ -81,14 +80,6 @@ class NumericalSemigroup:
         return f"<{','.join(map(str, self.gens))}>"
 
 
-def ns_membership(S: NumericalSemigroup, z: int) -> bool:
-    return S.contains(z)
-
-
-def ns_conductor(S: NumericalSemigroup) -> int:
-    return S.conductor
-
-
 def _ns_minimalize(S: NumericalSemigroup, cands: Iterable[int]) -> Tuple[int, ...]:
     """Minimal generators: drop g when g - g' lies in S for another candidate."""
     cands = sorted(set(cands))
@@ -152,11 +143,29 @@ class SemigroupIdeal:
             out = out * self
         return out
 
-    def shift(self, z: int) -> "SemigroupIdeal":
+    def times(self, z: int) -> "SemigroupIdeal":
+        """The ideal t^z * E: every generator shifted by z."""
         return SemigroupIdeal(self.S, tuple(g + z for g in self.gens))
 
-    def colon(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
-        """{z in S : z + gens(other) inside self}, exact by the conductor bound."""
+    def gen_powers(self, k: int) -> "SemigroupIdeal":
+        return SemigroupIdeal.from_gens(self.S, [k * g for g in self.gens])
+
+    def element(self, m) -> int:
+        if isinstance(m, int):
+            return m
+        raise PreconditionError("semigroup elements are integers (t-exponents)")
+
+    def gens_outside(self, other: "SemigroupIdeal") -> Iterator[int]:
+        return (g for g in self.gens if not other.contains(g))
+
+    def first_gen_outside(self, other: "SemigroupIdeal") -> Optional[int]:
+        return next(self.gens_outside(other), None)
+
+    def colon(self, other: "SemigroupIdeal",
+              floor: Optional["SemigroupIdeal"] = None) -> "SemigroupIdeal":
+        """{z in S : z + gens(other) inside self}, exact by the conductor bound.
+
+        The floor is not used: the whole colon is returned."""
         self._check(other)
         # everything >= min(self) + conductor works, so candidates are bounded
         ub = self.min_element() + self.S.conductor + 1
@@ -186,104 +195,15 @@ class SemigroupIdeal:
         prev = self.power(0)
         for r in range(cap):
             cur = prev * self
-            if cur == prev.shift(x):
+            if cur == prev.times(x):
                 return r
             prev = cur
         raise ResourceLimitError("principal reduction index not found within cap")
 
     def rr_power_result(self, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
-        """Exact closure of E^n: the chain E^{n+k} : E^k stabilizes at the
-        principal-reduction index, so the certificate is unconditional here."""
-        if n < 1:
-            raise PreconditionError("power must be >= 1")
-        r = self.principal_reduction_index()
-        k_star = max(r, 1)
-        acc = self.power(n)
-        growth = []
-        for k in range(1, k_star + 1):
-            cand = self.power(n + k).colon(self.power(k))
-            if not acc.contains_ideal(cand):
-                acc = acc + cand
-                growth.append(k)
-        return ClosureResult(acc, StabilizedWindow(k_star, cfg.window), tuple(growth))
-
-    # hooks for the generic probe engine ------------------------------------
-
-    def normalize_element(self, m) -> int:
-        if isinstance(m, int):
-            return m
-        raise PreconditionError("semigroup elements are integers (t-exponents)")
-
-    @staticmethod
-    def algebra_factory(I: "SemigroupIdeal") -> "_NSAlg":
-        return _NSAlg()
-
-
-class _NSAlg:
-    """Adapter exposing SemigroupIdeal to the generic chain/probe engine."""
-
-    def power(self, I, n):
-        return I.power(n)
-
-    def colon(self, A, B, floor=None):
-        return A.colon(B)
-
-    def colon_elem(self, A, z: int):
-        return A.colon(SemigroupIdeal.from_gens(A.S, [z]))
-
-    def equals(self, A, B):
-        return A.gens == B.gens
-
-    def contains_ideal(self, A, B):
-        return A.contains_ideal(B)
-
-    def add(self, A, B):
-        return A + B
-
-    def intersect(self, A, B):
-        return A.intersect(B)
-
-    def contains(self, I, z):
-        return I.contains(z)
-
-    def gens(self, I):
-        return I.gens
-
-    def mul_elem(self, a, b):
-        return a + b
-
-    def elem_power(self, a, k):
-        return k * a
-
-    def gen_power_ideal(self, J, k):
-        return SemigroupIdeal.from_gens(J.S, [k * g for g in J.gens])
-
-    def witness_outside(self, A, B):
-        for g in A.gens:
-            if not B.contains(g):
-                return g
-        return None
-
-
-def ns_rr_closure(E: SemigroupIdeal, n: int = 1,
-                  cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
-    return E.rr_power_result(n, cfg)
-
-
-def ns_ideal_ops(E: SemigroupIdeal, F: SemigroupIdeal, op: str):
-    if op == "sum":
-        return E + F
-    if op == "product":
-        return E * F
-    if op == "colon":
-        return E.colon(F)
-    if op == "intersection":
-        return E.intersect(F)
-    raise PreconditionError(f"unknown semigroup ideal op {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# 2-D affine semigroups
+        """Exact closure of E^n: rr_power runs the chain E^{n+k} : E^k to
+        the principal-reduction index, past which it is constant."""
+        return rr_power(self, n, cfg)
 
 
 class AffineSemigroup2D:
@@ -402,10 +322,6 @@ def _extreme_rays(gens: Sequence[Pair]) -> Tuple[Pair, Pair]:
     return low, high
 
 
-def affine_membership(S: AffineSemigroup2D, p: Pair) -> bool:
-    return S.contains(p)
-
-
 def _affine_minimalize(S: AffineSemigroup2D, cands: Iterable[Pair]) -> Tuple[Pair, ...]:
     cands = sorted(set(map(tuple, cands)), key=lambda p: (p[0] + p[1], p))
     kept: List[Pair] = []
@@ -466,8 +382,34 @@ class AffineIdeal:
             out = out * self
         return out
 
-    def colon(self, other: "AffineIdeal") -> "AffineIdeal":
-        """Bounded box search for {p in S : p + gens(other) inside self}."""
+    def times(self, p: Pair) -> "AffineIdeal":
+        """The ideal t^p * I: every generator shifted by p."""
+        return AffineIdeal(self.S, tuple((g[0] + p[0], g[1] + p[1])
+                                         for g in self.gens))
+
+    def gen_powers(self, k: int) -> "AffineIdeal":
+        return AffineIdeal.from_gens(self.S, [(k * a, k * b) for a, b in self.gens])
+
+    def element(self, m) -> Pair:
+        if isinstance(m, tuple) and len(m) == 2:
+            return m
+        raise PreconditionError("affine elements are exponent pairs")
+
+    def gens_outside(self, other: "AffineIdeal") -> Iterator[Pair]:
+        return (g for g in self.gens if not other.contains(g))
+
+    def first_gen_outside(self, other: "AffineIdeal") -> Optional[Pair]:
+        return next(self.gens_outside(other), None)
+
+    def principal_reduction_index(self) -> None:
+        """No principal reduction is known here (see ratliff_rush.rr_power)."""
+        return None
+
+    def colon(self, other: "AffineIdeal",
+              floor: Optional["AffineIdeal"] = None) -> "AffineIdeal":
+        """Bounded box search for {p in S : p + gens(other) inside self}.
+
+        The floor is not used: the whole colon is returned."""
         self._check(other)
         bx = max(g[0] for g in self.gens) + max(max(s[0] for s in self.S.gens), 1)
         by = max(g[1] for g in self.gens) + max(max(s[1] for s in self.S.gens), 1)
@@ -505,73 +447,4 @@ class AffineIdeal:
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
-    # hooks for the generic engine -------------------------------------------
 
-    def normalize_element(self, m) -> Pair:
-        if isinstance(m, tuple) and len(m) == 2:
-            return m
-        raise PreconditionError("affine elements are exponent pairs")
-
-    @staticmethod
-    def algebra_factory(I: "AffineIdeal") -> "_AffineAlg":
-        return _AffineAlg()
-
-    def rr_power_result(self, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
-        from .ratliff_rush import rr_power
-        return rr_power(self, n, cfg)
-
-
-class _AffineAlg:
-    def power(self, I, n):
-        return I.power(n)
-
-    def colon(self, A, B, floor=None):
-        return A.colon(B)
-
-    def colon_elem(self, A, p):
-        return A.colon(AffineIdeal.from_gens(A.S, [p]))
-
-    def equals(self, A, B):
-        return A.gens == B.gens
-
-    def contains_ideal(self, A, B):
-        return A.contains_ideal(B)
-
-    def add(self, A, B):
-        return A + B
-
-    def intersect(self, A, B):
-        return A.intersect(B)
-
-    def contains(self, I, p):
-        return I.contains(p)
-
-    def gens(self, I):
-        return I.gens
-
-    def mul_elem(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def elem_power(self, a, k):
-        return (k * a[0], k * a[1])
-
-    def gen_power_ideal(self, J, k):
-        return AffineIdeal.from_gens(J.S, [(k * g[0], k * g[1]) for g in J.gens])
-
-    def witness_outside(self, A, B):
-        for g in A.gens:
-            if not B.contains(g):
-                return g
-        return None
-
-
-def affine_ideal_ops(I: AffineIdeal, J: AffineIdeal, op: str):
-    if op == "power":
-        raise PreconditionError("use AffineIdeal.power(n)")
-    if op == "sum":
-        return I + J
-    if op == "product":
-        return I * J
-    if op == "colon":
-        return I.colon(J)
-    raise PreconditionError(f"unknown affine ideal op {op!r}")

@@ -1,0 +1,133 @@
+"""One ideal protocol: the Python API and the CLI pick the same closure.
+
+Every ideal type implements the methods the closure engine calls, and
+`rr_power` alone decides when a chain can stop exactly, so a closure asked
+for through the API and through `rrlab compute` must agree on every ring
+kind.
+"""
+
+import itertools
+import json
+import random
+import weakref
+
+import pytest
+
+from rrlab import (DEFAULT_CONFIG, IdealHandle, MonomialIdeal,
+                   NumericalSemigroup, PowerLadder, RingDescriptor,
+                   SemigroupIdeal, parse_polynomial, parse_program,
+                   rr_closure, rr_power)
+from rrlab.cli import Session, main, run_command
+from rrlab.monomial import in_newton_polyhedron, integral_closure_monomial
+from rrlab.parser import Command
+
+
+def _session_and_commands(text):
+    session = Session()
+    commands = []
+    for st in parse_program(text).statements:
+        if isinstance(st, Command):
+            commands.append(st)
+        else:
+            session.declare(st)
+    return session, commands
+
+
+def test_semigroup_closure_takes_the_exact_path(tmp_path, capsys):
+    text = "semiring S = <6, 7, 8>;\nideal I = (t^6, t^7, t^16);\nrr_closure I;\n"
+    S = NumericalSemigroup([6, 7, 8])
+    I = SemigroupIdeal.from_gens(S, [6, 7, 16])
+    res = rr_closure(I)
+    assert res.value.gens == (6, 7, 8)
+    assert res.to_dict() == I.rr_power_result(1).to_dict()
+
+    path = tmp_path / "prog.rr"
+    path.write_text(text)
+    assert main(["compute", str(path), "--format", "json"]) == 0
+    [frag] = json.loads(capsys.readouterr().out)["commands"]
+    del frag["command"], frag["config"]
+    assert frag == res.to_dict()
+
+
+PROGRAMS = {
+    "monomial": "ring R = QQ[X, Y];\nideal I = (X^4, X^3*Y, X*Y^3, Y^4);\n",
+    "handle": "ring R = QQ[X, Y];\nideal I = (X^2 - Y^3, X*Y);\n",
+    "semiring": "semiring S = <4, 5, 11>;\nideal I = (t^4, t^5, t^11);\n",
+    "affine": ("affine A = <(1,0), (0,2), (0,7), (2,5), (3,1)>;\n"
+               "ideal I = ((1,0), (0,2));\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROGRAMS))
+def test_api_and_cli_agree_on_every_ring_kind(kind):
+    session, commands = _session_and_commands(
+        PROGRAMS[kind] + "rr_closure I;\nrr_power I 2;\n")
+    I = session.ideals["I"]
+    api = [rr_closure(I, DEFAULT_CONFIG), rr_power(I, 2, DEFAULT_CONFIG)]
+    for cmd, res in zip(commands, api):
+        frag = run_command(session, cmd, DEFAULT_CONFIG)
+        del frag["command"], frag["config"]
+        assert frag == res.to_dict()
+
+
+def test_handle_colon_with_a_floor(monkeypatch):
+    R = RingDescriptor(("X", "Y"))
+    A = IdealHandle(R, [parse_polynomial(R, t)
+                        for t in ("X^3", "X^2*Y + Y^3", "Y^4")])
+    B = IdealHandle(R, [parse_polynomial(R, t) for t in ("Y", "X")])
+    plain = A.colon(B)
+    # Y comes first of the two degree-one generators; A : Y contains A : B
+    floor = A.colon_element(B.gens[0])
+    assert A.colon(B, floor=floor) is floor
+
+    calls = []
+    colon_element = IdealHandle.colon_element
+    monkeypatch.setattr(IdealHandle, "colon_element",
+                        lambda self, b: calls.append(b) or colon_element(self, b))
+    # A lies in A : B but not the other way: the colon comes back whole,
+    # and the part tried first against the floor is not computed again
+    got = A.colon(B, floor=A)
+    assert got is not A and got.equals(plain)
+    assert sorted(map(str, calls)) == ["X", "Y"]
+
+
+def test_power_ladder_lives_on_its_ideal():
+    R = RingDescriptor(("X", "Y"))
+    I = MonomialIdeal.from_gens(R, [(3, 0), (1, 1), (0, 3)])
+    ladder = PowerLadder(I)
+    assert PowerLadder(I) is ladder
+    assert I.power(4).gens == ladder.power(4).gens
+    ref = weakref.ref(ladder)
+    del ladder
+    assert ref() is not None  # kept by I
+    del I
+    assert ref() is None  # gone with I, without waiting for the collector
+
+
+def _closure_by_full_box(I):
+    """Reference: every point of the box outside I is tested against the
+    Newton polyhedron, with no point skipped."""
+    box = [max(g[i] for g in I.gens) for i in range(I.ring.nvars)]
+    found = list(I.gens)
+    for e in itertools.product(*(range(b + 1) for b in box)):
+        if not I.contains(e) and in_newton_polyhedron(e, I.gens):
+            found.append(e)
+    return MonomialIdeal.from_gens(I.ring, found)
+
+
+def test_integral_closure_matches_full_box_scan():
+    rng = random.Random(7)
+    for _ in range(40):
+        nvars = rng.choice((2, 3))
+        R = RingDescriptor(("X", "Y", "Z")[:nvars])
+        top = 6 if nvars == 2 else 4
+        # pure powers of all but maybe one variable, so that most closures
+        # gain points, and a few mixed generators
+        gens = [tuple(rng.randint(1, top) if j == i else 0
+                      for j in range(nvars))
+                for i in range(nvars) if rng.random() < 0.85]
+        gens += [tuple(rng.randint(0, top) for _ in range(nvars))
+                 for _ in range(rng.randint(1, 2))]
+        gens = [g for g in gens if any(g)] or [(1,) + (0,) * (nvars - 1)]
+        I = MonomialIdeal.from_gens(R, gens)
+        assert integral_closure_monomial(I).gens == _closure_by_full_box(I).gens
