@@ -107,6 +107,14 @@ class Session:
     def ideal(self, arg):
         return self.ideals[arg[1]]
 
+    def ideal_pair(self, a, b):
+        """The declared ideals a and b, of one type: when their types differ
+        (a monomial ideal beside a polynomial one), both become handles."""
+        A, B = self.ideal(a), self.ideal(b)
+        if type(A) is not type(B):
+            A, B = _as_handle(A, self), _as_handle(B, self)
+        return A, B
+
 
 def _as_handle(I, session: Session) -> IdealHandle:
     if isinstance(I, IdealHandle):
@@ -153,8 +161,8 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
             out["empty"] = D.is_empty()
             out["representatives"] = [str(r) for r in D.representatives]
     elif name == "rr_via_reduction":
-        I, J, n = session.ideal(args[0]), session.ideal(args[1]), args[2][1]
-        out.update(rr_closure_via_reduction(I, J, n, cfg).to_dict())
+        I, J = session.ideal_pair(args[0], args[1])
+        out.update(rr_closure_via_reduction(I, J, args[2][1], cfg).to_dict())
     elif name == "rr_membership":
         m, I = session.element(args[0]), session.ideal(args[1])
         out.update(rr_membership_probe(m, I, cfg).to_dict())
@@ -172,7 +180,7 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
         m, I = session.element(args[0]), session.ideal(args[1])
         out["member"] = I.contains(I.element(m))
     elif name in ("colon", "intersect", "sum", "product"):
-        A, B = session.ideal(args[0]), session.ideal(args[1])
+        A, B = session.ideal_pair(args[0], args[1])
         value = {"colon": A.colon, "intersect": A.intersect,
                  "sum": A.__add__, "product": A.__mul__}[name](B)
         out["value"] = str(value)
@@ -199,13 +207,13 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
         out["to-larger"] = is_borel_fixed(I, prio, "to-larger")
         out["to-smaller"] = is_borel_fixed(I, prio, "to-smaller")
     elif name == "is_reduction":
-        I, J = session.ideal(args[0]), session.ideal(args[1])
+        I, J = session.ideal_pair(args[0], args[1])
         out.update(is_reduction(I, J, cfg.n_max).to_dict())
     elif name == "reduction_number":
-        I, J = session.ideal(args[0]), session.ideal(args[1])
+        I, J = session.ideal_pair(args[0], args[1])
         out["value"] = reduction_number(I, J, cfg.n_max)
     elif name == "rr_reduction_number":
-        I, J = session.ideal(args[0]), session.ideal(args[1])
+        I, J = session.ideal_pair(args[0], args[1])
         n, status = rr_reduction_number(I, J, cfg)
         out["value"], out["status"] = n, status
     elif name == "s_invariant":

@@ -1,17 +1,21 @@
-"""Exact scalars, monomials, sparse polynomials and term orders.
+"""Exact scalars, monomials, sparse polynomials, term orders, and the
+ideal protocol that every ideal type implements.
 
 Coefficients are exact: rationals (fractions.Fraction) or prime-field
 elements.  Exponent vectors are plain tuples of non-negative ints.
-Everything here is immutable and safe to share.
+Everything here is immutable and safe to share, except that a PowerLadder
+adds each power of its ideal once it is first asked for.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, neg
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import PreconditionError, RingMismatchError
 
@@ -399,12 +403,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def scale(self, c: FieldScalar) -> "Polynomial":
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
-
-    def mul_term(self, exps: Exponents, coef: FieldScalar) -> "Polynomial":
-        return Polynomial(self.ring, {exps_mul(e, exps): c * coef for e, c in self.terms.items()})
-
     def leading_term(self, order: Optional[MonomialOrder] = None):
         """(exponents, coefficient) of the leading term; None for zero."""
         if not self.terms:
@@ -480,3 +478,85 @@ def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
     if op == "mul":
         return f * g
     raise PreconditionError(f"unknown op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# the ideal protocol
+
+
+class Ideal:
+    """The methods the closure engine calls on every ideal type.
+
+    MonomialIdeal, IdealHandle, SemigroupIdeal and AffineIdeal implement the
+    protocol directly, with no adapter between.  Each supplies its
+    primitives:
+
+    - ``gens``; ``contains(e)``; ``_check(B)``, which raises unless B lives
+      in the same ring; ``unit()``, the unit ideal;
+    - ``+``, ``*``, ``intersect(B)``;
+    - ``colon(B, floor=None)``: with a floor F it returns an ideal C with
+      C + F = (A : B) + F, and F itself only when F contains A : B;
+    - ``element(m)``: a probe argument in the ideal's own representation;
+    - ``times(e)``, the ideal e * I; ``gen_powers(k)``, (g_1^k, ..., g_d^k).
+
+    This class derives the rest the same way for all of them; a type
+    overrides a method only where it knows more.
+    """
+
+    def power(self, n: int) -> "Ideal":
+        """I^n, with I^0 the unit ideal, built once on I's PowerLadder."""
+        return PowerLadder(self).power(n)
+
+    def contains_ideal(self, other: "Ideal") -> bool:
+        self._check(other)
+        return all(self.contains(g) for g in other.gens)
+
+    def gens_outside(self, other: "Ideal") -> Iterator:
+        """The generators outside other, as public elements."""
+        return (g for g in self.gens if not other.contains(g))
+
+    def first_gen_outside(self, other: "Ideal"):
+        return next(self.gens_outside(other), None)
+
+    def principal_reduction_index(self) -> Optional[int]:
+        """An r with I^{r+1} = x * I^r for a regular x, or None when none is
+        known (see ratliff_rush.rr_power)."""
+        return None
+
+    def check_regular(self, regular_element=None) -> None:
+        """Raise unless closure chains of I are meaningful: I must be
+        regular.  Exponent-set ideals always are."""
+
+
+class PowerLadder:
+    """The powers I^2, I^3, ... of one ideal I, each made once as I^n * I.
+
+    PowerLadder(I) returns the ladder kept on I itself, so it lives exactly
+    as long as I does.  It refers to I weakly, so no reference cycle keeps
+    it alive; ``base`` is I, or None once I is gone."""
+
+    __slots__ = ("_base", "_powers", "__weakref__")
+
+    def __new__(cls, base: Ideal):
+        inst = base.__dict__.get("_ladder")
+        if inst is None:
+            inst = super().__new__(cls)
+            inst._base = weakref.ref(base)
+            inst._powers = []  # I^2, I^3, ...
+            object.__setattr__(base, "_ladder", inst)  # some ideals are frozen
+        return inst
+
+    @property
+    def base(self) -> Optional[Ideal]:
+        return self._base()
+
+    def power(self, n: int) -> Ideal:
+        if n < 0:
+            raise PreconditionError("negative power")
+        I = self._base()
+        if n < 2:
+            return I if n else I.unit()
+        powers = self._powers
+        while len(powers) < n - 1:
+            powers.append((powers[-1] if powers else I) * I)
+        return powers[n - 2]

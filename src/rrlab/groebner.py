@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (Exponents, Monomial, MonomialOrder, Polynomial,
+from .core import (Exponents, Ideal, Monomial, MonomialOrder, Polynomial,
                    RingDescriptor, exps_divides, exps_lcm, exps_mul)
 from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
@@ -209,7 +209,7 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return G.normal_form(f)
 
 
-class IdealHandle:
+class IdealHandle(Ideal):
     """Generators plus ring context; reduced GB cached per order."""
 
     def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial],
@@ -221,7 +221,6 @@ class IdealHandle:
         self.gens = tuple(gens)
         self.pair_cap = pair_cap
         self._gb: Dict[object, GroebnerBasis] = {}
-        self._powers: List[Tuple[Polynomial, ...]] = [self.gens]
 
     # -- construction helpers ---------------------------------------------
 
@@ -266,16 +265,14 @@ class IdealHandle:
 
     # -- predicates ----------------------------------------------------------
 
+    def _check(self, other: "IdealHandle") -> None:
+        self.ring.check_compatible(other.ring)
+
     def contains(self, f: Polynomial) -> bool:
         return self.groebner_basis().reduces_to_zero(f)
 
-    def contains_ideal(self, other: "IdealHandle") -> bool:
-        self.ring.check_compatible(other.ring)
-        gb = self.groebner_basis()
-        return all(gb.reduces_to_zero(g) for g in other.gens)
-
     def equals(self, other: "IdealHandle") -> bool:
-        self.ring.check_compatible(other.ring)
+        self._check(other)
         a = self.groebner_basis()._polys
         b = other.groebner_basis()._polys
         return [sorted(g.items()) for g in a] == [sorted(g.items()) for g in b]
@@ -287,15 +284,24 @@ class IdealHandle:
             return m
         raise UnsupportedOperationError(f"cannot probe with {type(m).__name__}")
 
-    def gens_outside(self, other: "IdealHandle") -> Iterator[Polynomial]:
-        return (g for g in self.gens if not other.contains(g))
-
-    def first_gen_outside(self, other: "IdealHandle") -> Optional[Polynomial]:
-        return next(self.gens_outside(other), None)
-
-    def principal_reduction_index(self) -> None:
-        """No principal reduction is known here (see ratliff_rush.rr_power)."""
-        return None
+    def check_regular(self, regular_element=None) -> None:
+        """In a domain any nonzero ideal is regular.  In a quotient ring the
+        caller must name an element of I whose annihilator is zero; that
+        claim is verified against the quotient relations."""
+        if not self.gens:
+            raise ZeroIdealError("closure of the zero ideal is undefined")
+        if not self.ring.quotient:
+            return
+        if regular_element is None:
+            raise PreconditionError(
+                "quotient-ring closure needs a declared regular element of the ideal")
+        x = self.element(regular_element)
+        if not self.contains(x):
+            raise PreconditionError("declared regular element is not in the ideal")
+        ann = IdealHandle(self.ring, [], self.pair_cap).colon_element(x)
+        if not ann.is_zero():
+            raise PreconditionError(
+                "declared element is a zerodivisor: its annihilator is nonzero")
 
     def is_zero(self) -> bool:
         if not self.ring.quotient:
@@ -308,14 +314,18 @@ class IdealHandle:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def unit(self) -> "IdealHandle":
+        return IdealHandle(self.ring, [self.ring.one()], self.pair_cap)
+
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
-        self.ring.check_compatible(other.ring)
+        self._check(other)
         return IdealHandle(self.ring, self.gens + other.gens, self.pair_cap)
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
-        self.ring.check_compatible(other.ring)
-        return IdealHandle(self.ring, [a * b for a in self.gens for b in other.gens],
-                           self.pair_cap)
+        """The products of the generators, each one once."""
+        self._check(other)
+        prods = dict.fromkeys(a * b for a in self.gens for b in other.gens)
+        return IdealHandle(self.ring, list(prods), self.pair_cap)
 
     def times(self, f: Polynomial) -> "IdealHandle":
         """The ideal f * I."""
@@ -324,20 +334,9 @@ class IdealHandle:
     def gen_powers(self, k: int) -> "IdealHandle":
         return IdealHandle(self.ring, [g ** k for g in self.gens], self.pair_cap)
 
-    def power(self, n: int) -> "IdealHandle":
-        if n < 0:
-            raise PreconditionError("negative power")
-        if n == 0:
-            return IdealHandle(self.ring, [self.ring.one()], self.pair_cap)
-        while len(self._powers) < n:
-            prev = self._powers[-1]
-            nxt = tuple(dict.fromkeys(a * b for a in prev for b in self.gens))
-            self._powers.append(nxt)
-        return IdealHandle(self.ring, self._powers[n - 1], self.pair_cap)
-
     def intersect(self, other: "IdealHandle") -> "IdealHandle":
         """Elimination: t*A + (1-t)*B in R[t], keep the t-free basis elements."""
-        self.ring.check_compatible(other.ring)
+        self._check(other)
         b_side = [g.terms for g in other.gens] + [q.terms for q in self.ring.quotient]
         return self._intersect_raw(b_side)
 
@@ -395,7 +394,7 @@ class IdealHandle:
         otherwise it is reused as b's part of the intersection."""
         if not other.gens:
             raise ZeroIdealError("colon by the zero ideal")
-        self.ring.check_compatible(other.ring)
+        self._check(other)
         probe = first = None
         if floor is not None:
             probe = min(other.gens, key=lambda g: (g.total_degree(), len(g.terms)))

@@ -3,7 +3,7 @@
 A monomial ideal is stored by its (unique) minimal generator set of
 exponent vectors, in ascending order, so structural equality is ideal
 equality.  All ops are pure; each ideal keeps a PowerLadder that memoizes
-the minimal generators of its powers and goes away with it.
+its powers and goes away with it.
 
 The generator-set kernels use integer operations instead of a Python loop
 over each pair of tuples.
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .core import (Exponents, Monomial, Polynomial, RingDescriptor,
-                   exps_divides, exps_mul)
+from .core import (Exponents, Ideal, Monomial, Polynomial, PowerLadder,
+                   RingDescriptor, exps_divides, exps_mul)
 from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
 
@@ -82,7 +82,7 @@ def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
 
 
 @dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Ideal):
     ring: RingDescriptor
     gens: Tuple[Exponents, ...]
 
@@ -96,28 +96,17 @@ class MonomialIdeal:
                 raise PreconditionError("exponent vector length != number of variables")
         return MonomialIdeal(ring, minimalize(gens))
 
-    @staticmethod
-    def parse_gens(ring: RingDescriptor, *texts: str) -> "MonomialIdeal":
-        from .parser import parse_polynomial
-        gens = []
-        for t in texts:
-            p = parse_polynomial(ring, t)
-            [(e, _)] = p.terms.items()
-            gens.append(e)
-        return MonomialIdeal.from_gens(ring, gens)
-
     def _check(self, other: "MonomialIdeal") -> None:
         if self.ring.variables != other.ring.variables:
             raise RingMismatchError("monomial ideals live in different rings")
+
+    def unit(self) -> "MonomialIdeal":
+        return unit_ideal(self.ring)
 
     # -- membership -------------------------------------------------------
 
     def contains(self, e: Exponents) -> bool:
         return any(exps_divides(g, e) for g in self.gens)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        self._check(other)
-        return all(self.contains(g) for g in other.gens)
 
     def element(self, m) -> Exponents:
         """The exponent vector of a Monomial, a one-term Polynomial or a
@@ -137,9 +126,6 @@ class MonomialIdeal:
         return (Monomial(self.ring, g) for g in self.gens
                 if not other.contains(g))
 
-    def first_gen_outside(self, other: "MonomialIdeal") -> Optional[Monomial]:
-        return next(self.gens_outside(other), None)
-
     # -- semiring ops ------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -150,9 +136,6 @@ class MonomialIdeal:
         self._check(other)
         prods = [exps_mul(a, b) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.ring, minimalize(prods))
-
-    def power(self, n: int) -> "MonomialIdeal":
-        return PowerLadder(self).power(n)
 
     def times(self, e: Exponents) -> "MonomialIdeal":
         """The ideal e * I.  Multiplying by e keeps the generators minimal
@@ -169,10 +152,6 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return intersect_monomial(self, other)
-
-    def principal_reduction_index(self) -> None:
-        """No principal reduction is known here (see ratliff_rush.rr_power)."""
-        return None
 
     def num_min_gens(self) -> int:
         return len(self.gens)
@@ -324,41 +303,6 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
 
 # ---------------------------------------------------------------------------
 # powers
-
-
-class PowerLadder:
-    """Memoized minimal generator sets for I^1, I^2, ...
-
-    PowerLadder(I) returns the ladder kept on I itself, so it lives exactly
-    as long as I does.  It holds I's ring and generators, not I, so no
-    reference cycle keeps it alive."""
-
-    __slots__ = ("ring", "_powers", "__weakref__")
-
-    def __new__(cls, base: MonomialIdeal):
-        inst = base.__dict__.get("_ladder")
-        if inst is None:
-            inst = super().__new__(cls)
-            inst.ring = base.ring
-            inst._powers = [base.gens]
-            object.__setattr__(base, "_ladder", inst)  # base is frozen
-        return inst
-
-    @property
-    def base(self) -> MonomialIdeal:
-        return MonomialIdeal(self.ring, self._powers[0])
-
-    def power(self, n: int) -> MonomialIdeal:
-        if n < 0:
-            raise PreconditionError("negative power")
-        if n == 0:
-            return unit_ideal(self.ring)
-        gens = self._powers[0]
-        while len(self._powers) < n:
-            prev = self._powers[-1]
-            nxt = minimalize(exps_mul(a, b) for a in prev for b in gens)
-            self._powers.append(nxt)
-        return MonomialIdeal(self.ring, self._powers[n - 1])
 
 
 def member_of_power(m: Exponents, ladder: PowerLadder, n: int) -> bool:

@@ -129,10 +129,6 @@ class Command:
 class InputProgram:
     statements: Tuple[object, ...]
 
-    @property
-    def commands(self) -> Tuple[Command, ...]:
-        return tuple(s for s in self.statements if isinstance(s, Command))
-
 
 # command name -> expected argument kinds ('ideal' = declared ideal name,
 # 'int' = integer literal, 'elem' = parenthesized polynomial/element)

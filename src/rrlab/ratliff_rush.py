@@ -8,19 +8,8 @@ constant) or BoundReached (the step cap was hit; the value is only a lower
 bound).  Probes likewise return bounded verdicts, never certificates.
 
 Every ideal type (MonomialIdeal, IdealHandle, SemigroupIdeal, AffineIdeal)
-implements the methods this module uses, with no adapter between:
-
-- ``gens``; ``power(n)``, where ``power(0)`` is the unit ideal;
-- ``+``, ``*``, ``contains(e)``, ``contains_ideal(B)``, ``intersect(B)``;
-- ``colon(B, floor=None)``: with a floor F it returns an ideal C with
-  C + F = (A : B) + F, and F itself only when F contains A : B;
-- ``element(m)``: a probe argument in the ideal's own representation;
-- ``times(e)``, the ideal e * I; ``gen_powers(k)``, (g_1^k, ..., g_d^k);
-- ``first_gen_outside(B)`` and ``gens_outside(B)``: the first or all of
-  the generators outside B, as public elements (Monomial for monomial
-  ideals);
-- ``principal_reduction_index()``: an r with I^{r+1} = x * I^r for a
-  regular x, or None when none is known.
+implements the protocol of core.Ideal, which lists the methods this module
+uses; no adapter stands between.
 
 The chain ascends, so each step only has to find what lies beyond the
 running value, which it passes to the colon as the floor.  A colon that
@@ -34,9 +23,8 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .core import Monomial, exps_mul
-from .errors import PreconditionError, UnsupportedOperationError, ZeroIdealError
-from .groebner import IdealHandle
-from .monomial import MonomialIdeal, PowerLadder, colon_monomial, variable_ideal
+from .errors import PreconditionError, UnsupportedOperationError
+from .monomial import MonomialIdeal, variable_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +119,6 @@ class FailsAt:
                 "witness": None if self.witness is None else str(self.witness)}
 
 
-def _check_regular(I, regular_element) -> None:
-    """Closure chains are only meaningful for regular ideals.
-
-    In a domain any nonzero ideal qualifies.  In a quotient ring the caller
-    must name an element of I whose annihilator is zero; that claim is
-    verified against the quotient relations.
-    """
-    if not isinstance(I, IdealHandle):
-        return  # monomial and semigroup exponent sets are always regular
-    if not I.gens:
-        raise ZeroIdealError("closure of the zero ideal is undefined")
-    if not I.ring.quotient:
-        return
-    if regular_element is None:
-        raise PreconditionError(
-            "quotient-ring closure needs a declared regular element of the ideal")
-    x = I.element(regular_element)
-    if not I.contains(x):
-        raise PreconditionError("declared regular element is not in the ideal")
-    ann = IdealHandle(I.ring, [], I.pair_cap).colon_element(x)
-    if not ann.is_zero():
-        raise PreconditionError(
-            "declared element is a zerodivisor: its annihilator is nonzero")
-
-
 # ---------------------------------------------------------------------------
 # the chain driver
 
@@ -217,7 +180,7 @@ def rr_power(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG,
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    _check_regular(I, regular_element)
+    I.check_regular(regular_element)
     r = I.principal_reduction_index()
     value, status, growth = _run_chain(I.power(n), _power_chain_step(I, n), cfg,
                                        None if r is None else max(r, 1))
@@ -238,7 +201,7 @@ def rr_closure_via_reduction(I, J, n: int,
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    _check_regular(I, regular_element)
+    I.check_regular(regular_element)
     from .reductions import is_reduction
     verdict = is_reduction(I, J, cfg.n_max)
     if not isinstance(verdict, Holds):
@@ -296,7 +259,7 @@ def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
 
 def is_rr_closed(I, cfg: ClosureConfig = DEFAULT_CONFIG, regular_element=None):
     """Bounded closedness: the full chain is run to k_max (no early stop)."""
-    _check_regular(I, regular_element)
+    I.check_regular(regular_element)
     step = _power_chain_step(I, 1)
     for k in range(1, cfg.k_max + 1):
         cand = step(k, I)
@@ -370,14 +333,11 @@ def depth_zero_witness_search(I: MonomialIdeal,
     """
     if not isinstance(I, MonomialIdeal):
         raise UnsupportedOperationError("witness search is monomial-only")
-    ladder = PowerLadder(I)
     variables = variable_ideal(I.ring)
     for n in range(1, cfg.n_max + 1):
-        In = ladder.power(n)
-        In1 = ladder.power(n + 1)
-        In2 = ladder.power(n + 2)
+        In, In1, In2 = I.power(n), I.power(n + 1), I.power(n + 2)
         inside = set(In1.gens)
-        for m in colon_monomial(In1, variables, In1).gens:
+        for m in In1.colon(variables, In1).gens:
             if m in inside or not In.contains(m):
                 continue
             if all(In2.contains(exps_mul(m, g)) for g in I.gens):

@@ -60,9 +60,6 @@ class ReductionReport:
     s: Optional[int]
     s_status: str
 
-    def all_exact(self) -> bool:
-        return (self.r_status == self.rr_r_status == self.s_status == EXACT)
-
     def to_dict(self):
         return {
             "ideal": str(self.I), "reduction": str(self.J), "n_max": self.n_max,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from .core import Ideal
 from .errors import (PreconditionError, ResourceLimitError, ZeroIdealError)
 from .ratliff_rush import (ClosureConfig, ClosureResult, DEFAULT_CONFIG,
                            rr_power)
@@ -91,7 +92,7 @@ def _ns_minimalize(S: NumericalSemigroup, cands: Iterable[int]) -> Tuple[int, ..
 
 
 @dataclass(frozen=True)
-class SemigroupIdeal:
+class SemigroupIdeal(Ideal):
     """Ideal of a numerical semigroup ring, by its unique minimal generators."""
 
     S: NumericalSemigroup
@@ -111,12 +112,11 @@ class SemigroupIdeal:
         if self.S.gens != other.S.gens:
             raise PreconditionError("ideals belong to different semigroups")
 
+    def unit(self) -> "SemigroupIdeal":
+        return SemigroupIdeal(self.S, (0,))
+
     def contains(self, z: int) -> bool:
         return any(z - g >= 0 and self.S.contains(z - g) for g in self.gens)
-
-    def contains_ideal(self, other: "SemigroupIdeal") -> bool:
-        self._check(other)
-        return all(self.contains(g) for g in other.gens)
 
     def min_element(self) -> int:
         return min(self.gens)
@@ -133,16 +133,6 @@ class SemigroupIdeal:
         sums = [a + b for a in self.gens for b in other.gens]
         return SemigroupIdeal(self.S, _ns_minimalize(self.S, sums))
 
-    def power(self, n: int) -> "SemigroupIdeal":
-        if n < 0:
-            raise PreconditionError("negative power")
-        if n == 0:
-            return SemigroupIdeal(self.S, (0,))
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def times(self, z: int) -> "SemigroupIdeal":
         """The ideal t^z * E: every generator shifted by z."""
         return SemigroupIdeal(self.S, tuple(g + z for g in self.gens))
@@ -154,12 +144,6 @@ class SemigroupIdeal:
         if isinstance(m, int):
             return m
         raise PreconditionError("semigroup elements are integers (t-exponents)")
-
-    def gens_outside(self, other: "SemigroupIdeal") -> Iterator[int]:
-        return (g for g in self.gens if not other.contains(g))
-
-    def first_gen_outside(self, other: "SemigroupIdeal") -> Optional[int]:
-        return next(self.gens_outside(other), None)
 
     def colon(self, other: "SemigroupIdeal",
               floor: Optional["SemigroupIdeal"] = None) -> "SemigroupIdeal":
@@ -192,12 +176,9 @@ class SemigroupIdeal:
     def principal_reduction_index(self, cap: int = 64) -> int:
         """Smallest r with E^{r+1} = min-element + E^r (exists; t^min reduces E)."""
         x = self.min_element()
-        prev = self.power(0)
         for r in range(cap):
-            cur = prev * self
-            if cur == prev.times(x):
+            if self.power(r + 1) == self.power(r).times(x):
                 return r
-            prev = cur
         raise ResourceLimitError("principal reduction index not found within cap")
 
     def rr_power_result(self, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
@@ -333,7 +314,7 @@ def _affine_minimalize(S: AffineSemigroup2D, cands: Iterable[Pair]) -> Tuple[Pai
 
 
 @dataclass(frozen=True)
-class AffineIdeal:
+class AffineIdeal(Ideal):
     """Monomial ideal of a 2-D affine semigroup ring, by minimal generators."""
 
     S: AffineSemigroup2D
@@ -353,15 +334,14 @@ class AffineIdeal:
         if self.S.gens != other.S.gens:
             raise PreconditionError("ideals belong to different semigroups")
 
+    def unit(self) -> "AffineIdeal":
+        return AffineIdeal(self.S, ((0, 0),))
+
     def contains(self, p: Pair) -> bool:
         p = tuple(p)
         return any(p[0] >= g[0] and p[1] >= g[1]
                    and self.S.contains((p[0] - g[0], p[1] - g[1]))
                    for g in self.gens)
-
-    def contains_ideal(self, other: "AffineIdeal") -> bool:
-        self._check(other)
-        return all(self.contains(g) for g in other.gens)
 
     def __add__(self, other: "AffineIdeal") -> "AffineIdeal":
         self._check(other)
@@ -371,16 +351,6 @@ class AffineIdeal:
         self._check(other)
         sums = [(a[0] + b[0], a[1] + b[1]) for a in self.gens for b in other.gens]
         return AffineIdeal(self.S, _affine_minimalize(self.S, sums))
-
-    def power(self, n: int) -> "AffineIdeal":
-        if n < 0:
-            raise PreconditionError("negative power")
-        if n == 0:
-            return AffineIdeal(self.S, ((0, 0),))
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
     def times(self, p: Pair) -> "AffineIdeal":
         """The ideal t^p * I: every generator shifted by p."""
@@ -394,16 +364,6 @@ class AffineIdeal:
         if isinstance(m, tuple) and len(m) == 2:
             return m
         raise PreconditionError("affine elements are exponent pairs")
-
-    def gens_outside(self, other: "AffineIdeal") -> Iterator[Pair]:
-        return (g for g in self.gens if not other.contains(g))
-
-    def first_gen_outside(self, other: "AffineIdeal") -> Optional[Pair]:
-        return next(self.gens_outside(other), None)
-
-    def principal_reduction_index(self) -> None:
-        """No principal reduction is known here (see ratliff_rush.rr_power)."""
-        return None
 
     def colon(self, other: "AffineIdeal",
               floor: Optional["AffineIdeal"] = None) -> "AffineIdeal":

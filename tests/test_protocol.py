@@ -13,10 +13,10 @@ import weakref
 
 import pytest
 
-from rrlab import (DEFAULT_CONFIG, IdealHandle, MonomialIdeal,
-                   NumericalSemigroup, PowerLadder, RingDescriptor,
-                   SemigroupIdeal, parse_polynomial, parse_program,
-                   rr_closure, rr_power)
+from rrlab import (DEFAULT_CONFIG, AffineIdeal, AffineSemigroup2D,
+                   IdealHandle, MonomialIdeal, NumericalSemigroup,
+                   PowerLadder, RingDescriptor, SemigroupIdeal,
+                   parse_polynomial, parse_program, rr_closure, rr_power)
 from rrlab.cli import Session, main, run_command
 from rrlab.monomial import in_newton_polyhedron, integral_closure_monomial
 from rrlab.parser import Command
@@ -102,6 +102,85 @@ def test_power_ladder_lives_on_its_ideal():
     assert ref() is not None  # kept by I
     del I
     assert ref() is None  # gone with I, without waiting for the collector
+
+
+def _fresh_ideal(kind):
+    """A new ideal of each type, so that no power of it is cached yet."""
+    if kind == "monomial":
+        return MonomialIdeal.from_gens(RingDescriptor(("X", "Y")),
+                                       [(3, 0), (1, 1), (0, 3)])
+    if kind == "handle":
+        R = RingDescriptor(("X", "Y"))
+        return IdealHandle(R, [parse_polynomial(R, t)
+                               for t in ("X^2 - Y^3", "X*Y", "X + Y^2")])
+    if kind == "semiring":
+        return SemigroupIdeal.from_gens(NumericalSemigroup([4, 5, 11]),
+                                        [4, 5, 11])
+    S = AffineSemigroup2D([(1, 0), (0, 2), (0, 7), (2, 5), (3, 1)])
+    return AffineIdeal.from_gens(S, [(1, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("kind", sorted(PROGRAMS))
+def test_power_is_the_product_built_by_hand(kind):
+    I = _fresh_ideal(kind)
+    assert I.power(0).gens == I.unit().gens
+    by_hand = I
+    for n in range(1, 6):
+        assert I.power(n).gens == by_hand.gens
+        by_hand = by_hand * I
+
+
+@pytest.mark.parametrize("kind", sorted(PROGRAMS))
+def test_each_power_is_built_once(kind, monkeypatch):
+    I = _fresh_ideal(kind)
+    calls = []
+    mul = type(I).__mul__
+    monkeypatch.setattr(type(I), "__mul__",
+                        lambda self, other: calls.append(1) or mul(self, other))
+    fifth = I.power(5)
+    I.power(3)
+    assert I.power(5) is fifth
+    assert len(calls) == 4  # I^2, ..., I^5, one product each
+
+
+def test_cli_product_of_an_ideal_with_itself_is_its_square(tmp_path, capsys):
+    path = tmp_path / "prog.rr"
+    path.write_text("ring R = QQ[X, Y];\nideal I = (X + Y, X - Y);\n"
+                    "product I I;\npower I 2;\n")
+    assert main(["compute", str(path), "--format", "json"]) == 0
+    product, power = json.loads(capsys.readouterr().out)["commands"]
+    assert product["value"] == power["value"]
+    assert power["value"].count(",") == 2  # three distinct generators
+
+
+MIXED = """ring R = QQ[X, Y];
+ideal I = (X^2, X*Y, Y^2);
+ideal J = (X^2 + X*Y, Y^2);
+ideal K = (X + Y);
+colon I J;
+colon I K;
+colon K I;
+intersect I J;
+sum I J;
+product I J;
+is_reduction I J;
+reduction_number I J;
+rr_reduction_number I J;
+rr_via_reduction I J 1;
+"""
+
+
+def test_cli_promotes_mixed_ideal_types(tmp_path, capsys):
+    session, commands = _session_and_commands(MIXED)
+    assert isinstance(session.ideals["I"], MonomialIdeal)
+    assert isinstance(session.ideals["J"], IdealHandle)
+    session.ideals["I"] = IdealHandle.from_monomial(session.ideals["I"])
+    as_handles = [run_command(session, cmd, DEFAULT_CONFIG) for cmd in commands]
+
+    path = tmp_path / "prog.rr"
+    path.write_text(MIXED)
+    assert main(["compute", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["commands"] == as_handles
 
 
 def _closure_by_full_box(I):
