@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import List, Optional
 
 from .core import Field, MonomialOrder, QQ, RingDescriptor
@@ -101,8 +103,7 @@ class Session:
         elif self.kind == "affine":
             if kind == "pair":
                 return eval_pair(("pair", value))
-        raise ArityError(f"element argument {arg!r} does not fit this ring",
-                         0, 0)
+        raise ArityError(f"element argument {arg!r} does not fit this ring")
 
     def ideal(self, arg):
         return self.ideals[arg[1]]
@@ -135,13 +136,7 @@ def _as_monomial(I) -> MonomialIdeal:
 
 def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     """Execute one command against the session; returns a report fragment."""
-    if cmd.overrides:
-        updates = {k: v for k, v in cmd.overrides if k != "seed"}
-        if updates:
-            cfg = ClosureConfig(
-                k_max=updates.get("k_max", cfg.k_max),
-                window=updates.get("window", cfg.window),
-                n_max=updates.get("n_max", cfg.n_max))
+    cfg = replace(cfg, **dict(cmd.overrides))
     name = cmd.name
     args = cmd.args
     out = {"command": name,
@@ -238,14 +233,27 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     return out
 
 
+@contextmanager
+def _located(st):
+    """Give an input error raised while executing st, which carries no
+    position of its own, the line and column of st."""
+    try:
+        yield
+    except InputError as exc:
+        if exc.line:
+            raise
+        raise type(exc)(exc.message, st.line, st.col) from None
+
+
 def run_program(prog: InputProgram, cfg: ClosureConfig) -> List[dict]:
     session = Session()
     fragments = []
     for st in prog.statements:
-        if isinstance(st, Command):
-            fragments.append(run_command(session, st, cfg))
-        else:
-            session.declare(st)
+        with _located(st):
+            if isinstance(st, Command):
+                fragments.append(run_command(session, st, cfg))
+            else:
+                session.declare(st)
     return fragments
 
 
@@ -253,44 +261,36 @@ def run_program(prog: InputProgram, cfg: ClosureConfig) -> List[dict]:
 # output
 
 
-def _emit(payload, fmt: str, out_path: Optional[str]) -> None:
+def _command_lines(payload):
+    for frag in payload.get("commands", []):
+        yield frag["command"] + ":"
+        for k, v in frag.items():
+            if k not in ("command", "config"):
+                yield f"  {k}: {v}"
+
+
+def _corpus_lines(report):
+    mark = {"pass": "ok ", "bounded-pass": "ok~", "fail": "FAIL"}
+    for case in report["cases"]:
+        yield f"{case['id']}: {case['verdict']}"
+        for a in case["assertions"]:
+            extra = ""
+            if a["verdict"] == "fail" and a["witness"]:
+                extra = f"  [{a['witness']}]"
+            yield (f"  {mark[a['verdict']]} {a['assertion']}"
+                   f" ({a['millis']} ms){extra}")
+    total = len(report["cases"])
+    failed = sum(1 for c in report["cases"] if c["verdict"] == "fail")
+    yield (f"{total - failed}/{total} cases passed"
+           + ("" if not failed else f", {failed} failed"))
+
+
+def _emit(payload, fmt: str, out_path: Optional[str],
+          text_lines=_command_lines) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = []
-        for frag in payload.get("commands", []):
-            lines.append(frag["command"] + ":")
-            for k, v in frag.items():
-                if k in ("command", "config"):
-                    continue
-                lines.append(f"  {k}: {v}")
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_corpus(report: dict, fmt: str, out_path: Optional[str]) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = []
-        for case in report["cases"]:
-            lines.append(f"{case['id']}: {case['verdict']}")
-            for a in case["assertions"]:
-                mark = {"pass": "ok ", "bounded-pass": "ok~", "fail": "FAIL"}
-                extra = ""
-                if a["verdict"] == "fail" and a["witness"]:
-                    extra = f"  [{a['witness']}]"
-                lines.append(f"  {mark[a['verdict']]} {a['assertion']}"
-                             f" ({a['millis']} ms){extra}")
-        total = len(report["cases"])
-        failed = sum(1 for c in report["cases"] if c["verdict"] == "fail")
-        lines.append(f"{total - failed}/{total} cases passed"
-                     + ("" if not failed else f", {failed} failed"))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(text_lines(payload)) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -312,7 +312,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--kmax", type=int, default=None)
         p.add_argument("--window", type=int, default=None)
         p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
 
@@ -333,21 +332,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     corp_sub = corp.add_subparsers(dest="corpus_command", required=True)
     run_p = corp_sub.add_parser("run", help="run corpus cases")
     run_p.add_argument("--filter", default="", help="case id glob")
+    run_p.add_argument("--seed", type=int, default=0)
     add_cfg(run_p)
     corp_sub.add_parser("list", help="list corpus case ids")
 
     return top
 
 
-def _config_from(ns) -> Optional[dict]:
-    overrides = {}
-    if ns.kmax is not None:
-        overrides["k_max"] = ns.kmax
-    if ns.window is not None:
-        overrides["window"] = ns.window
-    if ns.nmax is not None:
-        overrides["n_max"] = ns.nmax
-    return overrides or None
+def _config_from(ns) -> dict:
+    """The ClosureConfig fields the command line sets."""
+    flags = {"k_max": ns.kmax, "window": ns.window, "n_max": ns.nmax}
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -361,12 +356,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if ns.subcommand == "compute":
             with open(ns.file, encoding="utf-8") as fh:
                 prog = parse_program(fh.read())
-            overrides = _config_from(ns) or {}
-            cfg = ClosureConfig(
-                k_max=overrides.get("k_max", DEFAULT_CONFIG.k_max),
-                window=overrides.get("window", DEFAULT_CONFIG.window),
-                n_max=overrides.get("n_max", DEFAULT_CONFIG.n_max))
-            fragments = run_program(prog, cfg)
+            fragments = run_program(prog, replace(DEFAULT_CONFIG,
+                                                  **_config_from(ns)))
             _emit({"schema": corpus_mod.SCHEMA_VERSION,
                    "commands": fragments}, ns.format, ns.out)
             return EXIT_OK
@@ -378,7 +369,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             last = None
             for st in prog.statements:
                 if not isinstance(st, Command):
-                    session.declare(st)
+                    with _located(st):
+                        session.declare(st)
                     if isinstance(st, IdealDecl):
                         last = st.name
             if last is None:
@@ -408,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return EXIT_OK
             report = corpus_mod.run_corpus(ns.filter, seed=ns.seed,
                                            overrides=_config_from(ns))
-            _emit_corpus(report, ns.format, ns.out)
+            _emit(report, ns.format, ns.out, _corpus_lines)
             if report["resource_cap"]:
                 return EXIT_RESOURCE
             return EXIT_OK if report["passed"] else EXIT_ASSERTION

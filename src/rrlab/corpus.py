@@ -103,9 +103,7 @@ def run_corpus(pattern: str = "", seed: int = 0,
     hit_cap = False
     for cid in ids:
         case = _CASES[cid]
-        cfg = case.config
-        if overrides:
-            cfg = replace(cfg, **overrides)
+        cfg = replace(case.config, **(overrides or {}))
         rec = _Recorder()
         rng = random.Random(f"{seed}:{cid}")
         capped = False

@@ -30,6 +30,7 @@ class InputError(RRLabError):
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -20,9 +20,9 @@ syntactic, arity, or unknown-identifier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
+from .core import Polynomial, RingDescriptor
 from .errors import (ArityError, LexicalError, SyntacticError,
                      UnknownIdentifierError)
 
@@ -91,7 +91,14 @@ PolyAST = tuple  # ('+',a,b) ('-',a,b) ('*',a,b) ('^',a,int) ('neg',a) ('int',n)
 
 
 @dataclass(frozen=True)
-class RingDecl:
+class _Statement:
+    """A statement's source position, left out of comparisons."""
+    line: int = dc_field(compare=False, default=0, kw_only=True)
+    col: int = dc_field(compare=False, default=0, kw_only=True)
+
+
+@dataclass(frozen=True)
+class RingDecl(_Statement):
     name: str
     field_char: int          # 0 for the rationals
     variables: Tuple[str, ...]
@@ -99,30 +106,28 @@ class RingDecl:
 
 
 @dataclass(frozen=True)
-class SemiringDecl:
+class SemiringDecl(_Statement):
     name: str
     gens: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class AffineDecl:
+class AffineDecl(_Statement):
     name: str
     gens: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
-class IdealDecl:
+class IdealDecl(_Statement):
     name: str
     gens: Tuple[PolyAST, ...]
 
 
 @dataclass(frozen=True)
-class Command:
+class Command(_Statement):
     name: str
     args: Tuple[Tuple[str, object], ...]  # (kind, value); kind in int/ident/poly
     overrides: Tuple[Tuple[str, int], ...]
-    line: int = dc_field(compare=False, default=0)
-    col: int = dc_field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ COMMAND_SIGNATURES: Dict[str, Tuple[str, ...]] = {
     "prop41": ("ideal", "elem", "int"),
 }
 
-OVERRIDE_KEYS = ("k_max", "window", "n_max", "seed")
+OVERRIDE_KEYS = ("k_max", "window", "n_max")
 
 
 class _Parser:
@@ -235,7 +240,7 @@ class _Parser:
 
     # -- declarations -------------------------------------------------------
 
-    def ring_decl(self) -> RingDecl:
+    def ring_decl(self, at: Token) -> RingDecl:
         name = self.expect("ident").value
         self.expect("sym", "=")
         ft = self.expect("ident")
@@ -260,9 +265,10 @@ class _Parser:
                 quotient.append(self.poly())
             self.expect("sym", ")")
         self.expect("sym", ";")
-        return RingDecl(name, char, tuple(variables), tuple(quotient))
+        return RingDecl(name, char, tuple(variables), tuple(quotient),
+                        line=at.line, col=at.col)
 
-    def semiring_decl(self) -> SemiringDecl:
+    def semiring_decl(self, at: Token) -> SemiringDecl:
         name = self.expect("ident").value
         self.expect("sym", "=")
         self.expect("sym", "<")
@@ -271,7 +277,7 @@ class _Parser:
             gens.append(int(self.expect("int").value))
         self.expect("sym", ">")
         self.expect("sym", ";")
-        return SemiringDecl(name, tuple(gens))
+        return SemiringDecl(name, tuple(gens), line=at.line, col=at.col)
 
     def pair(self) -> Tuple[int, int]:
         self.expect("sym", "(")
@@ -281,7 +287,7 @@ class _Parser:
         self.expect("sym", ")")
         return (a, b)
 
-    def affine_decl(self) -> AffineDecl:
+    def affine_decl(self, at: Token) -> AffineDecl:
         name = self.expect("ident").value
         self.expect("sym", "=")
         self.expect("sym", "<")
@@ -290,7 +296,7 @@ class _Parser:
             gens.append(self.pair())
         self.expect("sym", ">")
         self.expect("sym", ";")
-        return AffineDecl(name, tuple(gens))
+        return AffineDecl(name, tuple(gens), line=at.line, col=at.col)
 
     def gen(self) -> PolyAST:
         """One ideal generator: a polynomial or an affine exponent pair."""
@@ -304,7 +310,7 @@ class _Parser:
             return node
         return self.poly()
 
-    def ideal_decl(self) -> IdealDecl:
+    def ideal_decl(self, at: Token) -> IdealDecl:
         name = self.expect("ident").value
         self.expect("sym", "=")
         self.expect("sym", "(")
@@ -313,7 +319,7 @@ class _Parser:
             gens.append(self.gen())
         self.expect("sym", ")")
         self.expect("sym", ";")
-        return IdealDecl(name, tuple(gens))
+        return IdealDecl(name, tuple(gens), line=at.line, col=at.col)
 
     # -- commands -----------------------------------------------------------
 
@@ -350,7 +356,7 @@ class _Parser:
                 raise SyntacticError(f"unexpected token {t.value!r} in command",
                                      t.line, t.col)
         return Command(opname.value, tuple(args), tuple(overrides),
-                       opname.line, opname.col)
+                       line=opname.line, col=opname.col)
 
     def program(self) -> InputProgram:
         statements: List[object] = []
@@ -360,32 +366,26 @@ class _Parser:
                 raise SyntacticError(f"expected a statement, found {t.value!r}",
                                      t.line, t.col)
             if t.value == "ring":
-                statements.append(self.ring_decl())
+                statements.append(self.ring_decl(t))
             elif t.value == "semiring":
-                statements.append(self.semiring_decl())
+                statements.append(self.semiring_decl(t))
             elif t.value == "affine":
-                statements.append(self.affine_decl())
+                statements.append(self.affine_decl(t))
             elif t.value == "ideal":
-                statements.append(self.ideal_decl())
+                statements.append(self.ideal_decl(t))
             else:
                 statements.append(self.command(t))
         return InputProgram(tuple(statements))
 
 
 def _ast_variables(ast: PolyAST):
-    op = ast[0]
-    if op == "var":
+    """The variable names in a polynomial or exponent-pair node."""
+    if ast[0] == "var":
         yield ast[1]
-    elif op == "neg":
-        yield from _ast_variables(ast[1])
-    elif op in ("+", "-", "*"):
-        yield from _ast_variables(ast[1])
-        yield from _ast_variables(ast[2])
-    elif op == "^":
-        yield from _ast_variables(ast[1])
-    elif op == "pair":
-        yield from _ast_variables(ast[1])
-        yield from _ast_variables(ast[2])
+        return
+    for child in ast[1] if ast[0] == "pair" else ast[1:]:
+        if isinstance(child, tuple):  # not an integer literal or exponent
+            yield from _ast_variables(child)
 
 
 def _check_program(prog: InputProgram) -> None:
@@ -406,13 +406,13 @@ def _check_program(prog: InputProgram) -> None:
         elif isinstance(st, IdealDecl):
             if not have_ring:
                 raise UnknownIdentifierError(
-                    "ideal declared before any ring", 0, 0)
+                    "ideal declared before any ring", st.line, st.col)
             if known_vars is not None:
                 for g in st.gens:
                     for v in _ast_variables(g):
                         if v not in known_vars:
                             raise UnknownIdentifierError(
-                                f"unknown variable {v!r}", 0, 0)
+                                f"unknown variable {v!r}", st.line, st.col)
             ideals.add(st.name)
         elif isinstance(st, Command):
             sig = COMMAND_SIGNATURES.get(st.name)

@@ -192,6 +192,14 @@ def rr_closure(I, cfg: ClosureConfig = DEFAULT_CONFIG,
     return rr_power(I, 1, cfg, regular_element)
 
 
+def _require_reduction(I, J, cfg: ClosureConfig) -> None:
+    """Raise unless J verifies as a reduction of I within cfg.n_max."""
+    from .reductions import is_reduction
+    if not isinstance(is_reduction(I, J, cfg.n_max), Holds):
+        raise PreconditionError(
+            f"J did not verify as a reduction of I within n_max={cfg.n_max}")
+
+
 def rr_closure_via_reduction(I, J, n: int,
                              cfg: ClosureConfig = DEFAULT_CONFIG,
                              regular_element=None) -> ClosureResult:
@@ -202,11 +210,7 @@ def rr_closure_via_reduction(I, J, n: int,
     if n < 1:
         raise PreconditionError("power must be >= 1")
     I.check_regular(regular_element)
-    from .reductions import is_reduction
-    verdict = is_reduction(I, J, cfg.n_max)
-    if not isinstance(verdict, Holds):
-        raise PreconditionError(
-            f"J did not verify as a reduction of I within n_max={cfg.n_max}")
+    _require_reduction(I, J, cfg)
 
     def step(k: int, acc):
         return _floor_colon(I.power(n + k), J.gen_powers(k), acc)
@@ -215,19 +219,26 @@ def rr_closure_via_reduction(I, J, n: int,
     return ClosureResult(value, status, growth)
 
 
+def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
+    """Member(k) for the least k <= k_max with e * denominator(k) inside
+    I^{n+k}, else NotMemberUpTo(k_max)."""
+    principal = I.power(0).times(e)
+    for k in range(1, cfg.k_max + 1):
+        top = I.power(n + k)
+        # one product at a time, so a failing step stops at the first
+        # product outside top instead of building all of e * denominator(k)
+        if all(top.contains_ideal(principal.times(g))
+               for g in denominator(k).gens):
+            return Member(k)
+    return NotMemberUpTo(cfg.k_max)
+
+
 def rr_membership_probe(m, I, cfg: ClosureConfig = DEFAULT_CONFIG):
     """Does m multiply some I^k into I^{k+1}?  Member(k) / NotMemberUpTo."""
     e = I.element(m)
     if I.contains(e):
         raise PreconditionError("element already lies in the ideal; probe is vacuous")
-    principal = I.power(0).times(e)
-    for k in range(1, cfg.k_max + 1):
-        top = I.power(k + 1)
-        # one product at a time, so a failing step stops at the first
-        # product outside top instead of building all of e * I^k
-        if all(top.contains_ideal(principal.times(g)) for g in I.power(k).gens):
-            return Member(k)
-    return NotMemberUpTo(cfg.k_max)
+    return _probe(e, I, 1, I.power, cfg)
 
 
 def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
@@ -240,21 +251,12 @@ def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    from .reductions import is_reduction
-    if not isinstance(is_reduction(I, J, cfg.n_max), Holds):
-        raise PreconditionError(
-            f"J did not verify as a reduction of I within n_max={cfg.n_max}")
+    _require_reduction(I, J, cfg)
     e = I.element(m)
     if I.power(n).contains(e):
         raise PreconditionError(
             "element already lies in the n-th power; probe is vacuous")
-    principal = I.power(0).times(e)
-    for k in range(1, cfg.k_max + 1):
-        top = I.power(n + k)
-        if all(top.contains_ideal(principal.times(g))
-               for g in J.gen_powers(k).gens):
-            return Member(k)
-    return NotMemberUpTo(cfg.k_max)
+    return _probe(e, I, n, J.gen_powers, cfg)
 
 
 def is_rr_closed(I, cfg: ClosureConfig = DEFAULT_CONFIG, regular_element=None):

@@ -1,16 +1,31 @@
 """Exact ideal calculus in numerical and 2-D affine semigroup rings.
 
 Ideals here are exponent sets: an ideal of F[[t^S]] generated by monomials
-is the set E = gens + S, and every operation (sum, product, colon,
-intersection, closure chain) is integer arithmetic on such sets.  Minimal
-generator sets are unique, so structural equality is ideal equality.
+is the set E = gens + S.
+
+A numerical semigroup S with least generator m is kept as its Apery set w,
+w[r] the least member of S congruent to r mod m (Rosales and
+Garcia-Sanchez, *Numerical Semigroups*, 2009, ch. 1), and an ideal E as its
+residue-class vector v, v[r] the least member of E congruent to r; z lies
+in E exactly when z >= v[z % m].  So E + F and E cap F take the per-residue
+min and max, E * F is spanned by the sums of generators, and
+(E : F)[r] = max(w[r], max over generators h of F of v[(r + h) % m] - h).
+The minimal generators are the v[r] from which no generator of S can be
+subtracted inside E, and equal ideals have equal vectors.  No operation
+scans the integers below the conductor.  The genus of S is Selmer's sum of
+(w[r] - r) / m, and it bounds the principal-reduction index: for x = min E
+the sets E^n - n*x ascend from S inside N, each strict step adding a gap.
+
+Plane affine ideals are kept by their minimal generators, which are unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import Ideal
 from .errors import (PreconditionError, ResourceLimitError, ZeroIdealError)
@@ -25,54 +40,41 @@ Pair = Tuple[int, int]
 
 
 class NumericalSemigroup:
-    """Additive submonoid of N with finite complement."""
+    """Additive submonoid of N with finite complement, by its Apery set."""
 
     def __init__(self, gens: Sequence[int]):
         gens = tuple(sorted(set(gens)))
         if not gens or any(g <= 0 for g in gens):
             raise PreconditionError("generators must be positive integers")
-        g = 0
-        for a in gens:
-            g = gcd(g, a)
-        if g != 1:
+        if gcd(*gens) != 1:
             raise PreconditionError("generators must be coprime overall")
         self.gens = gens
-        self._members = self._sieve()
-        self.conductor = self._find_conductor()
-        self.gaps = tuple(z for z in range(self.conductor) if z not in self._members)
-        self.frobenius = self.conductor - 1 if self.conductor > 0 else -1
+        m = gens[0]
+        self.apery = self.span((0,))
+        self.genus = sum((w - r) // m for r, w in enumerate(self.apery))
+        self.frobenius = max(self.apery) - m
+        self.conductor = self.frobenius + 1
 
-    def _sieve(self) -> Set[int]:
-        """Sieve members until a full run of min(gens) consecutive ones appears."""
-        a = self.gens[0]
-        bound = a * max(self.gens) + max(self.gens) + 1  # generous; run found earlier
-        members = {0}
-        for z in range(1, bound):
-            if any(z - g >= 0 and (z - g) in members for g in self.gens):
-                members.add(z)
-        return members
-
-    def _find_conductor(self) -> int:
-        """First point of a run of min(gens) consecutive members: everything
-        from there on is a member (add the smallest generator repeatedly)."""
-        a = self.gens[0]
-        run = 0
-        start = 0
-        for z in range(max(self._members) + 2):
-            if z in self._members:
-                if run == 0:
-                    start = z
-                run += 1
-                if run >= a:
-                    return start
-            else:
-                run = 0
-        raise ResourceLimitError("sieve bound too small to locate the conductor")
+    def span(self, elems: Iterable[int]) -> Tuple[int, ...]:
+        """The residue-class vector of elems + S, by Dijkstra on the residues
+        mod m with an edge r -> r + g for each other generator g."""
+        m = self.gens[0]
+        v: List[Optional[int]] = [None] * m
+        heap = [(z, z % m) for z in elems]
+        heapify(heap)
+        while heap:
+            z, r = heappop(heap)
+            if v[r] is None:
+                v[r] = z
+                for g in self.gens[1:]:
+                    if v[(r + g) % m] is None:
+                        heappush(heap, (z + g, (r + g) % m))
+        return tuple(v)
 
     def contains(self, z: int) -> bool:
         if z < 0:
             raise PreconditionError("membership query must be non-negative")
-        return z >= self.conductor or z in self._members
+        return z >= self.apery[z % self.gens[0]]
 
     def members_upto(self, bound: int) -> Tuple[int, ...]:
         return tuple(z for z in range(bound + 1) if self.contains(z))
@@ -81,22 +83,12 @@ class NumericalSemigroup:
         return f"<{','.join(map(str, self.gens))}>"
 
 
-def _ns_minimalize(S: NumericalSemigroup, cands: Iterable[int]) -> Tuple[int, ...]:
-    """Minimal generators: drop g when g - g' lies in S for another candidate."""
-    cands = sorted(set(cands))
-    kept: List[int] = []
-    for g in cands:
-        if not any(S.contains(g - k) for k in kept):
-            kept.append(g)
-    return tuple(kept)
-
-
 @dataclass(frozen=True)
 class SemigroupIdeal(Ideal):
-    """Ideal of a numerical semigroup ring, by its unique minimal generators."""
+    """Ideal of a numerical semigroup ring, by its residue-class vector."""
 
     S: NumericalSemigroup
-    gens: Tuple[int, ...]
+    v: Tuple[int, ...]
 
     @staticmethod
     def from_gens(S: NumericalSemigroup, gens: Iterable[int]) -> "SemigroupIdeal":
@@ -106,36 +98,48 @@ class SemigroupIdeal(Ideal):
         for g in gens:
             if g < 0 or not S.contains(g):
                 raise PreconditionError(f"generator {g} is not in the semigroup")
-        return SemigroupIdeal(S, _ns_minimalize(S, gens))
+        return SemigroupIdeal(S, S.span(gens))
+
+    @cached_property
+    def gens(self) -> Tuple[int, ...]:
+        """The minimal generators, ascending."""
+        return tuple(sorted(z for z in self.v
+                            if not any(self.contains(z - g) for g in self.S.gens)))
 
     def _check(self, other: "SemigroupIdeal") -> None:
         if self.S.gens != other.S.gens:
             raise PreconditionError("ideals belong to different semigroups")
 
     def unit(self) -> "SemigroupIdeal":
-        return SemigroupIdeal(self.S, (0,))
+        return SemigroupIdeal(self.S, self.S.apery)
 
     def contains(self, z: int) -> bool:
-        return any(z - g >= 0 and self.S.contains(z - g) for g in self.gens)
+        return z >= self.v[z % len(self.v)]
+
+    def contains_ideal(self, other: "SemigroupIdeal") -> bool:
+        self._check(other)
+        return all(a <= b for a, b in zip(self.v, other.v))
 
     def min_element(self) -> int:
-        return min(self.gens)
+        return min(self.v)
 
     def elements_upto(self, bound: int) -> Tuple[int, ...]:
         return tuple(z for z in range(bound + 1) if self.contains(z))
 
     def __add__(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         self._check(other)
-        return SemigroupIdeal(self.S, _ns_minimalize(self.S, self.gens + other.gens))
+        return SemigroupIdeal(self.S, tuple(map(min, self.v, other.v)))
 
     def __mul__(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         self._check(other)
-        sums = [a + b for a in self.gens for b in other.gens]
-        return SemigroupIdeal(self.S, _ns_minimalize(self.S, sums))
+        return SemigroupIdeal(
+            self.S, self.S.span({a + b for a in self.gens for b in other.gens}))
 
     def times(self, z: int) -> "SemigroupIdeal":
-        """The ideal t^z * E: every generator shifted by z."""
-        return SemigroupIdeal(self.S, tuple(g + z for g in self.gens))
+        """The ideal t^z * E: every member shifted by z."""
+        m = len(self.v)
+        return SemigroupIdeal(self.S, tuple(self.v[(r - z) % m] + z
+                                            for r in range(m)))
 
     def gen_powers(self, k: int) -> "SemigroupIdeal":
         return SemigroupIdeal.from_gens(self.S, [k * g for g in self.gens])
@@ -147,39 +151,34 @@ class SemigroupIdeal(Ideal):
 
     def colon(self, other: "SemigroupIdeal",
               floor: Optional["SemigroupIdeal"] = None) -> "SemigroupIdeal":
-        """{z in S : z + gens(other) inside self}, exact by the conductor bound.
+        """{z in S : z + gens(other) inside self}, per residue class.
 
         The floor is not used: the whole colon is returned."""
         self._check(other)
-        # everything >= min(self) + conductor works, so candidates are bounded
-        ub = self.min_element() + self.S.conductor + 1
-        found = [z for z in range(ub)
-                 if self.S.contains(z) and all(self.contains(z + g) for g in other.gens)]
-        if not found:
-            raise ResourceLimitError("colon candidate window exhausted")
-        return SemigroupIdeal(self.S, _ns_minimalize(self.S, found))
+        v, m = self.v, len(self.v)
+        return SemigroupIdeal(self.S, tuple(
+            max(w, *(v[(r + h) % m] - h for h in other.gens))
+            for r, w in enumerate(self.S.apery)))
 
     def intersect(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         self._check(other)
-        ub = max(self.min_element(), other.min_element()) + self.S.conductor + 1
-        found = [z for z in range(ub + self.S.conductor + 1)
-                 if self.contains(z) and other.contains(z)]
-        if not found:
-            raise ResourceLimitError("intersection candidate window exhausted")
-        return SemigroupIdeal(self.S, _ns_minimalize(self.S, found))
+        return SemigroupIdeal(self.S, tuple(map(max, self.v, other.v)))
 
     def __str__(self):
         return "(" + ", ".join(f"t^{g}" for g in self.gens) + ")"
 
     # exact closure ---------------------------------------------------------
 
-    def principal_reduction_index(self, cap: int = 64) -> int:
-        """Smallest r with E^{r+1} = min-element + E^r (exists; t^min reduces E)."""
+    def principal_reduction_index(self) -> int:
+        """Smallest r with E^{r+1} = x + E^r, for x = min E (t^x reduces E).
+
+        E^n - n*x ascends from S inside N and grows at each n < r, each time
+        by a gap of S, so r <= genus."""
         x = self.min_element()
-        for r in range(cap):
-            if self.power(r + 1) == self.power(r).times(x):
+        for r in range(self.S.genus):
+            if self.power(r + 1).v == self.power(r).times(x).v:
                 return r
-        raise ResourceLimitError("principal reduction index not found within cap")
+        return self.S.genus
 
     def rr_power_result(self, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
         """Exact closure of E^n: rr_power runs the chain E^{n+k} : E^k to

@@ -2,11 +2,12 @@
 
 import pytest
 
-from rrlab.cli import Session
+from rrlab.cli import Session, run_program
 from rrlab.core import Field, RingDescriptor
 from rrlab.errors import (ArityError, LexicalError, PreconditionError,
                           SyntacticError, UnknownIdentifierError)
 from rrlab.parser import (format_program, parse_polynomial, parse_program)
+from rrlab.ratliff_rush import DEFAULT_CONFIG
 
 PROGRAM = """
 ring R = QQ[X, Y];
@@ -99,6 +100,30 @@ def test_error_positions_point_at_offender():
         assert e.line == 2
     else:
         pytest.fail("expected a syntax error")
+
+
+def test_ideal_errors_carry_the_declaration_position():
+    with pytest.raises(UnknownIdentifierError) as e:
+        parse_program("ring R = QQ[X];\n\n  ideal I = (Z);")
+    assert (e.value.line, e.value.col) == (3, 3)
+    with pytest.raises(UnknownIdentifierError) as e:
+        parse_program("# no ring yet\n ideal I = (X);")
+    assert (e.value.line, e.value.col) == (2, 2)
+    assert "(line 2, column 2)" in str(e.value)
+
+
+def test_element_errors_carry_the_command_position():
+    prog = parse_program("ring R = QQ[X];\nideal I = (X);\n"
+                         "    membership (1, 2) I;")
+    with pytest.raises(ArityError) as e:
+        run_program(prog, DEFAULT_CONFIG)
+    assert (e.value.line, e.value.col) == (3, 5)
+    assert "(line 3, column 5)" in str(e.value)
+
+
+def test_seed_is_not_a_config_key():
+    with pytest.raises(SyntacticError, match="unknown config key 'seed'"):
+        parse_program("ring R = QQ[X];\nideal I = (X);\nrr_closure I seed=3;")
 
 
 def _declared_ring(text):

@@ -1,9 +1,12 @@
 """Numerical and plane affine semigroups, their ideals and closures."""
 
+import json
+import time
 from itertools import product
 
 import pytest
 
+from rrlab.cli import EXIT_OK, main
 from rrlab.errors import PreconditionError, ZeroIdealError
 from rrlab.ratliff_rush import rr_closure, rr_power
 from rrlab.semigroup import (AffineIdeal, AffineSemigroup2D,
@@ -66,6 +69,43 @@ def test_semigroup_closure_is_exact():
     sq = rr_power(I, 2)
     assert sq.certified
     assert set(sq.value.gens) == {8, 9, 10, 11}
+
+
+def _closure_of_two_consecutive(tmp_path, capsys, a):
+    """rr_closure of (t^a, t^(a+1)) in <a, a+1> through `rrlab compute`."""
+    path = tmp_path / "prog.rr"
+    path.write_text(f"semiring S = <{a}, {a + 1}>;\n"
+                    f"ideal I = (t^{a}, t^{a + 1});\nrr_closure I;\n")
+    start = time.perf_counter()
+    code = main(["compute", str(path), "--format", "json"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    [frag] = json.loads(capsys.readouterr().out)["commands"]
+    return frag, elapsed
+
+
+def test_closure_runs_to_a_reduction_index_past_any_fixed_cap(tmp_path, capsys):
+    # The principal-reduction index of (t^100, t^101) is 99: the closure
+    # chain runs that far, bounded by the genus, and the answer is exact.
+    frag, _ = _closure_of_two_consecutive(tmp_path, capsys, 100)
+    assert frag["value"] == "(t^100, t^101)"
+    assert frag["status"] == "stabilized-window" and frag["k"] == 99
+    assert frag["growth_steps"] == []
+
+
+def test_closure_chain_of_a_large_semigroup_is_fast(tmp_path, capsys):
+    frag, elapsed = _closure_of_two_consecutive(tmp_path, capsys, 50)
+    assert frag["value"] == "(t^50, t^51)" and frag["k"] == 49
+    assert elapsed < 1.0
+
+
+def test_semigroup_invariants_from_the_apery_set():
+    S = NumericalSemigroup([4, 5, 11])
+    assert S.apery == (0, 5, 10, 11)
+    assert (S.frobenius, S.conductor, S.genus) == (7, 8, 5)  # gaps 1 2 3 6 7
+    T = NumericalSemigroup([1000, 1001])
+    assert T.genus == 999 * 1000 // 2 and T.frobenius == 1000 * 1001 - 2001
+    assert NumericalSemigroup([1, 5]).conductor == 0
 
 
 def test_zero_ideal_rejected():
