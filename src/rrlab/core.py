@@ -141,6 +141,41 @@ class MonomialOrder:
         returned closure directly."""
         return _compiled_key(self.kind, self.priority, nvars)
 
+    def int_weights(self, nvars: int, bits: int,
+                    eliminate: bool = False) -> Tuple[int, ...]:
+        """Weights c of an int order key ``sum(c_i * e_i)``, additive by
+        construction.  With eliminate, one more variable is appended and
+        ordered first: the block order that compares its exponent before
+        this order on the others (the elimination order of an
+        intersection).
+
+        The key reads the key() tuples as numerals in base B = 2**bits.
+        With every exponent below B, ``lex = sum(e[prio[p]] * B**(n-1-p))``
+        is the base-B numeral of the lex tuple, so it is injective and
+        sorts like it.  grlex puts the degree above that numeral,
+        ``deg * B**n + lex``; grevlex subtracts the numeral of the
+        reversed-priority exponents, ``deg * B**n - sum(e[prio[p]] * B**p)``,
+        which lies in ``((deg - 1) * B**n, deg * B**n]``.  Both recover
+        (deg, numeral) from the key, so they are injective and compare the
+        degree first.  Every key of the n variables then lies in
+        ``[0, M)`` with ``M = (n * (B - 1) + 1) * B**n``, and the eliminated
+        variable's weight M puts its exponent above all of it.
+        """
+        prio = self.resolved_priority(nvars)
+        B = 1 << bits
+        top = B ** nvars
+        weights = [0] * nvars
+        for p, i in enumerate(prio):
+            if self.kind == "lex":
+                weights[i] = B ** (nvars - 1 - p)
+            elif self.kind == "grlex":
+                weights[i] = top + B ** (nvars - 1 - p)
+            else:
+                weights[i] = top - B ** p
+        if eliminate:
+            weights.append((nvars * (B - 1) + 1) * top)
+        return tuple(weights)
+
     def key(self, exps: Exponents):
         return self.key_function(len(exps))(exps)
 

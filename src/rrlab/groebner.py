@@ -3,16 +3,62 @@
 IdealHandle wraps a generator list plus ring context.  In a quotient ring
 R/Q every operation silently adjoins Q, so handles always compute with
 polynomial-ring Groebner bases; results are read as cosets.
+
+Inside one engine call a polynomial is a dict from packed monomials to
+coefficients.  ``Polynomial`` term dicts are converted only where a call
+starts and ends (``_Packing.pack`` and ``unpack``).  A packed monomial is
+one int in two parts:
+
+- the low ``S = n * w`` bits hold the exponents, one ``w``-bit field per
+  variable, the first variable in the highest field, as in
+  ``monomial._Fields``.  Every exponent stays below the top bit of its
+  field, the guard bit, and ``G`` is the mask of all guard bits.  In
+  ``(b | G) - a`` a field never borrows from the next, and its guard stays
+  set exactly when that field of ``a`` is at most that of ``b``, so
+  ``a | b`` iff ``((b | G) - a) & G == G``, and the fieldwise max (the lcm)
+  is ``b + max(a - b, 0)``;
+- the bits above ``S`` hold the order key ``sum(c_i * e_i)``, with the
+  weights ``c`` of ``MonomialOrder.int_weights`` for digits of ``w - 1``
+  bits.  That key reads the order's key tuples as base-``2**(w - 1)``
+  numerals, and every exponent is below ``2**(w - 1)``, so it is
+  injective and sorts like the tuples.
+
+Both parts are linear in the exponents, so the packed int is too:
+``pack(a * b) = pack(a) + pack(b)``.  Multiplying a term by a monomial is
+one int add, and no key function runs.  The key sits above the exponent
+bits, so comparing two packed monomials compares their keys: the largest
+packed monomial of a polynomial is its leading term.
+
+Widening.  Two monomials whose fields are below the guard bits add to
+fields below ``2**w``, which never carry into the next field or into the
+key; the sum is valid exactly when no field reaches its guard bit.  Each
+reduction step and each S-polynomial shifts a tail by a monomial ``s``.
+It first checks ``(hull + s) & G``, where the hull is the fieldwise max of
+the tail's terms; that is clear exactly when every shifted term is.  If
+not, it raises ``_Overflow``, and ``_packed`` reruns the whole call with
+fields twice as wide.  No result is ever read from an overflowed packing.
+
+Monic reducers.  Every basis element is kept monic, its terms in
+descending order, so its leading term comes first.  A reduction step by
+a monic ``g`` subtracts ``c * x^s * g``; by ``a * g`` it would subtract
+``(c / a) * x^s * (a * g)``, the same polynomial, so normal forms do not
+depend on the scaling of the reducers, and no step divides.
+``S(f, g) = x^u * f / lc(f) - x^v * g / lc(g)`` does not depend on it
+either.  So a raw basis of monic elements is the classic one with each
+element scaled by a nonzero constant: the pair criteria read only leading
+monomials, and the reduced basis, which is unique, is the same.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import itemgetter, mul
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, MonomialOrder, Polynomial,
-                   RingDescriptor, exps_divides, exps_lcm, exps_mul)
+                   RingDescriptor)
 from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
@@ -20,81 +66,176 @@ from .monomial import MonomialIdeal
 DEFAULT_PAIR_CAP = 200_000
 
 
-def _elim_key(base_key):
-    """Block order: the last variable first (lex), then base_key on the rest."""
-    return lambda exps: (exps[-1], *base_key(exps[:-1]))
-
-
 # ---------------------------------------------------------------------------
-# raw engine on term dicts
+# packed engine
 
 
-def _lt(terms: dict, key) -> Exponents:
-    return max(terms, key=key)
+class _Overflow(Exception):
+    """A packed product reached a guard bit; the call reruns wider."""
 
 
-def _normal_form(terms: dict, basis: List[Tuple[Exponents, object, dict]], key) -> dict:
-    """Full reduction of a term dict by (lt, ltcoef, terms) triples."""
-    work = dict(terms)
-    remainder: dict = {}
-    while work:
-        e = max(work, key=key)
-        c = work[e]
-        for lt, ltc, g in basis:
-            if exps_divides(lt, e):
-                shift = tuple(a - b for a, b in zip(e, lt))
-                factor = c / ltc
-                for ge, gc in g.items():
-                    t = exps_mul(ge, shift)
-                    v = work.get(t, None)
-                    nv = -factor * gc if v is None else v - factor * gc
-                    if nv:
-                        work[t] = nv
-                    elif v is not None:
-                        del work[t]
-                    # nv zero and t absent: nothing to do (t == e handled below)
-                work.pop(e, None)
+class _Packing:
+    """The packed monomials of one engine call (see the module docstring):
+    ``w``-bit fields for ``n`` variables, ``n`` counting the eliminated
+    variable, which is the last one (the lowest field)."""
+
+    __slots__ = ("width", "shifts", "low", "guards", "mask", "weights")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int,
+                 eliminate: bool = False):
+        n = nvars + eliminate
+        self.width = width
+        self.shifts = tuple(range((n - 1) * width, -1, -width))
+        self.low = (1 << (width - 1)) - 1
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+        self.mask = (1 << (n * width)) - 1
+        keys = order.int_weights(nvars, width - 1, eliminate)
+        self.weights = tuple((c << (n * width)) | (1 << s)
+                             for c, s in zip(keys, self.shifts))
+
+    def pack(self, terms: dict) -> dict:
+        """The packed polynomial, its terms in descending order."""
+        W = self.weights
+        packed = [(sum(map(mul, W, e)), c) for e, c in terms.items()]
+        packed.sort(key=itemgetter(0), reverse=True)
+        return dict(packed)
+
+    def unpack(self, packed: dict) -> dict:
+        shifts, low = self.shifts, self.low
+        return {tuple((m >> s) & low for s in shifts): c
+                for m, c in packed.items()}
+
+    def lcm(self, a: int, b: int) -> int:
+        """The fieldwise max of two exponent parts."""
+        G = self.guards
+        d = (a | G) - b
+        m = d & G
+        return b + (d & (m - (m >> (self.width - 1))))
+
+    def lift(self, low: int) -> Tuple[int, int]:
+        """(degree, packed monomial) of an exponent part."""
+        exps = [(low >> s) & self.low for s in self.shifts]
+        return sum(exps), sum(map(mul, self.weights, exps))
+
+
+def _width(polys: Iterable[dict]) -> int:
+    """Field width for polys' exponents: one bit of headroom, then the
+    guard."""
+    top = max((x for g in polys for e in g for x in e), default=0)
+    return top.bit_length() + 2
+
+
+def _packed(order: MonomialOrder, nvars: int, polys: Sequence[dict],
+            run: Callable[[_Packing], object], eliminate: bool = False,
+            width: int = 0):
+    """run(pk) with a packing that holds polys' exponents (and at least
+    width bits per field); each overflow reruns it with fields twice as
+    wide."""
+    width = max(width, _width(polys))
+    while True:
+        pk = _Packing(order, nvars, width, eliminate)
+        try:
+            return run(pk)
+        except _Overflow:
+            width *= 2
+
+
+def _monic(g: dict) -> dict:
+    """g divided by its leading coefficient; g's terms are in descending
+    order."""
+    lc = next(iter(g.values()))
+    return {m: c / lc for m, c in g.items()}
+
+
+def _reducer(g: dict, pk: _Packing) -> tuple:
+    """(lt, exponent part of lt, hull, tail) of a monic g in descending
+    order; the tail pairs each lower term with its negated coefficient."""
+    items = iter(g.items())
+    lt, _ = next(items)
+    tail = tuple((m, -c) for m, c in items)
+    hull = 0
+    for m, _ in tail:
+        hull = pk.lcm(hull, m & pk.mask)
+    return lt, lt & pk.mask, hull, tail
+
+
+def _normal_form(f: dict, reducers: Sequence[tuple], pk: _Packing,
+                 quotient: Optional[dict] = None) -> dict:
+    """Full reduction of the packed f by reducers (see _reducer), sorted
+    by leading term; the first reducer whose leading term divides the
+    current term is used.  The remainder comes out in descending order.
+
+    The terms wait on a heap of negated monomials, so the largest pops
+    first.  A term that cancels leaves its heap entry behind, to be skipped
+    when it pops.  With a quotient dict, each step records its multiplier
+    and coefficient there; with one reducer g, f = quotient * g + remainder.
+    """
+    G, mask = pk.guards, pk.mask
+    work = dict(f)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
+    rem: dict = {}
+    while heap:
+        m = -pop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        mg = (m & mask) | G
+        for lt, ltl, hull, tail in reducers:
+            if (mg - ltl) & G == G:
                 break
         else:
-            remainder[e] = c
-            del work[e]
-    return remainder
+            rem[m] = c
+            continue
+        s = m - lt
+        if (hull + s) & G:
+            raise _Overflow
+        if quotient is not None:
+            quotient[s] = c
+        for t, nc in tail:
+            t += s
+            v = get(t)
+            if v is None:
+                work[t] = c * nc
+                push(heap, -t)
+            else:
+                v += c * nc
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]
+    return rem
 
 
-def _prep(polys: Sequence[dict], key) -> List[Tuple[Exponents, object, dict]]:
-    """Reducer triples (lt, ltcoef, terms), sorted by leading term (stable, so
-    equal leading terms keep their input order; keeps reduction deterministic)."""
-    out = []
-    for g in polys:
-        if g:
-            lt = _lt(g, key)
-            out.append((lt, g[lt], g))
-    out.sort(key=lambda t: key(t[0]))
+def _spoly(a: tuple, b: tuple, lcm: int, G: int) -> dict:
+    """S-polynomial of two monic reducers a, b whose leading terms have the
+    packed lcm: the leading terms cancel, so only the tails are shifted."""
+    lta, _, hulla, taila = a
+    ltb, _, hullb, tailb = b
+    sa, sb = lcm - lta, lcm - ltb
+    if (hulla + sa) & G or (hullb + sb) & G:
+        raise _Overflow
+    out = {t + sa: -nc for t, nc in taila}
+    get = out.get
+    for t, nc in tailb:
+        t += sb
+        v = get(t)
+        if v is None:
+            out[t] = nc
+        else:
+            v += nc
+            if v:
+                out[t] = v
+            else:
+                del out[t]
     return out
 
 
-def _spoly(f: dict, g: dict, key) -> dict:
-    lf, lg = _lt(f, key), _lt(g, key)
-    lcm = exps_lcm(lf, lg)
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
-    cf, cg = f[lf], g[lg]
-    out: dict = {}
-    for e, c in f.items():
-        out[exps_mul(e, sf)] = c / cf
-    for e, c in g.items():
-        t = exps_mul(e, sg)
-        v = out.get(t, None)
-        nv = -c / cg if v is None else v - c / cg
-        if nv:
-            out[t] = nv
-        elif v is not None:
-            del out[t]
-    return out
-
-
-def _buchberger(gens: Sequence[dict], key, pair_cap: int = DEFAULT_PAIR_CAP) -> List[dict]:
-    """Raw (unreduced) Groebner basis of gens under the order given by key.
+def _buchberger(gens: Sequence[dict], pk: _Packing,
+                pair_cap: int = DEFAULT_PAIR_CAP) -> List[dict]:
+    """Raw (unreduced) Groebner basis of the packed gens, each element
+    monic and in descending order.
 
     Pairs follow the normal strategy: the pair whose lcm of leading terms has
     the smallest total degree goes first, ties broken by the term order of
@@ -103,35 +244,36 @@ def _buchberger(gens: Sequence[dict], key, pair_cap: int = DEFAULT_PAIR_CAP) -> 
     pairs serves the chain criterion.  The reducer list is sorted once and
     each new remainder is inserted in place.
     """
-    G = [dict(g) for g in gens if g]
+    G = [_monic(g) for g in gens if g]
     if not G:
         return []
-    lts = [_lt(g, key) for g in G]
+    guards, mask = pk.guards, pk.mask
+    red = [_reducer(g, pk) for g in G]
+    lows = [r[1] for r in red]
 
     def entry(i: int, j: int):
-        lcm = exps_lcm(lts[i], lts[j])
-        return (sum(lcm), key(lcm), i, j)
+        return (*pk.lift(pk.lcm(lows[i], lows[j])), i, j)
 
     heap = [entry(i, j) for j in range(len(G)) for i in range(j)]
     heapq.heapify(heap)
     pairs = {(i, j) for _, _, i, j in heap}
-    reducers = _prep(G, key)
+    reducers = sorted(red, key=itemgetter(0))
     processed = 0
     while heap:
         processed += 1
         if processed > pair_cap:
             raise ResourceLimitError(f"Buchberger pair cap {pair_cap} exceeded")
-        _, _, i, j = heapq.heappop(heap)
+        _, lcm, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
-        li, lj = lts[i], lts[j]
-        lcm = exps_lcm(li, lj)
+        low = lcm & mask
         # coprime criterion
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
+        if low == lows[i] + lows[j]:
             continue
         # chain criterion: some k with lt_k | lcm and both other pairs done
+        lg = low | guards
         skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not exps_divides(lts[k], lcm):
+        for k, lk in enumerate(lows):
+            if (lg - lk) & guards != guards or k == i or k == j:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -140,13 +282,13 @@ def _buchberger(gens: Sequence[dict], key, pair_cap: int = DEFAULT_PAIR_CAP) -> 
                 break
         if skip:
             continue
-        s = _spoly(G[i], G[j], key)
-        r = _normal_form(s, reducers, key)
+        r = _normal_form(_spoly(red[i], red[j], lcm, guards), reducers, pk)
         if r:
-            lt = _lt(r, key)
+            r = _monic(r)
             G.append(r)
-            lts.append(lt)
-            insort(reducers, (lt, r[lt], r), key=lambda t: key(t[0]))
+            red.append(_reducer(r, pk))
+            lows.append(red[-1][1])
+            insort(reducers, red[-1], key=itemgetter(0))
             new = len(G) - 1
             for k in range(new):
                 heapq.heappush(heap, entry(k, new))
@@ -154,25 +296,39 @@ def _buchberger(gens: Sequence[dict], key, pair_cap: int = DEFAULT_PAIR_CAP) -> 
     return G
 
 
-def _autoreduce(G: List[dict], key) -> List[dict]:
-    """Reduced basis: minimal leading terms, monic, fully reduced tails."""
-    # prune redundant leading terms
-    lts = [(_lt(g, key), g) for g in G if g]
-    minimal = []
-    for lt, g in sorted(lts, key=lambda t: (sum(t[0]), key(t[0]))):
-        if not any(exps_divides(m, lt) for m, _ in minimal):
-            minimal.append((lt, g))
-    polys = [g for _, g in minimal]
-    # reduce each by the others
+def _autoreduce(G: List[dict], pk: _Packing) -> List[dict]:
+    """Reduced basis of a raw basis of monic elements in descending order:
+    minimal leading terms, fully reduced tails, ascending by leading term.
+
+    A term of g's tail is below g's leading term, so g's own leading term
+    divides none of the terms its reduction meets.  Reducing the tail by
+    the whole minimal basis is therefore the reduction by the others, and
+    one reducer list serves every element."""
+    guards, mask = pk.guards, pk.mask
+    minimal: List[dict] = []
+    lows: List[int] = []
+    # a divisor's key is at most its multiple's, so it is met first
+    for g in sorted(G, key=lambda g: next(iter(g))):
+        low = next(iter(g)) & mask
+        if not any(((low | guards) - k) & guards == guards for k in lows):
+            minimal.append(g)
+            lows.append(low)
+    reducers = [_reducer(g, pk) for g in minimal]
     reduced = []
-    for i, g in enumerate(polys):
-        others = polys[:i] + polys[i + 1:]
-        r = _normal_form(g, _prep(others, key), key)
-        if r:
-            lc = r[_lt(r, key)]
-            reduced.append({e: c / lc for e, c in r.items()})
-    reduced.sort(key=lambda g: key(_lt(g, key)))
+    for g, (lt, *_) in zip(minimal, reducers):
+        tail = _normal_form(dict(islice(g.items(), 1, None)), reducers, pk)
+        reduced.append({lt: g[lt], **tail})
     return reduced
+
+
+def _reduced_basis(gens: Sequence[dict], order: MonomialOrder, nvars: int,
+                   pair_cap: int, eliminate: bool = False):
+    """(packing, reduced basis) of the term dicts gens: the basis packed,
+    monic and ascending by leading term."""
+    def run(pk: _Packing):
+        raw = _buchberger([pk.pack(g) for g in gens], pk, pair_cap)
+        return pk, _autoreduce(raw, pk)
+    return _packed(order, nvars, gens, run, eliminate)
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +336,43 @@ def _autoreduce(G: List[dict], key) -> List[dict]:
 
 
 class GroebnerBasis:
-    def __init__(self, ring: RingDescriptor, order: MonomialOrder, polys: List[dict]):
+    """A reduced basis: its monic polynomials, ascending by leading term,
+    each with its leading term first, and the packed reducers that
+    normal_form runs on, rebuilt wider when an input needs it."""
+
+    def __init__(self, ring: RingDescriptor, order: MonomialOrder,
+                 pk: _Packing, basis: List[dict]):
         self.ring = ring
         self.order = order
-        self._polys = polys
-        self._key = order.key_function(ring.nvars)
-        self._prepped = _prep(polys, self._key)
+        self._polys = [pk.unpack(g) for g in basis]
+        self._packing = pk
+        self._reducers = [_reducer(g, pk) for g in basis]
 
     @property
     def polynomials(self) -> Tuple[Polynomial, ...]:
         return tuple(Polynomial(self.ring, g) for g in self._polys)
 
     def leading_exponents(self) -> Tuple[Exponents, ...]:
-        return tuple(_lt(g, self._key) for g in self._polys)
+        return tuple(next(iter(g)) for g in self._polys)
+
+    def _reduce(self, f: Polynomial) -> dict:
+        def run(pk: _Packing) -> dict:
+            if pk.width != self._packing.width:
+                self._packing = pk
+                self._reducers = [_reducer(pk.pack(g), pk) for g in self._polys]
+            return pk.unpack(_normal_form(pk.pack(f.terms), self._reducers, pk))
+        return _packed(self.order, self.ring.nvars, [f.terms], run,
+                       width=self._packing.width)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         self.ring.check_compatible(f.ring)
-        return Polynomial(self.ring, _normal_form(f.terms, self._prepped, self._key))
+        return Polynomial(self.ring, self._reduce(f))
 
     def reduces_to_zero(self, f: Polynomial) -> bool:
-        return not _normal_form(f.terms, self._prepped, self._key)
+        return not self._reduce(f)
 
     def __len__(self):
         return len(self._polys)
-
-
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    return G.normal_form(f)
 
 
 class IdealHandle(Ideal):
@@ -247,9 +413,7 @@ class IdealHandle(Ideal):
         return (order.kind, order.resolved_priority(self.ring.nvars))
 
     def _effective_gens(self) -> List[dict]:
-        eff = [dict(g.terms) for g in self.gens]
-        eff.extend(dict(q.terms) for q in self.ring.quotient)
-        return eff
+        return [g.terms for g in self.gens + self.ring.quotient]
 
     def groebner_basis(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
         order = order or self.ring.order
@@ -257,9 +421,9 @@ class IdealHandle(Ideal):
         gb = self._gb.get(sig)
         if gb is not None:
             return gb
-        key = order.key_function(self.ring.nvars)
-        raw = _buchberger(self._effective_gens(), key, self.pair_cap)
-        gb = GroebnerBasis(self.ring, order, _autoreduce(raw, key))
+        pk, basis = _reduced_basis(self._effective_gens(), order,
+                                   self.ring.nvars, self.pair_cap)
+        gb = GroebnerBasis(self.ring, order, pk, basis)
         self._gb[sig] = gb
         return gb
 
@@ -343,33 +507,19 @@ class IdealHandle(Ideal):
     def _intersect_raw(self, b_side: List[dict]) -> "IdealHandle":
         """Intersection of (self + quotient) with the plain ideal gen'd by b_side."""
         ring = self.ring
-        key = _elim_key(ring.order.key_function(ring.nvars))
 
         def up(terms: dict, tdeg: int) -> dict:
             return {e + (tdeg,): c for e, c in terms.items()}
 
-        gens: List[dict] = []
-        a_side = [g.terms for g in self.gens] + [q.terms for q in ring.quotient]
-        for g in a_side:
-            gens.append(up(g, 1))
-        for g in b_side:
-            tg = up(g, 1)
-            g0 = up(g, 0)
-            merged = dict(g0)
-            for e, c in tg.items():
-                v = merged.get(e, None)
-                nv = -c if v is None else v - c
-                if nv:
-                    merged[e] = nv
-                elif v is not None:
-                    del merged[e]
-            gens.append(merged)
-        raw = _buchberger(gens, key, self.pair_cap)
-        basis = _autoreduce(raw, key)
-        kept = []
-        for g in basis:
-            if all(e[-1] == 0 for e in g):
-                kept.append(Polynomial(ring, {e[:-1]: c for e, c in g.items()}))
+        gens = [up(g, 1) for g in self._effective_gens()]
+        gens += [{**up(g, 0), **up({e: -c for e, c in g.items()}, 1)}
+                 for g in b_side]
+        pk, basis = _reduced_basis(gens, ring.order, ring.nvars, self.pair_cap,
+                                   eliminate=True)
+        # t is the last variable, in the lowest field, and its exponent
+        # comes first in the order: g is t-free when its leading term is
+        kept = [Polynomial(ring, {e[:-1]: c for e, c in pk.unpack(g).items()})
+                for g in basis if not next(iter(g)) & pk.low]
         return IdealHandle(ring, kept, self.pair_cap)
 
     def colon_element(self, b: Polynomial) -> "IdealHandle":
@@ -421,28 +571,18 @@ class IdealHandle(Ideal):
 
 
 def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Quotient f/b for f known to be a multiple of b."""
-    key = f.ring.order.key_function(f.ring.nvars)
-    work = dict(f.terms)
-    lt = _lt(b.terms, key)
-    ltc = b.terms[lt]
-    quot: dict = {}
-    while work:
-        e = max(work, key=key)
-        if not exps_divides(lt, e):
+    """Quotient f/b for f known to be a multiple of b: the reduction of f
+    by b / lc(b) records its multipliers."""
+    ring = f.ring
+
+    def run(pk: _Packing) -> dict:
+        g = pk.pack(b.terms)
+        quot: dict = {}
+        if _normal_form(pk.pack(f.terms), [_reducer(_monic(g), pk)], pk, quot):
             raise PreconditionError("exact division failed: not a multiple")
-        shift = tuple(a - c for a, c in zip(e, lt))
-        factor = work[e] / ltc
-        quot[shift] = factor
-        for ge, gc in b.terms.items():
-            t = exps_mul(ge, shift)
-            v = work.get(t, None)
-            nv = -factor * gc if v is None else v - factor * gc
-            if nv:
-                work[t] = nv
-            elif v is not None:
-                del work[t]
-    return Polynomial(f.ring, quot)
+        lc = next(iter(g.values()))
+        return pk.unpack({s: c / lc for s, c in quot.items()})
+    return Polynomial(ring, _packed(ring.order, ring.nvars, [f.terms, b.terms], run))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,34 @@ def test_order_key_matches_definition():
                     assert order.key_function(nvars)(e) == order.key(e)
 
 
+def test_int_key_sorts_like_key_tuples():
+    # 500 seeded vectors, entries up to the digit bound 2**bits - 1; the int
+    # key sum(c_i * e_i) must sort them exactly as the key tuples do, and
+    # with eliminate as the block order with the appended variable first.
+    rng = random.Random(17)
+    nvars, bits = 4, 3
+    vectors = [tuple(rng.randint(0, 2 ** bits - 1) for _ in range(nvars + 1))
+               for _ in range(500)]
+    for kind in ("lex", "grlex", "grevlex"):
+        for prio in (None, (2, 0, 3, 1)):
+            order = MonomialOrder(kind, prio)
+            key = order.key_function(nvars)
+            weights = order.int_weights(nvars, bits)
+            elim = order.int_weights(nvars, bits, eliminate=True)
+            cases = [
+                ([v[:-1] for v in vectors], weights, key),
+                (vectors, elim, lambda e: (e[-1], *key(e[:-1]))),
+            ]
+            for vecs, w, ref in cases:
+                assert len(w) == len(vecs[0])
+                int_key = [sum(c * x for c, x in zip(w, e)) for e in vecs]
+                by_int = sorted(range(len(vecs)), key=lambda i: (int_key[i], i))
+                by_tuple = sorted(range(len(vecs)), key=lambda i: (ref(vecs[i]), i))
+                assert by_int == by_tuple
+                # injective: equal keys only for equal vectors
+                assert len(set(int_key)) == len(set(vecs))
+
+
 def test_order_total_on_samples():
     rng = random.Random(3)
     for kind in ("lex", "grlex", "grevlex"):

@@ -177,3 +177,72 @@ def test_basis_over_prime_field():
     assert H.contains(parse_polynomial(R, "Y^3 - 1"))
     assert not H.contains(parse_polynomial(R, "Y - 1"))
     assert H.intersect(_handle(R, "Y")).contains(parse_polynomial(R, "X*Y - Y^3"))
+
+
+# -- packed field widths ------------------------------------------------------
+#
+# The engine packs each exponent vector into fields sized by the call's
+# inputs and reruns with wider fields when a product reaches a guard bit.
+# Each case below grows past the width its inputs give, or sits on a power
+# of two, and checks an answer known in closed form.
+
+FIELDS = [QQ, Field(7)]
+
+
+def _lex_ring(field, names=("X", "Y", "Z")):
+    return RingDescriptor(names, field, MonomialOrder("lex"))
+
+
+def _basis(H):
+    return set(H.groebner_basis().polynomials)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_width_basis_grows_past_inputs(field):
+    R = _lex_ring(field)
+    assert _basis(_handle(R, "X - Y^3", "Y - Z^3")) == {
+        parse_polynomial(R, "X - Z^9"), parse_polynomial(R, "Y - Z^3")}
+    assert _basis(_handle(R, "X - Y^15", "Y - Z^15")) == {
+        parse_polynomial(R, "X - Z^225"), parse_polynomial(R, "Y - Z^15")}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_width_normal_form_of_large_input(field):
+    R = RingDescriptor(("X", "Y"), field)
+    gb = _handle(R, "X^2 - Y").groebner_basis()
+    assert gb.normal_form(parse_polynomial(R, "X^5000")) == \
+        parse_polynomial(R, "Y^2500")
+    # under lex the remainder's exponent outgrows the input's width
+    L = _lex_ring(field, ("X", "Y"))
+    gb = _handle(L, "X - Y^4").groebner_basis()
+    assert gb.normal_form(parse_polynomial(L, "X^5000")) == \
+        parse_polynomial(L, "Y^20000")
+    assert gb.reduces_to_zero(parse_polynomial(L, "X^5000 - Y^20000"))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_width_exponents_on_powers_of_two(field):
+    R = _lex_ring(field)
+    for k in (2, 3, 4, 5):
+        for a in (2 ** k - 1, 2 ** k):
+            for b in (2 ** k - 1, 2 ** k):
+                H = _handle(R, f"X - Y^{a}", f"Y - Z^{b}")
+                assert _basis(H) == {parse_polynomial(R, f"X - Z^{a * b}"),
+                                     parse_polynomial(R, f"Y - Z^{b}")}
+                gb = H.groebner_basis()
+                assert gb.normal_form(parse_polynomial(R, f"X^{b} + Y")) == \
+                    parse_polynomial(R, f"Z^{a * b * b} + Z^{b}")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_width_elimination_grows_past_inputs(field):
+    # A is prime and X is not in it, so A cap (X) = X*A and X*A : X = A.
+    # The elimination bases reach Z^225; the inputs stop at exponent 15.
+    R = _lex_ring(field)
+    A = _handle(R, "X - Y^15", "Y - Z^15")
+    X = _handle(R, "X")
+    XA = A.times(parse_polynomial(R, "X"))
+    assert A.intersect(X).equals(XA)
+    assert XA.colon(X).equals(A)
+    assert _basis(XA.colon(X)) == {parse_polynomial(R, "X - Z^225"),
+                                   parse_polynomial(R, "Y - Z^15")}
