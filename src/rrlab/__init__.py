@@ -6,16 +6,12 @@ semigroup rings, with a CLI and a machine-checked claims corpus.
 """
 
 from .core import (Field, Monomial, MonomialOrder, Polynomial, QQ,
-                   RingDescriptor, compare_monomials, monomial_quotient,
-                   poly_arith)
+                   RingDescriptor)
 from .monomial import (MonomialIdeal, PowerLadder, associated_primes_monomial,
                        colon_monomial, integral_closure_monomial,
                        intersect_monomial, is_borel_fixed, member_of_power,
-                       minimal_generators, socle_candidates)
-from .groebner import (GroebnerBasis, IdealHandle, ideal_colon,
-                       ideal_contains, ideal_equal, ideal_membership,
-                       ideal_power, leading_term_ideal,
-                       reduced_groebner_basis)
+                       socle_candidates)
+from .groebner import GroebnerBasis, IdealHandle
 from .ratliff_rush import (BoundReached, ClosureConfig, ClosureResult,
                            DEFAULT_CONFIG, FailsAt, Holds, Member,
                            NotMemberUpTo, RRDefect, StabilizedWindow,
@@ -39,14 +35,11 @@ from .errors import (ArityError, InputError, LexicalError, PreconditionError,
 
 __all__ = [
     "Field", "Monomial", "MonomialOrder", "Polynomial", "QQ",
-    "RingDescriptor", "compare_monomials", "monomial_quotient", "poly_arith",
+    "RingDescriptor",
     "MonomialIdeal", "PowerLadder", "associated_primes_monomial",
     "colon_monomial", "integral_closure_monomial", "intersect_monomial",
-    "is_borel_fixed", "member_of_power", "minimal_generators",
-    "socle_candidates",
-    "GroebnerBasis", "IdealHandle", "ideal_colon", "ideal_contains",
-    "ideal_equal", "ideal_membership", "ideal_power", "leading_term_ideal",
-    "reduced_groebner_basis",
+    "is_borel_fixed", "member_of_power", "socle_candidates",
+    "GroebnerBasis", "IdealHandle",
     "BoundReached", "ClosureConfig", "ClosureResult", "DEFAULT_CONFIG",
     "FailsAt", "Holds", "Member", "NotMemberUpTo", "RRDefect",
     "StabilizedWindow", "depth_zero_witness_search", "gr_nzd_probe",

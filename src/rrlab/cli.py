@@ -113,11 +113,11 @@ class Session:
         (a monomial ideal beside a polynomial one), both become handles."""
         A, B = self.ideal(a), self.ideal(b)
         if type(A) is not type(B):
-            A, B = _as_handle(A, self), _as_handle(B, self)
+            A, B = _as_handle(A), _as_handle(B)
         return A, B
 
 
-def _as_handle(I, session: Session) -> IdealHandle:
+def _as_handle(I) -> IdealHandle:
     if isinstance(I, IdealHandle):
         return I
     if isinstance(I, MonomialIdeal):
@@ -162,14 +162,14 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
         m, I = session.element(args[0]), session.ideal(args[1])
         out.update(rr_membership_probe(m, I, cfg).to_dict())
     elif name == "gb":
-        H = _as_handle(session.ideal(args[0]), session)
+        H = _as_handle(session.ideal(args[0]))
         out["basis"] = [str(p) for p in H.groebner_basis().polynomials]
     elif name == "lt":
-        H = _as_handle(session.ideal(args[0]), session)
+        H = _as_handle(session.ideal(args[0]))
         out["value"] = str(H.leading_term_ideal())
     elif name == "normal_form":
         f = session.element(args[0])
-        H = _as_handle(session.ideal(args[1]), session)
+        H = _as_handle(session.ideal(args[1]))
         out["value"] = str(H.groebner_basis().normal_form(f))
     elif name == "membership":
         m, I = session.element(args[0]), session.ideal(args[1])
@@ -345,6 +345,11 @@ def _config_from(ns) -> dict:
     return {k: v for k, v in flags.items() if v is not None}
 
 
+def _read_program(path: str) -> InputProgram:
+    with open(path, encoding="utf-8") as fh:
+        return parse_program(fh.read())
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_argparser()
     try:
@@ -354,20 +359,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if ns.subcommand == "compute":
-            with open(ns.file, encoding="utf-8") as fh:
-                prog = parse_program(fh.read())
-            fragments = run_program(prog, replace(DEFAULT_CONFIG,
-                                                  **_config_from(ns)))
+            cfg = replace(DEFAULT_CONFIG, **_config_from(ns))
+            fragments = run_program(_read_program(ns.file), cfg)
             _emit({"schema": corpus_mod.SCHEMA_VERSION,
                    "commands": fragments}, ns.format, ns.out)
             return EXIT_OK
 
         if ns.subcommand == "gb":
-            with open(ns.file, encoding="utf-8") as fh:
-                prog = parse_program(fh.read())
             session = Session()
             last = None
-            for st in prog.statements:
+            for st in _read_program(ns.file).statements:
                 if not isinstance(st, Command):
                     with _located(st):
                         session.declare(st)
@@ -384,7 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 names = [v.strip() for v in ns.vars.split(",")]
                 priority = tuple(session.ring.var_index(v) for v in names)
             order = MonomialOrder(ns.order, priority)
-            H = _as_handle(session.ideals[last], session)
+            H = _as_handle(session.ideals[last])
             basis = H.groebner_basis(order)
             _emit({"commands": [{
                 "command": "gb",
@@ -405,16 +406,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return EXIT_RESOURCE
             return EXIT_OK if report["passed"] else EXIT_ASSERTION
 
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"rrlab: {exc}\n")
-        return EXIT_USAGE
-    except InputError as exc:
-        sys.stderr.write(f"rrlab: {exc}\n")
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         sys.stderr.write(f"rrlab: resource cap: {exc}\n")
         return EXIT_RESOURCE
-    except RRLabError as exc:
+    except (OSError, UnicodeDecodeError, RRLabError) as exc:
         sys.stderr.write(f"rrlab: {exc}\n")
         return EXIT_USAGE
     return EXIT_USAGE

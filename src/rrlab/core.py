@@ -336,21 +336,6 @@ class Monomial:
         if any(e < 0 for e in self.exps):
             raise PreconditionError("negative exponent")
 
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def divides(self, other: "Monomial") -> bool:
-        self.ring.check_compatible(other.ring)
-        return exps_divides(self.exps, other.exps)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self.ring.check_compatible(other.ring)
-        return Monomial(self.ring, exps_lcm(self.exps, other.exps))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self.ring.check_compatible(other.ring)
-        return Monomial(self.ring, exps_mul(self.exps, other.exps))
-
     def as_polynomial(self) -> "Polynomial":
         return Polynomial(self.ring, {self.exps: self.ring.field.one()})
 
@@ -363,17 +348,6 @@ class Monomial:
 
     def __hash__(self):
         return hash((self.ring.variables, self.exps))
-
-
-def monomial_quotient(a: Monomial, b: Monomial) -> Monomial:
-    """The monomial c with c*b = lcm(a, b)."""
-    a.ring.check_compatible(b.ring)
-    return Monomial(a.ring, exps_quotient(a.exps, b.exps))
-
-
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    a.ring.check_compatible(b.ring)
-    return order.compare(a.exps, b.exps)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +426,6 @@ class Polynomial:
             raise PreconditionError("zero polynomial has no leading monomial")
         return Monomial(self.ring, lt[0])
 
-    def monic(self, order: Optional[MonomialOrder] = None) -> "Polynomial":
-        lt = self.leading_term(order)
-        if lt is None:
-            return self
-        return Polynomial(self.ring, {e: c / lt[1] for e, c in self.terms.items()})
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -503,16 +471,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise PreconditionError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

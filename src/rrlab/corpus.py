@@ -739,9 +739,9 @@ def _ex43(rec, cfg, rng):
     x4 = SemigroupIdeal.from_gens(S, [4])
     rec.check("reduction number against the principal reduction (t^4) is 3",
               reduction_number(I, x4, cfg.n_max) == 3)
-    res1 = I.rr_power_result(1, cfg)
+    res1 = rr_power(I, 1, cfg)
     rec.check("the ideal itself is chain-fixed", res1.value.gens == I.gens)
-    res2 = I.rr_power_result(2, cfg)
+    res2 = rr_power(I, 2, cfg)
     rec.check("closure of the square is (t^8, t^9, t^10, t^11)",
               res2.value.gens == (8, 9, 10, 11), witness=str(res2.value))
     rec.check("the square itself is strictly smaller",

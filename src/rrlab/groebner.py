@@ -583,37 +583,3 @@ def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
         lc = next(iter(g.values()))
         return pk.unpack({s: c / lc for s, c in quot.items()})
     return Polynomial(ring, _packed(ring.order, ring.nvars, [f.terms, b.terms], run))
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation names
-
-
-def reduced_groebner_basis(I: IdealHandle, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
-    return I.groebner_basis(order)
-
-
-def leading_term_ideal(I: IdealHandle, order: Optional[MonomialOrder] = None) -> MonomialIdeal:
-    return I.leading_term_ideal(order)
-
-
-def ideal_membership(f: Polynomial, I: IdealHandle) -> bool:
-    return I.contains(f)
-
-
-def ideal_colon(A: IdealHandle, B: IdealHandle) -> IdealHandle:
-    return A.colon(B)
-
-
-def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
-    if n < 1:
-        raise PreconditionError("power must be >= 1")
-    return I.power(n)
-
-
-def ideal_equal(A: IdealHandle, B: IdealHandle) -> bool:
-    return A.equals(B)
-
-
-def ideal_contains(A: IdealHandle, B: IdealHandle) -> bool:
-    return A.contains_ideal(B)

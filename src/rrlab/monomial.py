@@ -170,19 +170,12 @@ class MonomialIdeal(Ideal):
                 return True  # unit ideal
         return len(pure) == self.ring.nvars
 
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(Monomial(self.ring, g) for g in self.gens)
-
     def __str__(self):
         return "(" + ", ".join(self.ring.format_exponents(g) for g in self.gens) + ")"
 
 
 def unit_ideal(ring: RingDescriptor) -> MonomialIdeal:
     return MonomialIdeal(ring, ((0,) * ring.nvars,))
-
-
-def minimal_generators(ring: RingDescriptor, gens: Iterable[Exponents]) -> MonomialIdeal:
-    return MonomialIdeal.from_gens(ring, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +299,10 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
 
 
 def member_of_power(m: Exponents, ladder: PowerLadder, n: int) -> bool:
-    """m in I^n, decided by multiplicity search over the generators.
-
-    Looks for non-negative generator multiplicities summing to n whose
-    exponent sum divides m, with componentwise-residual pruning.
-    """
+    """m in I^n, read off the power the ladder keeps."""
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    gens = ladder.base.gens
-    memo: dict = {}
-
-    def search(residual: Exponents, i: int, left: int) -> bool:
-        if left == 0:
-            return True
-        if i == len(gens):
-            return False
-        key = (residual, i, left)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        g = gens[i]
-        # max copies of g that still fit in the residual
-        fit = min((r // e for r, e in zip(residual, g) if e), default=left)
-        ok = False
-        for t in range(min(fit, left), -1, -1):
-            rem = tuple(r - t * e for r, e in zip(residual, g))
-            if search(rem, i + 1, left - t):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
-    return search(m, 0, n)
+    return ladder.power(n).contains(m)
 
 
 # ---------------------------------------------------------------------------

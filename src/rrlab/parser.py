@@ -252,6 +252,8 @@ class _Parser:
             char = int(ft.value[1:])  # `F7`, as Field prints it
         else:
             raise SyntacticError(f"unknown field {ft.value!r}", ft.line, ft.col)
+        if ft.value != "QQ" and char == 0:
+            raise SyntacticError("characteristic 0 is written QQ", ft.line, ft.col)
         self.expect("sym", "[")
         variables = [self.expect("ident").value]
         while self.accept("sym", ","):

@@ -192,9 +192,19 @@ def rr_closure(I, cfg: ClosureConfig = DEFAULT_CONFIG,
     return rr_power(I, 1, cfg, regular_element)
 
 
+def is_reduction(I, J, n_max: int = 8):
+    """Holds(n) at the least n <= n_max with J * I^n = I^{n+1}."""
+    if not I.contains_ideal(J):
+        raise PreconditionError("J must be contained in I")
+    for n in range(n_max + 1):
+        JIn, In1 = J * I.power(n), I.power(n + 1)
+        if JIn.contains_ideal(In1) and In1.contains_ideal(JIn):
+            return Holds(n)
+    return FailsAt(n_max)
+
+
 def _require_reduction(I, J, cfg: ClosureConfig) -> None:
     """Raise unless J verifies as a reduction of I within cfg.n_max."""
-    from .reductions import is_reduction
     if not isinstance(is_reduction(I, J, cfg.n_max), Holds):
         raise PreconditionError(
             f"J did not verify as a reduction of I within n_max={cfg.n_max}")
@@ -398,4 +408,5 @@ def superficial_probe(a, I, cfg: ClosureConfig = DEFAULT_CONFIG):
                 break
         else:
             return Holds(c)
-    return first_failure if first_failure is not None else FailsAt(cfg.n_max, None)
+    # n_max > window, so at least one pass ran, and every pass failed
+    return first_failure

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, FailsAt, Holds,
+from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, Holds, is_reduction,
                            rr_power, superficial_probe)
 
 EXACT = "exact-within-bound"
@@ -28,20 +28,43 @@ def _eq(A, B) -> bool:
 
 
 def _closures(I, powers, cfg: ClosureConfig):
-    """([closure value of I^m for m in powers], status string).
+    """[(closure value of I^m, certified) for m in powers].
 
-    I^0 is the whole ring, closed by convention; the status is EXACT unless
-    some chain reached its bound."""
-    values, status = [], EXACT
+    I^0 is the whole ring, closed by convention."""
+    out = []
     for m in powers:
         if m == 0:
-            values.append(I.power(0))
-            continue
-        res = rr_power(I, m, cfg)
-        if not res.certified:
-            status = BOUNDED
-        values.append(res.value)
-    return values, status
+            out.append((I.power(0), True))
+        else:
+            res = rr_power(I, m, cfg)
+            out.append((res.value, res.certified))
+    return out
+
+
+def _status(closures) -> str:
+    """EXACT unless the chain of some closure reached its bound."""
+    return EXACT if all(certified for _, certified in closures) else BOUNDED
+
+
+def _stable_from(holds) -> Optional[int]:
+    """The least n with holds[m] for every m >= n; None when the last fails."""
+    n = len(holds)
+    while n and holds[n - 1]:
+        n -= 1
+    return None if n == len(holds) else n
+
+
+def _rr_reduction_number(J, tilde):
+    """rr_reduction_number from the closures of I^0..I^{n_max+1}."""
+    holds_at = [_eq(tilde[m + 1][0], J * tilde[m][0])
+                for m in range(len(tilde) - 1)]
+    return _stable_from(holds_at), _status(tilde)
+
+
+def _s_invariant(I, tilde, n_max: int):
+    """s_invariant from the closures of I^0..I^{n_max} (or more)."""
+    closed = [True] + [_eq(tilde[m][0], I.power(m)) for m in range(1, n_max + 1)]
+    return _stable_from(closed), _status(tilde[1:n_max + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +96,6 @@ class ReductionReport:
 # operations
 
 
-def is_reduction(I, J, n_max: int = 8):
-    """Holds(n) at the least n <= n_max with J * I^n = I^{n+1}."""
-    if not I.contains_ideal(J):
-        raise PreconditionError("J must be contained in I")
-    for n in range(n_max + 1):
-        if _eq(J * I.power(n), I.power(n + 1)):
-            return Holds(n)
-    return FailsAt(n_max)
-
-
 def reduction_number(I, J, n_max: int = 8) -> int:
     verdict = is_reduction(I, J, n_max)
     if not isinstance(verdict, Holds):
@@ -95,17 +108,7 @@ def rr_reduction_number(I, J, cfg: ClosureConfig = DEFAULT_CONFIG):
     status).  None when even n = n_max fails within the bound."""
     if not I.contains_ideal(J):
         raise PreconditionError("J must be contained in I")
-    tilde, status = _closures(I, range(cfg.n_max + 2), cfg)
-    holds_at = [ _eq(tilde[m + 1], J * tilde[m]) for m in range(cfg.n_max + 1) ]
-    n = cfg.n_max + 1
-    for m in range(cfg.n_max, -1, -1):
-        if holds_at[m]:
-            n = m
-        else:
-            break
-    if n > cfg.n_max:
-        return None, status
-    return n, status
+    return _rr_reduction_number(J, _closures(I, range(cfg.n_max + 2), cfg))
 
 
 def s_invariant(I, cfg: ClosureConfig = DEFAULT_CONFIG):
@@ -113,28 +116,21 @@ def s_invariant(I, cfg: ClosureConfig = DEFAULT_CONFIG):
 
     When every checked power is closed this reports s = 0 (the zeroth power
     is the whole ring, closed by convention)."""
-    tilde, status = _closures(I, range(1, cfg.n_max + 1), cfg)
-    closed = [True] + [_eq(value, I.power(m))
-                       for m, value in enumerate(tilde, start=1)]
-    n = cfg.n_max + 1
-    for m in range(cfg.n_max, -1, -1):
-        if closed[m]:
-            n = m
-        else:
-            break
-    if n > cfg.n_max:
-        return None, status
-    return n, status
+    return _s_invariant(I, _closures(I, range(cfg.n_max + 1), cfg), cfg.n_max)
 
 
 def reduction_report(I, J, cfg: ClosureConfig = DEFAULT_CONFIG) -> ReductionReport:
+    """r, rr_r and s of I, from one closure of each of I^1..I^{n_max+1}.
+
+    Each status covers only the powers its invariant reads."""
     verdict = is_reduction(I, J, cfg.n_max)
     if isinstance(verdict, Holds):
         r, r_status = verdict.bound, EXACT
     else:
         r, r_status = None, BOUNDED
-    rr_r, rr_status = rr_reduction_number(I, J, cfg)
-    s, s_status = s_invariant(I, cfg)
+    tilde = _closures(I, range(cfg.n_max + 2), cfg)
+    rr_r, rr_status = _rr_reduction_number(J, tilde)
+    s, s_status = _s_invariant(I, tilde, cfg.n_max)
     return ReductionReport(I, J, cfg.n_max, r, r_status, rr_r, rr_status, s, s_status)
 
 
@@ -185,7 +181,9 @@ def prop41_equivalence_check(I, x, t: int,
     if not isinstance(sup, Holds):
         raise PreconditionError("x did not probe as a superficial element")
 
-    (T_t, T_t1, T_t2), status = _closures(I, (t, t + 1, t + 2), cfg)
+    closures = _closures(I, (t, t + 1, t + 2), cfg)
+    (T_t, _), (T_t1, _), (T_t2, _) = closures
+    status = _status(closures)
     x_Tt = X * T_t
     rhs = x_Tt + T_t2
     cond_b = rhs.contains_ideal(I * T_t + T_t2)

@@ -29,8 +29,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import Ideal
 from .errors import (PreconditionError, ResourceLimitError, ZeroIdealError)
-from .ratliff_rush import (ClosureConfig, ClosureResult, DEFAULT_CONFIG,
-                           rr_power)
 
 Pair = Tuple[int, int]
 
@@ -120,9 +118,6 @@ class SemigroupIdeal(Ideal):
         self._check(other)
         return all(a <= b for a, b in zip(self.v, other.v))
 
-    def min_element(self) -> int:
-        return min(self.v)
-
     def elements_upto(self, bound: int) -> Tuple[int, ...]:
         return tuple(z for z in range(bound + 1) if self.contains(z))
 
@@ -174,16 +169,11 @@ class SemigroupIdeal(Ideal):
 
         E^n - n*x ascends from S inside N and grows at each n < r, each time
         by a gap of S, so r <= genus."""
-        x = self.min_element()
+        x = min(self.v)
         for r in range(self.S.genus):
             if self.power(r + 1).v == self.power(r).times(x).v:
                 return r
         return self.S.genus
-
-    def rr_power_result(self, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
-        """Exact closure of E^n: rr_power runs the chain E^{n+k} : E^k to
-        the principal-reduction index, past which it is constant."""
-        return rr_power(self, n, cfg)
 
 
 class AffineSemigroup2D:

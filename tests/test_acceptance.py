@@ -265,8 +265,8 @@ def test_ac21_semigroup_invariants():
     I = SemigroupIdeal.from_gens(S, [4, 5, 11])
     x4 = SemigroupIdeal.from_gens(S, [4])
     ok = reduction_number(I, x4) == 3
-    ok = ok and I.rr_power_result(1).value.gens == I.gens
-    ok = ok and I.rr_power_result(2).value.gens == (8, 9, 10, 11)
+    ok = ok and rr_power(I, 1).value.gens == I.gens
+    ok = ok and rr_power(I, 2).value.gens == (8, 9, 10, 11)
     rr_r, rr_status = rr_reduction_number(I, x4)
     ok = ok and (rr_r, rr_status) == (2, EXACT)
     s, s_status = s_invariant(I)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rrlab.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                        main)
 
@@ -116,3 +118,22 @@ def test_corpus_run_text_summary(capsys):
     out = capsys.readouterr().out
     assert "EX-1.10: pass" in out
     assert "1/1 cases passed" in out
+
+
+def _latin1_program(tmp_path):
+    path = tmp_path / "latin1.rr"
+    path.write_bytes("# \xe9\nring R = QQ[X];\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["compute", str(d)],
+    lambda d: ["gb", str(d)],
+    lambda d: ["compute", _latin1_program(d)],
+    lambda d: ["compute", _write(d, PROGRAM), "--out", str(d)],
+], ids=["compute-dir", "gb-dir", "not-utf8", "out-dir"])
+def test_unreadable_files_are_usage_errors(tmp_path, capsys, argv):
+    code = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("rrlab: ") and "Traceback" not in err

@@ -11,7 +11,7 @@ import pytest
 
 from rrlab.core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
 from rrlab.errors import ResourceLimitError
-from rrlab.groebner import IdealHandle, reduced_groebner_basis
+from rrlab.groebner import IdealHandle
 from rrlab.monomial import MonomialIdeal
 from rrlab.parser import parse_polynomial
 

@@ -151,3 +151,10 @@ def test_prime_field_spellings():
             _declared_ring(f"ring R = {text}[X, Y];")
     with pytest.raises(SyntacticError, match="unknown field 'Fx7'"):
         parse_program("ring R = Fx7[X, Y];")
+
+
+def test_characteristic_zero_is_not_a_prime_field():
+    for text in ("F 0", "F0", "F 00"):
+        with pytest.raises(SyntacticError, match="characteristic 0") as e:
+            parse_program(f"ring R =\n  {text}[X];")
+        assert (e.value.line, e.value.col) == (2, 3)

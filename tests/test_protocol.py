@@ -39,7 +39,6 @@ def test_semigroup_closure_takes_the_exact_path(tmp_path, capsys):
     I = SemigroupIdeal.from_gens(S, [6, 7, 16])
     res = rr_closure(I)
     assert res.value.gens == (6, 7, 8)
-    assert res.to_dict() == I.rr_power_result(1).to_dict()
 
     path = tmp_path / "prog.rr"
     path.write_text(text)

@@ -90,3 +90,36 @@ def test_statuses_reflect_bound():
     tight = ClosureConfig(k_max=2, window=2, n_max=2)
     n, status = s_invariant(I4, tight)
     assert status in (EXACT, BOUNDED)
+
+
+def _count_rr_power(monkeypatch):
+    import rrlab.reductions as red
+    calls = []
+    real = red.rr_power
+
+    def counting(I, n, *args, **kwargs):
+        calls.append(n)
+        return real(I, n, *args, **kwargs)
+
+    monkeypatch.setattr(red, "rr_power", counting)
+    return calls
+
+
+def test_report_runs_each_closure_once(monkeypatch):
+    calls = _count_rr_power(monkeypatch)
+    I = _mono((5, 0), (4, 2), (2, 4), (0, 5))
+    J = _mono((5, 0), (0, 5))
+    rep = reduction_report(I, J, ClosureConfig(n_max=6))
+    assert sorted(calls) == list(range(1, 8))
+    assert (rep.r, rep.r_status) == (1, EXACT)
+    assert (rep.rr_r, rep.rr_r_status) == (1, EXACT)
+    assert (rep.s, rep.s_status) == (0, EXACT)
+
+
+def test_report_statuses_cover_their_own_powers():
+    # Only the chain of I^3 reaches its bound: I^3 is read by rr_r, not by s.
+    I = _mono((8, 0), (5, 3), (3, 5), (0, 8))
+    J = _mono((8, 0), (0, 8))
+    rep = reduction_report(I, J, ClosureConfig(k_max=2, window=2, n_max=2))
+    assert (rep.rr_r, rep.rr_r_status) == (None, BOUNDED)
+    assert (rep.s, rep.s_status) == (0, EXACT)
