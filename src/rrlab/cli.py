@@ -346,8 +346,17 @@ def _config_from(ns) -> dict:
 
 
 def _read_program(path: str) -> InputProgram:
-    with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise InputError(
+            f"{path} is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded",
+            data.count(b"\n", 0, exc.start) + 1,
+            len(data[line_start:exc.start].decode("utf-8")) + 1) from None
+    return parse_program(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -409,7 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"rrlab: resource cap: {exc}\n")
         return EXIT_RESOURCE
-    except (OSError, UnicodeDecodeError, RRLabError) as exc:
+    except (OSError, RRLabError) as exc:
         sys.stderr.write(f"rrlab: {exc}\n")
         return EXIT_USAGE
     return EXIT_USAGE

@@ -12,9 +12,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter, neg
-from typing import (Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+from itertools import chain
+from operator import mul
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from .errors import PreconditionError, RingMismatchError
@@ -133,13 +133,11 @@ class MonomialOrder:
             raise PreconditionError(f"unknown order kind {self.kind!r}")
 
     def resolved_priority(self, nvars: int) -> Tuple[int, ...]:
-        return _resolve_priority(self.priority, nvars)
-
-    def key_function(self, nvars: int) -> Callable[[Exponents], tuple]:
-        """key() for exponent vectors of length nvars, with the priority
-        resolved and checked once per (order, nvars); hot loops call the
-        returned closure directly."""
-        return _compiled_key(self.kind, self.priority, nvars)
+        if self.priority is None:
+            return tuple(range(nvars))
+        if sorted(self.priority) != list(range(nvars)):
+            raise PreconditionError("priority is not a permutation of the variables")
+        return self.priority
 
     def int_weights(self, nvars: int, bits: int,
                     eliminate: bool = False) -> Tuple[int, ...]:
@@ -176,42 +174,19 @@ class MonomialOrder:
             weights.append((nvars * (B - 1) + 1) * top)
         return tuple(weights)
 
-    def key(self, exps: Exponents):
-        return self.key_function(len(exps))(exps)
+    def key(self, exps: Exponents) -> tuple:
+        prio = self.resolved_priority(len(exps))
+        if self.kind == "lex":
+            return tuple(exps[i] for i in prio)
+        if self.kind == "grlex":
+            return (sum(exps), *(exps[i] for i in prio))
+        # grevlex: among equal degrees, the monomial whose reversed-priority
+        # exponents are larger compares smaller.
+        return (sum(exps), *(-exps[i] for i in reversed(prio)))
 
     def compare(self, a: Exponents, b: Exponents) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
-
-
-def _tuple_getter(idx: Tuple[int, ...]) -> Callable[[Exponents], tuple]:
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    # itemgetter of one index returns a bare item, of none it is an error
-    return lambda exps: tuple(exps[i] for i in idx)
-
-
-def _resolve_priority(priority: Optional[Tuple[int, ...]], nvars: int) -> Tuple[int, ...]:
-    if priority is None:
-        return tuple(range(nvars))
-    if sorted(priority) != list(range(nvars)):
-        raise PreconditionError("priority is not a permutation of the variables")
-    return priority
-
-
-@lru_cache(maxsize=64)
-def _compiled_key(kind: str, priority: Optional[Tuple[int, ...]],
-                  nvars: int) -> Callable[[Exponents], tuple]:
-    prio = _resolve_priority(priority, nvars)
-    if kind == "lex":
-        return _tuple_getter(prio)
-    if kind == "grlex":
-        get = _tuple_getter(prio)
-        return lambda exps: (sum(exps), *get(exps))
-    # grevlex: among equal degrees, the monomial whose reversed-priority
-    # exponents are larger compares smaller.
-    rev = _tuple_getter(tuple(reversed(prio)))
-    return lambda exps: (sum(exps), *map(neg, rev(exps)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +246,6 @@ class RingDescriptor:
         except ValueError:
             raise PreconditionError(f"unknown variable {name!r}") from None
 
-    def monomial(self, exps: Iterable[int]) -> "Monomial":
-        return Monomial(self, tuple(exps))
-
     def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.var_index(name)] = 1
@@ -312,17 +284,109 @@ def exps_divides(a: Exponents, b: Exponents) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def exps_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def exps_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def exps_quotient(a: Exponents, b: Exponents) -> Exponents:
-    """lcm(a, b) / b, the colon kernel; equals a/b exactly when b | a."""
-    return tuple(max(x - y, 0) for x, y in zip(a, b))
+class Packing:
+    """Exponent vectors of ``nvars`` variables packed into ints, the one
+    format of the monomial-ideal kernels and of the Buchberger engine.
+
+    Each variable gets a field of ``width`` bits, the first variable in the
+    highest field.  Every exponent stays below the top bit of its field,
+    the guard bit: ``guards`` is the mask of all guard bits, ``low`` that of
+    one field's value bits, ``mask`` that of all the fields.  In
+    ``(b | G) - a`` a field never borrows from the next, and its guard stays
+    set exactly when that field of ``a`` is at most that of ``b``.  So:
+
+    - ``a | b``  iff  ``((b | G) - a) & G == G``;
+    - ``max(a - b, 0)``, fieldwise, is ``(a | G) - b`` with the fields whose
+      guard was cleared zeroed and the guards dropped; with ``m`` the guards
+      that stayed set, ``m - (m >> (width - 1))`` masks their fields' value
+      bits;
+    - ``lcm(a, b) = b + max(a - b, 0)``, whose fields stay below the guards.
+
+    The first variable is the most significant, so ascending packed order
+    is the lexicographic order on the tuples.  That order extends
+    divisibility: a proper divisor is lexicographically smaller.
+
+    ``key``, when given, is the weights c of ``MonomialOrder.int_weights``;
+    the bits above the fields then hold the order key ``sum(c_i * e_i)``,
+    so packed ints compare as the order does.  Both parts are linear, so
+    ``pack(a) + pack(b) == pack(a + b)`` while no field of the sum reaches
+    its guard bit.  The fieldwise methods read fields only: give them the
+    fields of a keyed int, ``p & mask``.
+    """
+
+    __slots__ = ("width", "shifts", "low", "guards", "mask", "key")
+
+    def __init__(self, nvars: int, width: int, key: Sequence[int] = ()):
+        self.width = width
+        self.shifts = tuple(range((nvars - 1) * width, -1, -width))
+        self.low = (1 << (width - 1)) - 1
+        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
+        self.mask = (1 << (nvars * width)) - 1
+        self.key = tuple(c << (nvars * width) for c in key)
+
+    def pack(self, e: Exponents) -> int:
+        w, p = self.width, 0
+        for x in e:
+            p = (p << w) | x
+        if self.key:
+            p += sum(map(mul, self.key, e))
+        return p
+
+    def unpack(self, p: int) -> Exponents:
+        low = self.low
+        return tuple([(p >> s) & low for s in self.shifts])
+
+    def lcm(self, a: int, b: int) -> int:
+        G = self.guards
+        d = (a | G) - b
+        m = d & G
+        return b + (d & (m - (m >> (self.width - 1))))
+
+    def minimal(self, packed: Iterable[int],
+                floor: Sequence[int] = ()) -> List[int]:
+        """The divisibility-minimal values outside the ideal ``floor``
+        generates, ascending: a value survives when no floor generator and
+        no smaller survivor divides it."""
+        G = self.guards
+        kept: List[int] = []
+        for c in sorted(set(packed)):
+            cg = c | G
+            for k in chain(floor, kept):
+                if (cg - k) & G == G:
+                    break
+            else:
+                kept.append(c)
+        return kept
+
+    def quotients(self, As: Sequence[int], b: int,
+                  floor: Sequence[int] = ()) -> List[int]:
+        """Minimal generators of (A : b) outside floor: the minimal
+        max(a - b, 0)."""
+        G, s = self.guards, self.width - 1
+        out = []
+        for a in As:
+            d = (a | G) - b
+            m = d & G
+            out.append(d & (m - (m >> s)))
+        return self.minimal(out, floor)
+
+    def lcms(self, As: Sequence[int], Bs: Sequence[int],
+             floor: Sequence[int] = ()) -> List[int]:
+        """Minimal generators of A ∩ B outside floor: the minimal
+        b + max(a - b, 0)."""
+        G, s = self.guards, self.width - 1
+        out = []
+        for a in As:
+            aG = a | G
+            for b in Bs:
+                d = aG - b
+                m = d & G
+                out.append(b + (d & (m - (m >> s))))
+        return self.minimal(out, floor)
 
 
 @dataclass(frozen=True)
@@ -503,6 +567,9 @@ class Ideal:
     def contains_ideal(self, other: "Ideal") -> bool:
         self._check(other)
         return all(self.contains(g) for g in other.gens)
+
+    def equals(self, other: "Ideal") -> bool:
+        return self.contains_ideal(other) and other.contains_ideal(self)
 
     def gens_outside(self, other: "Ideal") -> Iterator:
         """The generators outside other, as public elements."""

@@ -6,28 +6,14 @@ polynomial-ring Groebner bases; results are read as cosets.
 
 Inside one engine call a polynomial is a dict from packed monomials to
 coefficients.  ``Polynomial`` term dicts are converted only where a call
-starts and ends (``_Packing.pack`` and ``unpack``).  A packed monomial is
-one int in two parts:
-
-- the low ``S = n * w`` bits hold the exponents, one ``w``-bit field per
-  variable, the first variable in the highest field, as in
-  ``monomial._Fields``.  Every exponent stays below the top bit of its
-  field, the guard bit, and ``G`` is the mask of all guard bits.  In
-  ``(b | G) - a`` a field never borrows from the next, and its guard stays
-  set exactly when that field of ``a`` is at most that of ``b``, so
-  ``a | b`` iff ``((b | G) - a) & G == G``, and the fieldwise max (the lcm)
-  is ``b + max(a - b, 0)``;
-- the bits above ``S`` hold the order key ``sum(c_i * e_i)``, with the
-  weights ``c`` of ``MonomialOrder.int_weights`` for digits of ``w - 1``
-  bits.  That key reads the order's key tuples as base-``2**(w - 1)``
-  numerals, and every exponent is below ``2**(w - 1)``, so it is
-  injective and sorts like the tuples.
-
-Both parts are linear in the exponents, so the packed int is too:
-``pack(a * b) = pack(a) + pack(b)``.  Multiplying a term by a monomial is
-one int add, and no key function runs.  The key sits above the exponent
-bits, so comparing two packed monomials compares their keys: the largest
-packed monomial of a polynomial is its leading term.
+starts and ends (``_pack`` and ``_unpack``).  A packed monomial is a
+``core.Packing`` int: guarded exponent fields, ``w`` bits per variable, and
+above them the order key of ``MonomialOrder.int_weights`` for digits of
+``w - 1`` bits.  Every exponent is below ``2**(w - 1)``, so that key is
+injective and sorts like the order's key tuples.  ``pack(a * b) =
+pack(a) + pack(b)``, so multiplying a term by a monomial is one int add,
+and no key function runs.  The key sits above the exponent bits, so the
+largest packed monomial of a polynomial is its leading term.
 
 Widening.  Two monomials whose fields are below the guard bits add to
 fields below ``2**w``, which never carry into the next field or into the
@@ -54,16 +40,16 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from itertools import islice
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import (Exponents, Ideal, Monomial, MonomialOrder, Polynomial,
-                   RingDescriptor)
+from .core import (Exponents, Ideal, Monomial, MonomialOrder, Packing,
+                   Polynomial, RingDescriptor)
 from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
 
-DEFAULT_PAIR_CAP = 200_000
+PAIR_CAP = 200_000  # S-pairs one Buchberger run may process
 
 
 # ---------------------------------------------------------------------------
@@ -74,48 +60,15 @@ class _Overflow(Exception):
     """A packed product reached a guard bit; the call reruns wider."""
 
 
-class _Packing:
-    """The packed monomials of one engine call (see the module docstring):
-    ``w``-bit fields for ``n`` variables, ``n`` counting the eliminated
-    variable, which is the last one (the lowest field)."""
+def _pack(pk: Packing, terms: dict) -> dict:
+    """The packed polynomial, its terms in descending order."""
+    packed = [(pk.pack(e), c) for e, c in terms.items()]
+    packed.sort(key=itemgetter(0), reverse=True)
+    return dict(packed)
 
-    __slots__ = ("width", "shifts", "low", "guards", "mask", "weights")
 
-    def __init__(self, order: MonomialOrder, nvars: int, width: int,
-                 eliminate: bool = False):
-        n = nvars + eliminate
-        self.width = width
-        self.shifts = tuple(range((n - 1) * width, -1, -width))
-        self.low = (1 << (width - 1)) - 1
-        self.guards = sum(1 << (s + width - 1) for s in self.shifts)
-        self.mask = (1 << (n * width)) - 1
-        keys = order.int_weights(nvars, width - 1, eliminate)
-        self.weights = tuple((c << (n * width)) | (1 << s)
-                             for c, s in zip(keys, self.shifts))
-
-    def pack(self, terms: dict) -> dict:
-        """The packed polynomial, its terms in descending order."""
-        W = self.weights
-        packed = [(sum(map(mul, W, e)), c) for e, c in terms.items()]
-        packed.sort(key=itemgetter(0), reverse=True)
-        return dict(packed)
-
-    def unpack(self, packed: dict) -> dict:
-        shifts, low = self.shifts, self.low
-        return {tuple((m >> s) & low for s in shifts): c
-                for m, c in packed.items()}
-
-    def lcm(self, a: int, b: int) -> int:
-        """The fieldwise max of two exponent parts."""
-        G = self.guards
-        d = (a | G) - b
-        m = d & G
-        return b + (d & (m - (m >> (self.width - 1))))
-
-    def lift(self, low: int) -> Tuple[int, int]:
-        """(degree, packed monomial) of an exponent part."""
-        exps = [(low >> s) & self.low for s in self.shifts]
-        return sum(exps), sum(map(mul, self.weights, exps))
+def _unpack(pk: Packing, packed: dict) -> dict:
+    return {pk.unpack(m): c for m, c in packed.items()}
 
 
 def _width(polys: Iterable[dict]) -> int:
@@ -126,14 +79,16 @@ def _width(polys: Iterable[dict]) -> int:
 
 
 def _packed(order: MonomialOrder, nvars: int, polys: Sequence[dict],
-            run: Callable[[_Packing], object], eliminate: bool = False,
+            run: Callable[[Packing], object], eliminate: bool = False,
             width: int = 0):
     """run(pk) with a packing that holds polys' exponents (and at least
     width bits per field); each overflow reruns it with fields twice as
-    wide."""
+    wide.  With eliminate, one more variable is packed last, in the lowest
+    field, and ordered first."""
     width = max(width, _width(polys))
     while True:
-        pk = _Packing(order, nvars, width, eliminate)
+        pk = Packing(nvars + eliminate, width,
+                     order.int_weights(nvars, width - 1, eliminate))
         try:
             return run(pk)
         except _Overflow:
@@ -147,7 +102,7 @@ def _monic(g: dict) -> dict:
     return {m: c / lc for m, c in g.items()}
 
 
-def _reducer(g: dict, pk: _Packing) -> tuple:
+def _reducer(g: dict, pk: Packing) -> tuple:
     """(lt, exponent part of lt, hull, tail) of a monic g in descending
     order; the tail pairs each lower term with its negated coefficient."""
     items = iter(g.items())
@@ -159,7 +114,7 @@ def _reducer(g: dict, pk: _Packing) -> tuple:
     return lt, lt & pk.mask, hull, tail
 
 
-def _normal_form(f: dict, reducers: Sequence[tuple], pk: _Packing,
+def _normal_form(f: dict, reducers: Sequence[tuple], pk: Packing,
                  quotient: Optional[dict] = None) -> dict:
     """Full reduction of the packed f by reducers (see _reducer), sorted
     by leading term; the first reducer whose leading term divides the
@@ -232,8 +187,7 @@ def _spoly(a: tuple, b: tuple, lcm: int, G: int) -> dict:
     return out
 
 
-def _buchberger(gens: Sequence[dict], pk: _Packing,
-                pair_cap: int = DEFAULT_PAIR_CAP) -> List[dict]:
+def _buchberger(gens: Sequence[dict], pk: Packing) -> List[dict]:
     """Raw (unreduced) Groebner basis of the packed gens, each element
     monic and in descending order.
 
@@ -252,7 +206,8 @@ def _buchberger(gens: Sequence[dict], pk: _Packing,
     lows = [r[1] for r in red]
 
     def entry(i: int, j: int):
-        return (*pk.lift(pk.lcm(lows[i], lows[j])), i, j)
+        e = pk.unpack(pk.lcm(lows[i], lows[j]))
+        return sum(e), pk.pack(e), i, j
 
     heap = [entry(i, j) for j in range(len(G)) for i in range(j)]
     heapq.heapify(heap)
@@ -261,8 +216,8 @@ def _buchberger(gens: Sequence[dict], pk: _Packing,
     processed = 0
     while heap:
         processed += 1
-        if processed > pair_cap:
-            raise ResourceLimitError(f"Buchberger pair cap {pair_cap} exceeded")
+        if processed > PAIR_CAP:
+            raise ResourceLimitError(f"Buchberger pair cap {PAIR_CAP} exceeded")
         _, lcm, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
         low = lcm & mask
@@ -296,7 +251,7 @@ def _buchberger(gens: Sequence[dict], pk: _Packing,
     return G
 
 
-def _autoreduce(G: List[dict], pk: _Packing) -> List[dict]:
+def _autoreduce(G: List[dict], pk: Packing) -> List[dict]:
     """Reduced basis of a raw basis of monic elements in descending order:
     minimal leading terms, fully reduced tails, ascending by leading term.
 
@@ -322,11 +277,11 @@ def _autoreduce(G: List[dict], pk: _Packing) -> List[dict]:
 
 
 def _reduced_basis(gens: Sequence[dict], order: MonomialOrder, nvars: int,
-                   pair_cap: int, eliminate: bool = False):
+                   eliminate: bool = False):
     """(packing, reduced basis) of the term dicts gens: the basis packed,
     monic and ascending by leading term."""
-    def run(pk: _Packing):
-        raw = _buchberger([pk.pack(g) for g in gens], pk, pair_cap)
+    def run(pk: Packing):
+        raw = _buchberger([_pack(pk, g) for g in gens], pk)
         return pk, _autoreduce(raw, pk)
     return _packed(order, nvars, gens, run, eliminate)
 
@@ -341,10 +296,10 @@ class GroebnerBasis:
     normal_form runs on, rebuilt wider when an input needs it."""
 
     def __init__(self, ring: RingDescriptor, order: MonomialOrder,
-                 pk: _Packing, basis: List[dict]):
+                 pk: Packing, basis: List[dict]):
         self.ring = ring
         self.order = order
-        self._polys = [pk.unpack(g) for g in basis]
+        self._polys = [_unpack(pk, g) for g in basis]
         self._packing = pk
         self._reducers = [_reducer(g, pk) for g in basis]
 
@@ -356,11 +311,11 @@ class GroebnerBasis:
         return tuple(next(iter(g)) for g in self._polys)
 
     def _reduce(self, f: Polynomial) -> dict:
-        def run(pk: _Packing) -> dict:
+        def run(pk: Packing) -> dict:
             if pk.width != self._packing.width:
                 self._packing = pk
-                self._reducers = [_reducer(pk.pack(g), pk) for g in self._polys]
-            return pk.unpack(_normal_form(pk.pack(f.terms), self._reducers, pk))
+                self._reducers = [_reducer(_pack(pk, g), pk) for g in self._polys]
+            return _unpack(pk, _normal_form(_pack(pk, f.terms), self._reducers, pk))
         return _packed(self.order, self.ring.nvars, [f.terms], run,
                        width=self._packing.width)
 
@@ -378,14 +333,12 @@ class GroebnerBasis:
 class IdealHandle(Ideal):
     """Generators plus ring context; reduced GB cached per order."""
 
-    def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial],
-                 pair_cap: int = DEFAULT_PAIR_CAP):
+    def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial]):
         gens = [g for g in gens if not g.is_zero()]
         for g in gens:
             ring.check_compatible(g.ring)
         self.ring = ring
         self.gens = tuple(gens)
-        self.pair_cap = pair_cap
         self._gb: Dict[object, GroebnerBasis] = {}
 
     # -- construction helpers ---------------------------------------------
@@ -422,7 +375,7 @@ class IdealHandle(Ideal):
         if gb is not None:
             return gb
         pk, basis = _reduced_basis(self._effective_gens(), order,
-                                   self.ring.nvars, self.pair_cap)
+                                   self.ring.nvars)
         gb = GroebnerBasis(self.ring, order, pk, basis)
         self._gb[sig] = gb
         return gb
@@ -434,12 +387,6 @@ class IdealHandle(Ideal):
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner_basis().reduces_to_zero(f)
-
-    def equals(self, other: "IdealHandle") -> bool:
-        self._check(other)
-        a = self.groebner_basis()._polys
-        b = other.groebner_basis()._polys
-        return [sorted(g.items()) for g in a] == [sorted(g.items()) for g in b]
 
     def element(self, m) -> Polynomial:
         if isinstance(m, Monomial):
@@ -462,7 +409,7 @@ class IdealHandle(Ideal):
         x = self.element(regular_element)
         if not self.contains(x):
             raise PreconditionError("declared regular element is not in the ideal")
-        ann = IdealHandle(self.ring, [], self.pair_cap).colon_element(x)
+        ann = IdealHandle(self.ring, []).colon_element(x)
         if not ann.is_zero():
             raise PreconditionError(
                 "declared element is a zerodivisor: its annihilator is nonzero")
@@ -472,31 +419,31 @@ class IdealHandle(Ideal):
             return len(self.groebner_basis()) == 0
         # Zero in the quotient ring: every generator lies in the quotient
         # ideal.
-        Q = IdealHandle(self.ring, [], self.pair_cap)
+        Q = IdealHandle(self.ring, [])
         gb = Q.groebner_basis()
         return all(gb.reduces_to_zero(g) for g in self.gens)
 
     # -- arithmetic -----------------------------------------------------------
 
     def unit(self) -> "IdealHandle":
-        return IdealHandle(self.ring, [self.ring.one()], self.pair_cap)
+        return IdealHandle(self.ring, [self.ring.one()])
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
         self._check(other)
-        return IdealHandle(self.ring, self.gens + other.gens, self.pair_cap)
+        return IdealHandle(self.ring, self.gens + other.gens)
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
         """The products of the generators, each one once."""
         self._check(other)
         prods = dict.fromkeys(a * b for a in self.gens for b in other.gens)
-        return IdealHandle(self.ring, list(prods), self.pair_cap)
+        return IdealHandle(self.ring, list(prods))
 
     def times(self, f: Polynomial) -> "IdealHandle":
         """The ideal f * I."""
-        return IdealHandle(self.ring, [f * g for g in self.gens], self.pair_cap)
+        return IdealHandle(self.ring, [f * g for g in self.gens])
 
     def gen_powers(self, k: int) -> "IdealHandle":
-        return IdealHandle(self.ring, [g ** k for g in self.gens], self.pair_cap)
+        return IdealHandle(self.ring, [g ** k for g in self.gens])
 
     def intersect(self, other: "IdealHandle") -> "IdealHandle":
         """Elimination: t*A + (1-t)*B in R[t], keep the t-free basis elements."""
@@ -514,13 +461,12 @@ class IdealHandle(Ideal):
         gens = [up(g, 1) for g in self._effective_gens()]
         gens += [{**up(g, 0), **up({e: -c for e, c in g.items()}, 1)}
                  for g in b_side]
-        pk, basis = _reduced_basis(gens, ring.order, ring.nvars, self.pair_cap,
-                                   eliminate=True)
+        pk, basis = _reduced_basis(gens, ring.order, ring.nvars, eliminate=True)
         # t is the last variable, in the lowest field, and its exponent
         # comes first in the order: g is t-free when its leading term is
-        kept = [Polynomial(ring, {e[:-1]: c for e, c in pk.unpack(g).items()})
+        kept = [Polynomial(ring, {e[:-1]: c for e, c in _unpack(pk, g).items()})
                 for g in basis if not next(iter(g)) & pk.low]
-        return IdealHandle(ring, kept, self.pair_cap)
+        return IdealHandle(ring, kept)
 
     def colon_element(self, b: Polynomial) -> "IdealHandle":
         """(A(+Q) : b) via (A cap (b)) scaled by 1/b."""
@@ -532,7 +478,7 @@ class IdealHandle(Ideal):
         # multiple of b; dividing yields the colon modulo the quotient.
         inter = self._intersect_raw([dict(b.terms)])
         quots = [_exact_divide(g, b) for g in inter.gens]
-        return IdealHandle(self.ring, quots, self.pair_cap)
+        return IdealHandle(self.ring, quots)
 
     def colon(self, other: "IdealHandle",
               floor: Optional["IdealHandle"] = None) -> "IdealHandle":
@@ -575,11 +521,11 @@ def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
     by b / lc(b) records its multipliers."""
     ring = f.ring
 
-    def run(pk: _Packing) -> dict:
-        g = pk.pack(b.terms)
+    def run(pk: Packing) -> dict:
+        g = _pack(pk, b.terms)
         quot: dict = {}
-        if _normal_form(pk.pack(f.terms), [_reducer(_monic(g), pk)], pk, quot):
+        if _normal_form(_pack(pk, f.terms), [_reducer(_monic(g), pk)], pk, quot):
             raise PreconditionError("exact division failed: not a multiple")
         lc = next(iter(g.values()))
-        return pk.unpack({s: c / lc for s, c in quot.items()})
+        return _unpack(pk, {s: c / lc for s, c in quot.items()})
     return Polynomial(ring, _packed(ring.order, ring.nvars, [f.terms, b.terms], run))

@@ -14,24 +14,11 @@ whose i-th exponent is at most v.  The AND of a candidate's masks is the set
 of candidates that divide it, so the candidate is minimal exactly when that
 AND is its own bit alone.
 
-Colon and intersection pack each exponent vector into one int.  The packing
-lives only inside one call.  With ``top`` the largest exponent of either
-operand, every variable gets a field of ``w = top.bit_length() + 1`` bits,
-the first variable in the highest field.  Every exponent fits below the top
-bit of its field, the guard bit; ``G`` is the mask of all guard bits.  In
-``(b | G) - a`` a field never borrows from the next, and its guard stays set
-exactly when that field of ``a`` is at most that of ``b``.  So:
-
-- ``a | b``  iff  ``((b | G) - a) & G == G``;
-- ``max(a - b, 0)``, fieldwise, is ``(a | G) - b`` with the fields whose
-  guard was cleared zeroed and the guards dropped;
-- ``lcm(a, b) = b + max(a - b, 0)``, whose fields stay below the guards.
-
-Fields do not overlap and the first variable is the most significant, so
-ascending packed order is the lexicographic order on the tuples.  If
-``a | b`` and ``a != b`` then ``a`` is lexicographically smaller, so a scan
-in ascending packed order meets every divisor of a value before the value
-itself, and the survivors, unpacked in that order, come out ``sorted``.
+Colon and intersection pack each exponent vector into one int, a
+``core.Packing`` made inside each call, with fields wide enough for the
+largest exponent of the operands.  A scan in ascending packed order meets
+every divisor of a value before the value itself, and the survivors,
+unpacked in that order, come out ``sorted``.
 
 ``colon_monomial`` takes an optional floor ideal ``F`` and then returns
 ``(A : B) + F``.  Monomial ideals form a distributive lattice, so
@@ -50,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .core import (Exponents, Ideal, Monomial, Polynomial, PowerLadder,
-                   RingDescriptor, exps_divides, exps_mul)
+from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
+                   PowerLadder, RingDescriptor, exps_divides, exps_mul)
 from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
 
@@ -182,89 +169,23 @@ def unit_ideal(ring: RingDescriptor) -> MonomialIdeal:
 # colon / intersection
 
 
-class _Fields:
-    """The guarded packing of one call's exponent vectors (see the module
-    docstring), sized by the largest exponent of the operands."""
-
-    __slots__ = ("width", "shifts", "low", "guards")
-
-    def __init__(self, nvars: int, *gen_sets: Tuple[Exponents, ...]):
-        top = max((x for gs in gen_sets for g in gs for x in g), default=0)
-        self.width = w = top.bit_length() + 1
-        self.shifts = tuple(range((nvars - 1) * w, -1, -w))
-        self.low = (1 << (w - 1)) - 1
-        self.guards = sum(1 << (s + w - 1) for s in self.shifts)
-
-    def pack(self, gens: Iterable[Exponents]) -> List[int]:
-        w = self.width
-        out = []
-        for e in gens:
-            p = 0
-            for x in e:
-                p = (p << w) | x
-            out.append(p)
-        return out
-
-    def unpack(self, packed: Iterable[int]) -> Tuple[Exponents, ...]:
-        shifts, low = self.shifts, self.low
-        return tuple(tuple((p >> s) & low for s in shifts) for p in packed)
-
-    def minimal(self, packed: Iterable[int],
-                floor: Sequence[int] = ()) -> List[int]:
-        """The divisibility-minimal values outside the ideal ``floor``
-        generates, ascending: a value survives when no floor generator and
-        no smaller survivor divides it."""
-        G = self.guards
-        kept: List[int] = []
-        for c in sorted(set(packed)):
-            cg = c | G
-            for k in itertools.chain(floor, kept):
-                if (cg - k) & G == G:
-                    break
-            else:
-                kept.append(c)
-        return kept
-
-    def quotients(self, As: Sequence[int], b: int,
-                  floor: Sequence[int] = ()) -> List[int]:
-        """Minimal generators of (A : b) outside floor: the minimal
-        max(a - b, 0).
-
-        m - (m >> (w - 1)) turns the guards that stayed set into masks of
-        their fields' low bits."""
-        G, s = self.guards, self.width - 1
-        out = []
-        for a in As:
-            d = (a | G) - b
-            m = d & G
-            out.append(d & (m - (m >> s)))
-        return self.minimal(out, floor)
-
-    def lcms(self, As: Sequence[int], Bs: Sequence[int],
-             floor: Sequence[int] = ()) -> List[int]:
-        """Minimal generators of A ∩ B outside floor: the minimal
-        b + max(a - b, 0)."""
-        G, s = self.guards, self.width - 1
-        out = []
-        for a in As:
-            aG = a | G
-            for b in Bs:
-                d = aG - b
-                m = d & G
-                out.append(b + (d & (m - (m >> s))))
-        return self.minimal(out, floor)
+def _packing(nvars: int, *gen_sets: Tuple[Exponents, ...]) -> Packing:
+    """The packing of one call, sized by the operands' largest exponent."""
+    top = max((x for gs in gen_sets for g in gs for x in g), default=0)
+    return Packing(nvars, top.bit_length() + 1)
 
 
 def colon_single(A: MonomialIdeal, b: Exponents) -> MonomialIdeal:
-    F = _Fields(A.ring.nvars, A.gens, (b,))
-    [bp] = F.pack((b,))
-    return MonomialIdeal(A.ring, F.unpack(F.quotients(F.pack(A.gens), bp)))
+    P = _packing(A.ring.nvars, A.gens, (b,))
+    As = list(map(P.pack, A.gens))
+    return MonomialIdeal(A.ring, tuple(map(P.unpack, P.quotients(As, P.pack(b)))))
 
 
 def intersect_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     A._check(B)
-    F = _Fields(A.ring.nvars, A.gens, B.gens)
-    return MonomialIdeal(A.ring, F.unpack(F.lcms(F.pack(A.gens), F.pack(B.gens))))
+    P = _packing(A.ring.nvars, A.gens, B.gens)
+    As, Bs = list(map(P.pack, A.gens)), list(map(P.pack, B.gens))
+    return MonomialIdeal(A.ring, tuple(map(P.unpack, P.lcms(As, Bs))))
 
 
 def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
@@ -281,17 +202,17 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
     if floor is not None:
         A._check(floor)
         floor_gens = floor.gens
-    F = _Fields(A.ring.nvars, A.gens, B.gens, floor_gens)
-    As, Fs = F.pack(A.gens), F.pack(floor_gens)
+    P = _packing(A.ring.nvars, A.gens, B.gens, floor_gens)
+    As, Fs = list(map(P.pack, A.gens)), list(map(P.pack, floor_gens))
     extras = None
-    for b in F.pack(B.gens):
-        part = F.quotients(As, b, Fs)
-        extras = part if extras is None else F.lcms(extras, part, Fs)
+    for b in map(P.pack, B.gens):
+        part = P.quotients(As, b, Fs)
+        extras = part if extras is None else P.lcms(extras, part, Fs)
         if not extras:  # only possible with a floor
             return floor
     if floor is not None:
-        extras = F.minimal(Fs + extras)
-    return MonomialIdeal(A.ring, F.unpack(extras))
+        extras = P.minimal(Fs + extras)
+    return MonomialIdeal(A.ring, tuple(map(P.unpack, extras)))
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,7 @@ def is_reduction(I, J, n_max: int = 8):
     if not I.contains_ideal(J):
         raise PreconditionError("J must be contained in I")
     for n in range(n_max + 1):
-        JIn, In1 = J * I.power(n), I.power(n + 1)
-        if JIn.contains_ideal(In1) and In1.contains_ideal(JIn):
+        if (J * I.power(n)).equals(I.power(n + 1)):
             return Holds(n)
     return FailsAt(n_max)
 

@@ -23,10 +23,6 @@ BOUNDED = "bound-reached"
 # backend-neutral helpers
 
 
-def _eq(A, B) -> bool:
-    return A.contains_ideal(B) and B.contains_ideal(A)
-
-
 def _closures(I, powers, cfg: ClosureConfig):
     """[(closure value of I^m, certified) for m in powers].
 
@@ -56,14 +52,14 @@ def _stable_from(holds) -> Optional[int]:
 
 def _rr_reduction_number(J, tilde):
     """rr_reduction_number from the closures of I^0..I^{n_max+1}."""
-    holds_at = [_eq(tilde[m + 1][0], J * tilde[m][0])
+    holds_at = [tilde[m + 1][0].equals(J * tilde[m][0])
                 for m in range(len(tilde) - 1)]
     return _stable_from(holds_at), _status(tilde)
 
 
 def _s_invariant(I, tilde, n_max: int):
     """s_invariant from the closures of I^0..I^{n_max} (or more)."""
-    closed = [True] + [_eq(tilde[m][0], I.power(m)) for m in range(1, n_max + 1)]
+    closed = [True] + [tilde[m][0].equals(I.power(m)) for m in range(1, n_max + 1)]
     return _stable_from(closed), _status(tilde[1:n_max + 1])
 
 
@@ -187,6 +183,6 @@ def prop41_equivalence_check(I, x, t: int,
     x_Tt = X * T_t
     rhs = x_Tt + T_t2
     cond_b = rhs.contains_ideal(I * T_t + T_t2)
-    cond_de = _eq(T_t1, x_Tt)
+    cond_de = T_t1.equals(x_Tt)
     coker = rhs.contains_ideal(T_t1)
     return EquivalenceReport(t, cond_b, cond_de, coker, status)

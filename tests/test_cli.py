@@ -137,3 +137,14 @@ def test_unreadable_files_are_usage_errors(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("rrlab: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["compute", "gb"])
+def test_non_utf8_program_names_file_line_and_column(tmp_path, capsys,
+                                                     subcommand):
+    path = tmp_path / "latin1.rr"
+    path.write_bytes("ring R = QQ[X];\n# caf\xe9\n".encode("latin-1"))
+    assert main([subcommand, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"rrlab: {path} is not UTF-8: byte 0xe9 cannot be decoded"
+                   " (line 2, column 6)\n")

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from rrlab.core import (Field, MonomialOrder, Polynomial, QQ, RingDescriptor,
-                        exps_divides, exps_lcm, exps_quotient)
+from rrlab.core import (Field, MonomialOrder, Packing, Polynomial, QQ,
+                        RingDescriptor, exps_divides)
 from rrlab.errors import PreconditionError, RingMismatchError
 from rrlab.parser import parse_polynomial
 
@@ -107,7 +107,6 @@ def test_order_key_matches_definition():
                 for _ in range(30):
                     e = tuple(rng.randint(0, 5) for _ in range(nvars))
                     assert order.key(e) == _reference_key(kind, resolved, e)
-                    assert order.key_function(nvars)(e) == order.key(e)
 
 
 def test_int_key_sorts_like_key_tuples():
@@ -121,7 +120,7 @@ def test_int_key_sorts_like_key_tuples():
     for kind in ("lex", "grlex", "grevlex"):
         for prio in (None, (2, 0, 3, 1)):
             order = MonomialOrder(kind, prio)
-            key = order.key_function(nvars)
+            key = order.key
             weights = order.int_weights(nvars, bits)
             elim = order.int_weights(nvars, bits, eliminate=True)
             cases = [
@@ -151,13 +150,100 @@ def test_order_total_on_samples():
 def test_exponent_helpers():
     assert exps_divides((1, 2), (3, 2))
     assert not exps_divides((1, 3), (3, 2))
-    assert exps_lcm((1, 3), (2, 1)) == (2, 3)
 
 
 def test_monomial_quotient_and_compare():
     a, b = (3, 2), (1, 2)
-    assert exps_quotient(a, b) == (2, 0)
+    P = Packing(2, 3)
+    assert [P.unpack(q) for q in P.quotients([P.pack(a)], P.pack(b))] == [(2, 0)]
     assert MonomialOrder("grevlex").compare(a, b) > 0
+
+
+# -- core.Packing against tuple definitions ---------------------------------
+
+
+def _minimal(vectors, floor=()):
+    """The divisibility-minimal vectors outside the ideal floor generates,
+    ascending, written from the definition."""
+    vs = set(vectors)
+    return sorted(v for v in vs
+                  if not any(exps_divides(f, v) for f in floor)
+                  and not any(u != v and exps_divides(u, v) for u in vs))
+
+
+def _packings(nvars, width):
+    """The plain packing and one keyed by each order kind."""
+    yield Packing(nvars, width)
+    for kind in ("lex", "grlex", "grevlex"):
+        yield Packing(nvars, width,
+                      MonomialOrder(kind).int_weights(nvars, width - 1))
+
+
+def test_packing_round_trip_at_powers_of_two():
+    rng = random.Random(5)
+    for k in (1, 2, 7, 8, 16):
+        values = (0, 1, 2 ** k - 1, 2 ** k)
+        width = (2 ** k).bit_length() + 1
+        for nvars in (1, 2, 3, 4):
+            for P in _packings(nvars, width):
+                for _ in range(20):
+                    e = tuple(rng.choice(values) for _ in range(nvars))
+                    assert P.unpack(P.pack(e)) == e
+                    assert P.unpack(P.pack(e) & P.mask) == e
+
+
+def test_packing_is_additive():
+    rng = random.Random(6)
+    for nvars in (1, 2, 3):
+        for P in _packings(nvars, 6):  # sums stay below 2**5, the guards
+            for _ in range(50):
+                a = tuple(rng.randint(0, 15) for _ in range(nvars))
+                b = tuple(rng.randint(0, 16) for _ in range(nvars))
+                ab = tuple(x + y for x, y in zip(a, b))
+                assert P.pack(a) + P.pack(b) == P.pack(ab)
+
+
+def test_keyed_packing_sorts_like_the_order():
+    rng = random.Random(7)
+    nvars, width = 3, 5
+    vectors = {tuple(rng.randint(0, 15) for _ in range(nvars)) for _ in range(200)}
+    for kind in ("lex", "grlex", "grevlex"):
+        order = MonomialOrder(kind)
+        P = Packing(nvars, width, order.int_weights(nvars, width - 1))
+        assert sorted(vectors, key=P.pack) == sorted(vectors, key=order.key)
+    # unkeyed, ascending packed order is the lexicographic order
+    assert sorted(vectors, key=Packing(nvars, width).pack) == sorted(vectors)
+
+
+def test_packing_fieldwise_ops_match_tuples():
+    rng = random.Random(8)
+    for nvars in (1, 2, 3, 4):
+        for top in (1, 3, 127, 128):
+            values = (0, 1, top // 2, top)
+            for P in _packings(nvars, top.bit_length() + 1):
+                G = P.guards
+
+                def fields(vectors):
+                    return [P.pack(e) & P.mask for e in vectors]
+
+                for _ in range(10):
+                    As, Bs, Fs = ([tuple(rng.choice(values) for _ in range(nvars))
+                                   for _ in range(n)] for n in (5, 3, 2))
+                    pA, pB, pF = fields(As), fields(Bs), fields(Fs)
+                    a, b = As[0], Bs[0]
+                    divides = ((pB[0] | G) - pA[0]) & G == G
+                    assert divides == exps_divides(a, b)
+                    assert P.unpack(P.lcm(pA[0], pB[0])) == tuple(map(max, a, b))
+                    # ascending fields are the lexicographic order, as sorted()
+                    assert [P.unpack(p) for p in P.minimal(pA, pF)] == \
+                        _minimal(As, Fs)
+                    quotients = [tuple(max(x - y, 0) for x, y in zip(e, b))
+                                 for e in As]
+                    assert [P.unpack(p) for p in P.quotients(pA, pB[0], pF)] == \
+                        _minimal(quotients, Fs)
+                    lcms = [tuple(map(max, x, y)) for x in As for y in Bs]
+                    assert [P.unpack(p) for p in P.lcms(pA, pB, pF)] == \
+                        _minimal(lcms, Fs)
 
 
 def test_leading_term_respects_order():

@@ -11,6 +11,7 @@ import pytest
 
 from rrlab.core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
 from rrlab.errors import ResourceLimitError
+from rrlab import groebner
 from rrlab.groebner import IdealHandle
 from rrlab.monomial import MonomialIdeal
 from rrlab.parser import parse_polynomial
@@ -159,12 +160,13 @@ def test_monomial_round_trip():
     assert H.to_monomial_ideal() == I
 
 
-def test_pair_cap_stops_buchberger():
+def test_pair_cap_stops_buchberger(monkeypatch):
     R = _ring()
     gens = [parse_polynomial(R, t) for t in ("X^2 - Y", "X*Y - 1", "Y^2 - X")]
     assert len(IdealHandle(R, gens).groebner_basis()) >= 1  # finishes uncapped
+    monkeypatch.setattr(groebner, "PAIR_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        IdealHandle(R, gens, pair_cap=1).groebner_basis()
+        IdealHandle(R, gens).groebner_basis()
 
 
 def test_basis_over_prime_field():

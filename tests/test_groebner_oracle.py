@@ -64,7 +64,7 @@ def _rrlab_reduced(handle, problem):
     """The reduced basis of handle in its ring's order, normalized."""
     p = problem["characteristic"]
     order = handle.ring.order
-    key = order.key_function(problem["nvars"])
+    key = order.key
     basis = set()
     for g in handle.groebner_basis(order).polynomials:
         terms = {e: (c.residue if p else c) for e, c in g.terms.items()}
@@ -92,13 +92,13 @@ def _modulus(problem):
 
 def _sympy_reduced(exprs, problem):
     """sympy's reduced basis of exprs in the problem's order, normalized."""
-    nvars, p = problem["nvars"], problem["characteristic"]
+    p = problem["characteristic"]
     xs = _symbols(problem)
     # sympy orders its generators largest first, like rrlab's priority.
     gens_sorted = [xs[i] for i in problem["priority"]]
     G = sympy.groebner(exprs, *gens_sorted, order=problem["kind"],
                        **_modulus(problem))
-    key = MonomialOrder(problem["kind"], problem["priority"]).key_function(nvars)
+    key = MonomialOrder(problem["kind"], problem["priority"]).key
     basis = set()
     for g in G.exprs:
         poly = sympy.Poly(g, *xs, **_modulus(problem))

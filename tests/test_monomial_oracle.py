@@ -30,7 +30,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rrlab.core import RingDescriptor  # noqa: E402
+from rrlab.core import Monomial, RingDescriptor  # noqa: E402
 from rrlab.monomial import (MonomialIdeal, colon_monomial, colon_single,  # noqa: E402
                             intersect_monomial, minimalize)
 from rrlab.ratliff_rush import (BoundReached, ClosureConfig, FailsAt,  # noqa: E402
@@ -242,7 +242,7 @@ def _reference_is_rr_closed(I, cfg):
         cand = colon_monomial(I.power(1 + k), I.power(k))
         outside = [g for g in cand.gens if not I.contains(g)]
         if outside:
-            return FailsAt(k, I.ring.monomial(outside[0]))
+            return FailsAt(k, Monomial(I.ring, outside[0]))
     return Holds(cfg.k_max)
 
 

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from rrlab.core import RingDescriptor
+from rrlab.core import Monomial, RingDescriptor
 from rrlab.errors import PreconditionError
 from rrlab.groebner import IdealHandle
 from rrlab.monomial import MonomialIdeal
@@ -139,7 +139,7 @@ def test_superficial_probe_holds_and_fails():
     # failure of (I^3 : Y^3) cap I = I^2.
     I = _mono((3, 0), (1, 2), (0, 3))
     v = superficial_probe((0, 3), I, ClosureConfig(n_max=6, window=2))
-    assert v == FailsAt(3, I.ring.monomial((5, 1)))
+    assert v == FailsAt(3, Monomial(I.ring, (5, 1)))
 
 
 def test_gr_nzd_probe_degree_checks():
@@ -161,9 +161,9 @@ def test_depth_zero_witness_search():
 def test_depth_zero_witnesses():
     cfg = ClosureConfig(n_max=2)
     I = _mono((5, 0), (4, 1), (1, 4), (0, 5))
-    assert depth_zero_witness_search(I, cfg) == FailsAt(1, I.ring.monomial((3, 7)))
+    assert depth_zero_witness_search(I, cfg) == FailsAt(1, Monomial(I.ring, (3, 7)))
     I = _mono((7, 0), (6, 1), (3, 5), (2, 6))
-    assert depth_zero_witness_search(I, cfg) == FailsAt(1, I.ring.monomial((7, 9)))
+    assert depth_zero_witness_search(I, cfg) == FailsAt(1, Monomial(I.ring, (7, 9)))
 
 
 def _box_scan_depth_zero(gens, n_max):
@@ -221,7 +221,7 @@ def test_depth_zero_witness_search_matches_box_scan():
             ("X", "Y", "Z")[:len(gens[0])]), gens)
         found = _box_scan_depth_zero(I.gens, 2)
         expected = Holds(2) if found is None else FailsAt(
-            found[0], I.ring.monomial(found[1]))
+            found[0], Monomial(I.ring, found[1]))
         assert depth_zero_witness_search(I, ClosureConfig(n_max=2)) == expected, I
         outcomes.add(type(expected))
     assert outcomes == {Holds, FailsAt}
