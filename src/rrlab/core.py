@@ -13,7 +13,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, le, mul
 from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -281,11 +281,11 @@ class RingDescriptor:
 
 def exps_divides(a: Exponents, b: Exponents) -> bool:
     """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exps_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class Packing:

@@ -5,6 +5,14 @@ exponent vectors, in ascending order, so structural equality is ideal
 equality.  All ops are pure; each ideal keeps a PowerLadder that memoizes
 its powers and goes away with it.
 
+Every ideal that ``from_gens``, an operation or a kernel returns keeps this
+canonical form: its minimal generators, distinct, in ascending
+lexicographic order.  (``from_gens`` rejects a negative exponent, which no
+packed field can hold.)  So ``equals`` compares generator tuples, and
+``contains_ideal`` and ``gens_outside`` pack both generator sets once and
+ask, for each generator b, whether some generator a divides it by the guard
+test of ``core.Packing``, stopping at the first b outside.
+
 The generator-set kernels use integer operations instead of a Python loop
 over each pair of tuples.
 
@@ -81,6 +89,8 @@ class MonomialIdeal(Ideal):
         for g in gens:
             if len(g) != ring.nvars:
                 raise PreconditionError("exponent vector length != number of variables")
+            if any(x < 0 for x in g):
+                raise PreconditionError("negative exponent")
         return MonomialIdeal(ring, minimalize(gens))
 
     def _check(self, other: "MonomialIdeal") -> None:
@@ -109,9 +119,31 @@ class MonomialIdeal(Ideal):
             return m
         raise UnsupportedOperationError(f"cannot probe with {type(m).__name__}")
 
+    def _outside(self, other: "MonomialIdeal") -> Iterator[Exponents]:
+        """The generators that other does not contain, in order, by the
+        packed divisibility test of ``core.Packing``."""
+        self._check(other)
+        P = _packing(self.ring.nvars, self.gens, other.gens)
+        G, pack = P.guards, P.pack
+        Os = list(map(pack, other.gens))
+        for g in self.gens:
+            bG = pack(g) | G
+            for a in Os:
+                if (bG - a) & G == G:
+                    break
+            else:
+                yield g
+
+    def contains_ideal(self, other: "MonomialIdeal") -> bool:
+        return next(other._outside(self), None) is None
+
+    def equals(self, other: "MonomialIdeal") -> bool:
+        """Generator tuples are canonical, so equal ideals have equal ones."""
+        self._check(other)
+        return self.gens == other.gens
+
     def gens_outside(self, other: "MonomialIdeal") -> Iterator[Monomial]:
-        return (Monomial(self.ring, g) for g in self.gens
-                if not other.contains(g))
+        return (Monomial(self.ring, g) for g in self._outside(other))
 
     # -- semiring ops ------------------------------------------------------
 
@@ -171,7 +203,7 @@ def unit_ideal(ring: RingDescriptor) -> MonomialIdeal:
 
 def _packing(nvars: int, *gen_sets: Tuple[Exponents, ...]) -> Packing:
     """The packing of one call, sized by the operands' largest exponent."""
-    top = max((x for gs in gen_sets for g in gs for x in g), default=0)
+    top = max((max(g) for gs in gen_sets for g in gs), default=0)
     return Packing(nvars, top.bit_length() + 1)
 
 

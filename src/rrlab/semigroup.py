@@ -118,6 +118,11 @@ class SemigroupIdeal(Ideal):
         self._check(other)
         return all(a <= b for a, b in zip(self.v, other.v))
 
+    def equals(self, other: "SemigroupIdeal") -> bool:
+        """The residue vector is canonical, so equal ideals have equal ones."""
+        self._check(other)
+        return self.v == other.v
+
     def elements_upto(self, bound: int) -> Tuple[int, ...]:
         return tuple(z for z in range(bound + 1) if self.contains(z))
 

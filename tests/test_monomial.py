@@ -8,7 +8,10 @@ explicit expansions on randomized inputs.
 import random
 from itertools import product
 
+import pytest
+
 from rrlab.core import RingDescriptor
+from rrlab.errors import PreconditionError
 from rrlab.groebner import IdealHandle
 from rrlab.monomial import (MonomialIdeal, PowerLadder,
                             associated_primes_monomial, colon_monomial,
@@ -37,6 +40,16 @@ def test_membership_and_minimal_generators():
     assert I.num_min_gens() == 3          # (4,2) and duplicate dropped
     assert I.contains((5, 3))
     assert not I.contains((1, 4))
+
+
+def test_negative_exponent_is_rejected():
+    # The packed kernels assume non-negative fields: accepted, (X^-1 * Y^3)
+    # met (X^2, Y^2) in ((0, 3),).
+    R = _ring()
+    with pytest.raises(PreconditionError, match="negative exponent"):
+        MonomialIdeal.from_gens(R, [(-1, 3)])
+    with pytest.raises(PreconditionError, match="negative exponent"):
+        MonomialIdeal.from_gens(R, [(2, 0), (0, -2)])
 
 
 def test_colon_matches_groebner_colon_randomized():

@@ -11,7 +11,13 @@ The oracles share no code with rrlab.monomial:
   (A : B) + F iff it lies in F or in A : B, and against the plain colon
   plus F;
 - the closure chains, whose steps pass the running value as the floor,
-  against a reference chain written here with the plain colon.
+  against a reference chain written here with the plain colon;
+- the canonical form: every ideal a public operation returns keeps its
+  minimal generators, ascending, as the pairwise definition gives them;
+- ``contains_ideal``, ``equals``, ``gens_outside`` and
+  ``first_gen_outside``, which read the canonical generators, against the
+  definitions on tuples: B lies in A iff some generator of A divides each
+  generator of B, and A = B iff each lies in the other.
 
 The box is the product, over the coordinates, of the values that can matter
 there: 0, every exponent of A, B, F and the result, and every positive
@@ -32,7 +38,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rrlab.core import Monomial, RingDescriptor  # noqa: E402
 from rrlab.monomial import (MonomialIdeal, colon_monomial, colon_single,  # noqa: E402
-                            intersect_monomial, minimalize)
+                            integral_closure_monomial, intersect_monomial,
+                            minimalize, variable_ideal)
 from rrlab.ratliff_rush import (BoundReached, ClosureConfig, FailsAt,  # noqa: E402
                                 Holds, StabilizedWindow, is_rr_closed,
                                 rr_closure_via_reduction, rr_power)
@@ -291,3 +298,126 @@ def test_chains_match_plain_colon_reference(I, n, window):
     assert _chain_results(rr_closure_via_reduction(I, J, n, cfg)) == \
         _reference_chain(I.power(n), reduction_colons, cfg)
     assert is_rr_closed(I, cfg) == _reference_is_rr_closed(I, cfg)
+
+
+# ---------------------------------------------------------------------------
+# canonical generators, and the containment and equality read off them
+
+
+def _canonical(gens):
+    """The minimal generators of the ideal gens generate, ascending: the
+    distinct ones that no other one divides."""
+    distinct = set(gens)
+    return tuple(sorted(g for g in distinct
+                        if not any(h != g and _divides(h, g) for h in distinct)))
+
+
+def _mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _check_canonical(A, B, F):
+    """Every public operation on A, B and F returns its minimal generators,
+    ascending; where the generators follow from the operands' alone, they
+    are those."""
+    ring, e, nvars = A.ring, B.gens[-1], A.ring.nvars
+    built = {
+        "from_gens": (MonomialIdeal.from_gens(ring, A.gens + B.gens),
+                      A.gens + B.gens),
+        "+": (A + B, A.gens + B.gens),
+        "*": (A * B, [_mul(a, b) for a in A.gens for b in B.gens]),
+        "times": (A.times(e), [_mul(e, a) for a in A.gens]),
+        "gen_powers": (A.gen_powers(3), [tuple(3 * x for x in a)
+                                         for a in A.gens]),
+        "unit": (A.unit(), [(0,) * nvars]),
+        "power 0": (A.power(0), [(0,) * nvars]),
+        "variable_ideal": (variable_ideal(ring),
+                           [tuple(int(i == j) for i in range(nvars))
+                            for j in range(nvars)]),
+    }
+    for name, (got, gens) in built.items():
+        assert got.gens == _canonical(gens), name
+    for name, got in {"colon": A.colon(B), "colon floor": A.colon(B, floor=F),
+                      "intersect": A.intersect(B), "power 2": A.power(2),
+                      "power 3": B.power(3)}.items():
+        assert got.gens == _canonical(got.gens), name
+
+
+def _check_containment(A, B):
+    """contains_ideal, equals, gens_outside and first_gen_outside of A and B,
+    both ways round, against the tuple definitions."""
+    for X, Y in ((A, B), (B, A)):
+        outside = tuple(g for g in X.gens if not _in(Y.gens, g))
+        inside = all(_in(X.gens, g) for g in Y.gens)
+        around = all(_in(Y.gens, g) for g in X.gens)
+        assert X.contains_ideal(Y) == inside
+        assert X.equals(Y) == (inside and around)
+        got = tuple(X.gens_outside(Y))
+        assert all(isinstance(m, Monomial) for m in got)
+        assert tuple(m.exps for m in got) == outside
+        first = X.first_gen_outside(Y)
+        assert (first and first.exps) == (outside[0] if outside else None)
+
+
+@st.composite
+def _related_pairs(draw):
+    """(A, B): B random, an equal ideal generated differently, one inside A
+    (A * C, A ∩ C, e * A, A with one generator moved up) or one around A
+    (A + C)."""
+    nvars = draw(st.integers(1, 5))
+    ring = _ring(nvars)
+    A = MonomialIdeal.from_gens(ring, draw(_gen_lists(nvars, 4)))
+    C = MonomialIdeal.from_gens(ring, draw(_gen_lists(nvars, 3)))
+    e = draw(st.sampled_from(C.gens))
+    kind = draw(st.sampled_from(
+        ["random", "equal", "product", "intersect", "times", "moved", "sum"]))
+    if kind == "random":
+        B = C
+    elif kind == "equal":
+        B = MonomialIdeal.from_gens(
+            ring, list(A.gens) + [_mul(a, e) for a in A.gens])
+    elif kind == "product":
+        B = A * C
+    elif kind == "intersect":
+        B = A.intersect(C)
+    elif kind == "times":
+        B = A.times(e)
+    elif kind == "moved":
+        i = draw(st.integers(0, len(A.gens) - 1))
+        j = draw(st.integers(0, nvars - 1))
+        up = tuple(x + (k == j) for k, x in enumerate(A.gens[i]))
+        B = MonomialIdeal.from_gens(ring, A.gens[:i] + (up,) + A.gens[i + 1:])
+    else:
+        B = A + C
+    return A, B
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_floor_triples())
+def test_operations_return_canonical_generators(triple):
+    _check_canonical(*triple)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=3)))
+def test_integral_closure_returns_canonical_generators(gens):
+    got = integral_closure_monomial(MonomialIdeal.from_gens(
+        _ring(len(gens[0])), gens))
+    assert got.gens == _canonical(got.gens)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_related_pairs())
+def test_containment_and_equality_match_tuple_definitions(pair):
+    _check_containment(*pair)
+
+
+@pytest.mark.parametrize("A_gens,B_gens", EDGE_CASES)
+def test_containment_field_width_edges(A_gens, B_gens):
+    ring = _ring(len(A_gens[0]))
+    A = MonomialIdeal.from_gens(ring, A_gens)
+    B = MonomialIdeal.from_gens(ring, B_gens)
+    for X, Y in ((A, B), (A, A + B), (A, A.intersect(B)), (A, A * B),
+                 (B, colon_monomial(A, B))):
+        _check_containment(X, Y)

@@ -86,6 +86,16 @@ def test_ideal_operations_match_the_set_definitions(seed):
             assert set(ideal.elements_upto(window)) == want, (gens, name)
             assert ideal.gens == _min_gens(want, S_set), (gens, name)
 
+        # equals reads the residue vectors; it must be mutual containment
+        got.update({"A": A, "B": B, "A again": A + A.intersect(B),
+                    "B again": B.intersect(A + B)})
+        for X in got.values():
+            for Y in got.values():
+                both = X.contains_ideal(Y) and Y.contains_ideal(X)
+                assert X.equals(Y) == both, (gens, X, Y)
+                assert both == (set(X.elements_upto(window))
+                                == set(Y.elements_upto(window))), (gens, X, Y)
+
 
 def _direct_reduction_index(S_set, c, gens, genus):
     """Least r <= genus with E^{r+1} = x + E^r, x = min E, from the sets:
