@@ -24,18 +24,31 @@ AND is its own bit alone.
 
 Colon and intersection pack each exponent vector into one int, a
 ``core.Packing`` made inside each call, with fields wide enough for the
-largest exponent of the operands.  A scan in ascending packed order meets
-every divisor of a value before the value itself, and the survivors,
-unpacked in that order, come out ``sorted``.
+largest exponent of the operands (twice it for the colon, below).  A scan
+in ascending packed order meets every divisor of a value before the value
+itself, and the survivors, unpacked in that order, come out ``sorted``.
 
 ``colon_monomial`` takes an optional floor ideal ``F`` and then returns
 ``(A : B) + F``.  Monomial ideals form a distributive lattice, so
 ``(A : B) + F`` is the intersection over B's generators b of
 ``(A : b) + F``, and ``(F + E1) ∩ (F + E2) = F + (E1 ∩ E2)``.  The call
-therefore carries only the extras, the generators outside ``F``: each
-candidate set is filtered against ``F`` before it is minimalized (a multiple
-of a member of ``F`` is in ``F``, so filtering first keeps the same minimal
-extras), and once no extra is left the answer is ``F`` itself.
+therefore carries only the running extras, the generators outside ``F``:
+those of ``A : b`` for B's first generator, filtered against ``F`` before
+they are minimalized (a multiple of a member of ``F`` is in ``F``, so
+filtering first keeps the same minimal extras).  Each later generator b
+meets them one extra e at a time, by ``(e) ∩ (A : b) = e·(A : e·b)``: e
+stays when e·b lies in A, found by the guard test against A's generators
+at the first divisor, and is replaced by the e·q, q a generator of
+``A : e·b``, otherwise.  Only a step that replaced some extra minimalizes
+again, and once no extra is left the answer is ``F`` itself, the same
+object, which the closure chain reads as a quiet step.  No extra exceeds
+the largest exponent, but e·b reaches twice it, so the colon's fields are
+sized for twice the largest exponent.
+
+``associated_primes_monomial`` localizes: the prime P_s of a set s of
+variables is associated to I exactly when ``I_s : P_s != I_s``, with I_s the
+ideal I with the variables outside s set to 1.  That is one colon for each
+of the 2^d - 1 nonempty sets s at most, whatever the exponents.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
                    PowerLadder, RingDescriptor, exps_divides, exps_mul)
@@ -201,10 +214,12 @@ def unit_ideal(ring: RingDescriptor) -> MonomialIdeal:
 # colon / intersection
 
 
-def _packing(nvars: int, *gen_sets: Tuple[Exponents, ...]) -> Packing:
-    """The packing of one call, sized by the operands' largest exponent."""
+def _packing(nvars: int, *gen_sets: Tuple[Exponents, ...],
+             scale: int = 1) -> Packing:
+    """The packing of one call, its fields wide enough for ``scale`` times
+    the operands' largest exponent."""
     top = max((max(g) for gs in gen_sets for g in gs), default=0)
-    return Packing(nvars, top.bit_length() + 1)
+    return Packing(nvars, (scale * top).bit_length() + 1)
 
 
 def colon_single(A: MonomialIdeal, b: Exponents) -> MonomialIdeal:
@@ -234,14 +249,29 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
     if floor is not None:
         A._check(floor)
         floor_gens = floor.gens
-    P = _packing(A.ring.nvars, A.gens, B.gens, floor_gens)
-    As, Fs = list(map(P.pack, A.gens)), list(map(P.pack, floor_gens))
-    extras = None
-    for b in map(P.pack, B.gens):
-        part = P.quotients(As, b, Fs)
-        extras = part if extras is None else P.lcms(extras, part, Fs)
-        if not extras:  # only possible with a floor
-            return floor
+    # the fields must hold e + b, up to twice the largest exponent
+    P = _packing(A.ring.nvars, A.gens, B.gens, floor_gens, scale=2)
+    G, pack = P.guards, P.pack
+    As, Fs = list(map(pack, A.gens)), list(map(pack, floor_gens))
+    first, *rest = map(pack, B.gens)
+    extras = P.quotients(As, first, Fs)
+    for b in rest:
+        if not extras:
+            break
+        kept, replaced = [], False
+        for e in extras:
+            eb = e + b
+            ebG = eb | G
+            for a in As:
+                if (ebG - a) & G == G:
+                    kept.append(e)
+                    break
+            else:
+                kept.extend(e + q for q in P.quotients(As, eb))
+                replaced = True
+        extras = P.minimal(kept, Fs) if replaced else kept
+    if not extras:  # only possible with a floor
+        return floor
     if floor is not None:
         extras = P.minimal(Fs + extras)
     return MonomialIdeal(A.ring, tuple(map(P.unpack, extras)))
@@ -313,26 +343,28 @@ def is_borel_fixed(I: MonomialIdeal, priority: Sequence[int], direction: str) ->
 
 
 def associated_primes_monomial(I: MonomialIdeal) -> Tuple[Tuple[str, ...], ...]:
-    """All primes (subsets of variables) of the form (I : m), m | lcm(gens)."""
+    """The associated primes of I, each the prime P_s generated by a
+    nonempty set s of variables.
+
+    Localizing at P_s makes the variables outside s units, so P_s is
+    associated to I exactly when it is associated to I_s, the ideal I with
+    those variables set to 1; and P_s is the maximal ideal of the variables
+    of I_s, so that holds exactly when I_s : P_s != I_s.  One colon per
+    nonempty s for which I_s is not the unit ideal."""
     if I.is_unit():
         raise ZeroIdealError("the unit ideal has no associated primes")
-    lcm = tuple(max(g[i] for g in I.gens) for i in range(I.ring.nvars))
-    primes: Set[Tuple[int, ...]] = set()
-    for divisor in itertools.product(*(range(e + 1) for e in lcm)):
-        if I.contains(divisor):
-            continue
-        C = colon_monomial(I, MonomialIdeal(I.ring, (divisor,)))
-        support = []
-        ok = True
-        for g in C.gens:
-            nz = [i for i, e in enumerate(g) if e > 0]
-            if len(nz) != 1 or g[nz[0]] != 1:
-                ok = False
-                break
-            support.append(nz[0])
-        if ok and support:
-            primes.add(tuple(sorted(support)))
-    return tuple(sorted(tuple(I.ring.variables[i] for i in p) for p in primes))
+    ring, d = I.ring, I.ring.nvars
+    primes = []
+    for s in itertools.product((0, 1), repeat=d):
+        gens_s = [tuple(x * keep for x, keep in zip(g, s)) for g in I.gens]
+        if not all(map(any, gens_s)):
+            continue  # I_s is the unit ideal, as it is for s empty
+        I_s = MonomialIdeal.from_gens(ring, gens_s)
+        P_s = MonomialIdeal(ring, tuple(sorted(
+            tuple(int(i == j) for i in range(d)) for j in range(d) if s[j])))
+        if not I_s.colon(P_s).equals(I_s):
+            primes.append(tuple(v for v, keep in zip(ring.variables, s) if keep))
+    return tuple(sorted(primes))
 
 
 # ---------------------------------------------------------------------------

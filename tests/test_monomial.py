@@ -6,10 +6,12 @@ explicit expansions on randomized inputs.
 """
 
 import random
+import time
 from itertools import product
 
 import pytest
 
+from rrlab.cli import EXIT_OK, main
 from rrlab.core import RingDescriptor
 from rrlab.errors import PreconditionError
 from rrlab.groebner import IdealHandle
@@ -63,6 +65,33 @@ def test_colon_matches_groebner_colon_randomized():
             slow = IdealHandle.from_monomial(A).colon(
                 IdealHandle.from_monomial(B)).to_monomial_ideal()
             assert fast == slow
+
+
+def test_colon_fields_hold_extra_times_generator():
+    # The running extras e are tested by e * b in A, and e + b reaches
+    # twice the largest exponent: fields sized for the largest exponent
+    # alone (width 8 here, not 9) gave ((0,109,111), (40,88,33)).
+    R = _ring(3)
+    A = MonomialIdeal.from_gens(R, [(30, 113, 44), (3, 120, 104), (79, 91, 99)])
+    B = MonomialIdeal.from_gens(R, [(39, 3, 117), (20, 85, 11), (71, 34, 61)])
+    assert colon_monomial(A, B).gens == ((0, 110, 93), (10, 110, 33),
+                                         (40, 88, 33))
+
+
+def test_colon_returns_the_floor_itself_when_it_adds_nothing():
+    # The closure chain tells a quiet step by identity, so an equal copy of
+    # the floor is not enough.
+    rng = random.Random(31)
+    R = _ring(3)
+    for _ in range(20):
+        A = _random_ideal(R, rng)
+        B = _random_ideal(R, rng, ngens=3, max_deg=3)
+        C = colon_monomial(A, B)
+        for F in (MonomialIdeal(R, C.gens), C + B, A.unit()):
+            assert A.colon(B, F) is F
+        F = MonomialIdeal.from_gens(R, [(7, 7, 7)])
+        got = A.colon(B, F)
+        assert got is not F and got == C + F
 
 
 def test_colon_single_matches_full_colon():
@@ -146,6 +175,60 @@ def test_associated_primes_known_example():
     # (X*Y, Y*Z) = (Y) cap (X, Z).
     I = MonomialIdeal.from_gens(R, [(1, 1, 0), (0, 1, 1)])
     assert associated_primes_monomial(I) == (("X", "Z"), ("Y",))
+
+
+def _box_associated_primes(variables, gens):
+    """The primes among the I : m, m a monomial outside I dividing the lcm
+    of the generators, on tuples alone."""
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    lcm = [max(col) for col in zip(*gens)]
+    primes = set()
+    for m in product(*(range(e + 1) for e in lcm)):
+        if any(divides(g, m) for g in gens):
+            continue
+        quotients = {tuple(max(x - y, 0) for x, y in zip(g, m)) for g in gens}
+        minimal = [q for q in quotients
+                   if not any(r != q and divides(r, q) for r in quotients)]
+        if all(sum(q) == 1 for q in minimal):
+            primes.add(tuple(variables[i]
+                             for i in sorted(q.index(1) for q in minimal)))
+    return tuple(sorted(primes))
+
+
+def test_associated_primes_match_box_definition():
+    rng = random.Random(37)
+    for nvars, max_deg in ((1, 6), (2, 6), (3, 4), (4, 2)):
+        R = _ring(nvars)
+        for _ in range(60):
+            I = _random_ideal(R, rng, ngens=rng.randint(1, 5), max_deg=max_deg)
+            if I.is_unit():
+                continue
+            assert associated_primes_monomial(I) == \
+                _box_associated_primes(R.variables, I.gens), I
+
+
+def test_associated_primes_small_examples():
+    R = _ring(2)
+    XY = MonomialIdeal.from_gens(R, [(1, 1)])
+    assert associated_primes_monomial(XY) == (("X",), ("Y",))
+    # (X^2, X*Y) = (X) cap (X^2, Y): the maximal ideal is embedded.
+    I = MonomialIdeal.from_gens(R, [(2, 0), (1, 1)])
+    assert associated_primes_monomial(I) == (("X",), ("X", "Y"))
+
+
+def test_associated_primes_of_large_exponents_finish(tmp_path, capsys):
+    # The lcm box here has 301^3 points; one colon per point took over a
+    # minute.
+    prog = tmp_path / "ass.rr"
+    prog.write_text("ring R = QQ[X, Y, Z];\n"
+                    "ideal I = (X^300, Y^300, Z^300, X*Y*Z^2);\n"
+                    "ass_primes I;\n")
+    start = time.perf_counter()
+    assert main(["compute", str(prog)]) == EXIT_OK
+    assert time.perf_counter() - start < 2
+    assert "primes: ['(X, Y, Z)']" in capsys.readouterr().out
 
 
 def test_socle_candidates_zero_dimensional():

@@ -9,7 +9,8 @@ The oracles share no code with rrlab.monomial:
   generator b of B, and in A ∩ B iff it lies in both;
 - ``colon_monomial`` with a floor F against the same box, where m lies in
   (A : B) + F iff it lies in F or in A : B, and against the plain colon
-  plus F;
+  plus F; also with exponents near 64 and 128, where the test of a running
+  extra e against A reads e * b and needs a field twice as wide;
 - the closure chains, whose steps pass the running value as the floor,
   against a reference chain written here with the plain colon;
 - the canonical form: every ideal a public operation returns keeps its
@@ -171,6 +172,29 @@ def test_colon_and_intersection_match_box_enumeration(pair):
 @given(_floor_triples())
 def test_floor_colon_matches_box_enumeration(triple):
     _check_floor_colon(*triple)
+
+
+@st.composite
+def _doubling_triples(draw):
+    """(A, B, F) in three variables with exponents near 64 and 128, where
+    the running extra e times a generator b of B needs one more field bit
+    than the operands' largest exponent."""
+    exps = st.one_of(st.integers(0, 3), st.integers(56, 72),
+                     st.integers(120, 136))
+    gens = st.lists(st.tuples(exps, exps, exps), min_size=1, max_size=3)
+    ring = _ring(3)
+    A = MonomialIdeal.from_gens(ring, draw(gens))
+    B = MonomialIdeal.from_gens(ring, draw(gens))
+    F = MonomialIdeal.from_gens(ring, draw(gens))
+    return A, B, F
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_doubling_triples())
+def test_colon_near_doubled_field_width_matches_box_enumeration(triple):
+    A, B, F = triple
+    _check_colon(A.gens, B.gens, colon_monomial(A, B).gens)
+    _check_floor_colon(A, B, F)
 
 
 # Fixed cases at the edges of the packed field width, w = bit_length(top) + 1:
