@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import List, Optional
 
-from .core import Field, MonomialOrder, QQ, RingDescriptor
+from .core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
 from .errors import (ArityError, InputError, RRLabError, ResourceLimitError,
                      UnsupportedOperationError)
 from .groebner import IdealHandle
@@ -136,7 +135,7 @@ def _as_monomial(I) -> MonomialIdeal:
 
 def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     """Execute one command against the session; returns a report fragment."""
-    cfg = replace(cfg, **dict(cmd.overrides))
+    cfg = cfg.replace(**dict(cmd.overrides))
     name = cmd.name
     args = cmd.args
     out = {"command": name,
@@ -173,7 +172,10 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
         out["value"] = str(H.groebner_basis().normal_form(f))
     elif name == "membership":
         m, I = session.element(args[0]), session.ideal(args[1])
-        out["member"] = I.contains(I.element(m))
+        # zero lies in every ideal, and a monomial ideal has no exponent
+        # vector to probe it with
+        out["member"] = ((isinstance(m, Polynomial) and m.is_zero())
+                         or I.contains(I.element(m)))
     elif name in ("colon", "intersect", "sum", "product"):
         A, B = session.ideal_pair(args[0], args[1])
         value = {"colon": A.colon, "intersect": A.intersect,
@@ -368,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if ns.subcommand == "compute":
-            cfg = replace(DEFAULT_CONFIG, **_config_from(ns))
+            cfg = DEFAULT_CONFIG.replace(**_config_from(ns))
             fragments = run_program(_read_program(ns.file), cfg)
             _emit({"schema": corpus_mod.SCHEMA_VERSION,
                    "commands": fragments}, ns.format, ns.out)

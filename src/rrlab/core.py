@@ -4,16 +4,16 @@ ideal protocol that every ideal type implements.
 Coefficients are exact: rationals (fractions.Fraction) or prime-field
 elements.  Exponent vectors are plain tuples of non-negative ints.
 Everything here is immutable and safe to share, except that a PowerLadder
-adds each power of its ideal once it is first asked for.
+adds each power of its ideal once it is first asked for.  The value types
+of the whole package derive from Record.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, le, mul
+from operator import add, attrgetter, le, mul
 from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -23,13 +23,77 @@ Exponents = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
+# value objects
+
+
+class Record:
+    """Base of the immutable value types: scalars, orders, monomials, the
+    exponent-set ideals, tokens and statements, configs, verdicts, reports
+    and corpus cases.
+
+    - Frozen: assigning or deleting any attribute raises AttributeError.
+    - Fields: ``_fields`` names them in repr order.  Each subclass sets
+      them in its own ``__init__`` with ``object.__setattr__``, and runs
+      its checks there.
+    - Equal when of the same class with equal compared fields, all of
+      ``_fields`` but ``_uncompared``; otherwise ``==`` returns
+      NotImplemented.  The hash reads the same fields.
+    - repr in the dataclass form ``Name(f=v, ...)``, over all the fields.
+    - ``replace(**changes)`` builds the changed copy through ``__init__``,
+      so the checks run again.
+
+    A subclass may define its own ``__eq__`` together with ``__hash__``.
+    These are plain classes, not ``dataclasses``: a dataclass compiles its
+    methods with ``exec`` when its module is imported, and with the import
+    of ``dataclasses`` itself that was about 28 ms of every start of
+    ``rrlab``.
+    """
+
+    _fields: Tuple[str, ...] = ()
+    _uncompared: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            cls._values = attrgetter(
+                *[f for f in cls._fields if f not in cls._uncompared])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """This record with the given fields changed, built through
+        ``__init__``."""
+        kwargs = {f: getattr(self, f) for f in self._fields}
+        kwargs.update(changes)
+        return self.__class__(**kwargs)
+
+
+# ---------------------------------------------------------------------------
 # coefficient fields
 
 
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    residue: int
-    modulus: int
+class PrimeFieldElement(Record):
+    _fields = ("residue", "modulus")
+
+    def __init__(self, residue: int, modulus: int):
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "modulus", modulus)
 
     def _check(self, other: "PrimeFieldElement") -> None:
         if self.modulus != other.modulus:
@@ -78,15 +142,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Coefficient field: the rationals (p == 0) or F_p for prime p."""
 
-    characteristic: int = 0
+    _fields = ("characteristic",)
 
-    def __post_init__(self):
-        if self.characteristic and not _is_prime(self.characteristic):
-            raise PreconditionError(f"{self.characteristic} is not prime")
+    def __init__(self, characteristic: int = 0):
+        if characteristic and not _is_prime(characteristic):
+            raise PreconditionError(f"{characteristic} is not prime")
+        object.__setattr__(self, "characteristic", characteristic)
 
     @property
     def is_rational(self) -> bool:
@@ -116,8 +180,7 @@ QQ = Field(0)
 ORDER_KINDS = ("lex", "grlex", "grevlex")
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """Total multiplicative order on exponent vectors.
 
     priority lists variable indices, largest variable first.  key() maps an
@@ -125,12 +188,14 @@ class MonomialOrder:
     monomial order.
     """
 
-    kind: str = "grevlex"
-    priority: Optional[Tuple[int, ...]] = None
+    _fields = ("kind", "priority")
 
-    def __post_init__(self):
-        if self.kind not in ORDER_KINDS:
-            raise PreconditionError(f"unknown order kind {self.kind!r}")
+    def __init__(self, kind: str = "grevlex",
+                 priority: Optional[Tuple[int, ...]] = None):
+        if kind not in ORDER_KINDS:
+            raise PreconditionError(f"unknown order kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "priority", priority)
 
     def resolved_priority(self, nvars: int) -> Tuple[int, ...]:
         if self.priority is None:
@@ -389,16 +454,16 @@ class Packing:
         return self.minimal(out, floor)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    ring: RingDescriptor
-    exps: Exponents
+class Monomial(Record):
+    _fields = ("ring", "exps")
 
-    def __post_init__(self):
-        if len(self.exps) != self.ring.nvars:
+    def __init__(self, ring: RingDescriptor, exps: Exponents):
+        if len(exps) != ring.nvars:
             raise PreconditionError("exponent vector length != number of variables")
-        if any(e < 0 for e in self.exps):
+        if any(e < 0 for e in exps):
             raise PreconditionError("negative exponent")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "exps", exps)
 
     def as_polynomial(self) -> "Polynomial":
         return Polynomial(self.ring, {self.exps: self.ring.field.one()})

@@ -13,11 +13,10 @@ from __future__ import annotations
 import fnmatch
 import random
 import time
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import RingDescriptor, exps_mul
-from .errors import ResourceLimitError
+from .core import Record, RingDescriptor, exps_mul
+from .errors import InputError, ResourceLimitError
 from .groebner import IdealHandle
 from .monomial import (MonomialIdeal, PowerLadder, associated_primes_monomial,
                        colon_monomial, colon_single, in_newton_polyhedron,
@@ -64,12 +63,15 @@ class _Recorder:
         })
 
 
-@dataclass(frozen=True)
-class CorpusCase:
-    id: str
-    note: str
-    config: ClosureConfig
-    fn: Callable
+class CorpusCase(Record):
+    _fields = ("id", "note", "config", "fn")
+
+    def __init__(self, id: str, note: str, config: ClosureConfig,
+                 fn: Callable):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "fn", fn)
 
 
 _CASES: Dict[str, CorpusCase] = {}
@@ -93,6 +95,8 @@ def run_corpus(pattern: str = "", seed: int = 0,
     ids = sorted(_CASES)
     if pattern:
         ids = [i for i in ids if fnmatch.fnmatchcase(i, pattern)]
+        if not ids:
+            raise InputError(f"no corpus case matches the filter {pattern!r}")
     report = {
         "schema": SCHEMA_VERSION,
         "seed": seed,
@@ -103,7 +107,7 @@ def run_corpus(pattern: str = "", seed: int = 0,
     hit_cap = False
     for cid in ids:
         case = _CASES[cid]
-        cfg = replace(case.config, **(overrides or {}))
+        cfg = case.config.replace(**(overrides or {}))
         rec = _Recorder()
         rng = random.Random(f"{seed}:{cid}")
         capped = False

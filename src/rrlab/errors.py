@@ -26,10 +26,12 @@ class PreconditionError(RRLabError):
 
 
 class InputError(RRLabError):
-    """Base for input-language errors; carries a source position."""
+    """Base for input-language errors; carries a source position, which
+    line 0 marks as absent."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{message} (line {line}, column {col})")
+        super().__init__(f"{message} (line {line}, column {col})"
+                         if line else message)
         self.message = message
         self.line = line
         self.col = col

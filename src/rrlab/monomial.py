@@ -54,12 +54,12 @@ of the 2^d - 1 nonempty sets s at most, whatever the exponents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
-                   PowerLadder, RingDescriptor, exps_divides, exps_mul)
+                   PowerLadder, Record, RingDescriptor, exps_divides,
+                   exps_mul)
 from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
 
@@ -89,10 +89,12 @@ def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
     return tuple(c for c, m in zip(cands, divisors) if not m & (m - 1))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal(Ideal):
-    ring: RingDescriptor
-    gens: Tuple[Exponents, ...]
+class MonomialIdeal(Ideal, Record):
+    _fields = ("ring", "gens")
+
+    def __init__(self, ring: RingDescriptor, gens: Tuple[Exponents, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", gens)
 
     @staticmethod
     def from_gens(ring: RingDescriptor, gens: Iterable[Exponents]) -> "MonomialIdeal":

@@ -19,22 +19,23 @@ syntactic, arity, or unknown-identifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .core import Polynomial, RingDescriptor
+from .core import Polynomial, Record, RingDescriptor
 from .errors import (ArityError, LexicalError, SyntacticError,
                      UnknownIdentifierError)
 
 SYMBOLS = set(";=[](){}<>/^*+-,")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident' | 'int' | 'sym' | 'eof'
-    value: str
-    line: int
-    col: int
+class Token(Record):
+    _fields = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)  # 'ident' | 'int' | 'sym' | 'eof'
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 def tokenize(text: str) -> List[Token]:
@@ -90,49 +91,77 @@ def tokenize(text: str) -> List[Token]:
 PolyAST = tuple  # ('+',a,b) ('-',a,b) ('*',a,b) ('^',a,int) ('neg',a) ('int',n) ('var',name)
 
 
-@dataclass(frozen=True)
-class _Statement:
-    """A statement's source position, left out of comparisons."""
-    line: int = dc_field(compare=False, default=0, kw_only=True)
-    col: int = dc_field(compare=False, default=0, kw_only=True)
+class _Statement(Record):
+    """A statement's source position, the keyword-only ``line`` and
+    ``col`` (default 0), first in the repr and left out of comparisons."""
+
+    _uncompared = ("line", "col")
+
+    def _at(self, line: int, col: int) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
-@dataclass(frozen=True)
 class RingDecl(_Statement):
-    name: str
-    field_char: int          # 0 for the rationals
-    variables: Tuple[str, ...]
-    quotient: Tuple[PolyAST, ...]
+    _fields = ("line", "col", "name", "field_char", "variables", "quotient")
+
+    def __init__(self, name: str, field_char: int, variables: Tuple[str, ...],
+                 quotient: Tuple[PolyAST, ...], *, line: int = 0, col: int = 0):
+        self._at(line, col)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "field_char", field_char)  # 0 for the rationals
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "quotient", quotient)
 
 
-@dataclass(frozen=True)
 class SemiringDecl(_Statement):
-    name: str
-    gens: Tuple[int, ...]
+    _fields = ("line", "col", "name", "gens")
+
+    def __init__(self, name: str, gens: Tuple[int, ...], *,
+                 line: int = 0, col: int = 0):
+        self._at(line, col)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gens", gens)
 
 
-@dataclass(frozen=True)
 class AffineDecl(_Statement):
-    name: str
-    gens: Tuple[Tuple[int, int], ...]
+    _fields = ("line", "col", "name", "gens")
+
+    def __init__(self, name: str, gens: Tuple[Tuple[int, int], ...], *,
+                 line: int = 0, col: int = 0):
+        self._at(line, col)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gens", gens)
 
 
-@dataclass(frozen=True)
 class IdealDecl(_Statement):
-    name: str
-    gens: Tuple[PolyAST, ...]
+    _fields = ("line", "col", "name", "gens")
+
+    def __init__(self, name: str, gens: Tuple[PolyAST, ...], *,
+                 line: int = 0, col: int = 0):
+        self._at(line, col)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gens", gens)
 
 
-@dataclass(frozen=True)
 class Command(_Statement):
-    name: str
-    args: Tuple[Tuple[str, object], ...]  # (kind, value); kind in int/ident/poly
-    overrides: Tuple[Tuple[str, int], ...]
+    _fields = ("line", "col", "name", "args", "overrides")
+
+    def __init__(self, name: str, args: Tuple[Tuple[str, object], ...],
+                 overrides: Tuple[Tuple[str, int], ...], *,
+                 line: int = 0, col: int = 0):
+        self._at(line, col)
+        object.__setattr__(self, "name", name)
+        # (kind, value); kind in int/ident/poly
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "overrides", overrides)
 
 
-@dataclass(frozen=True)
-class InputProgram:
-    statements: Tuple[object, ...]
+class InputProgram(Record):
+    _fields = ("statements",)
+
+    def __init__(self, statements: Tuple[object, ...]):
+        object.__setattr__(self, "statements", statements)
 
 
 # command name -> expected argument kinds ('ideal' = declared ideal name,

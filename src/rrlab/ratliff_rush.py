@@ -19,10 +19,9 @@ containment test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple, Union
 
-from .core import Monomial, exps_mul
+from .core import Monomial, Record, exps_mul
 from .errors import PreconditionError, UnsupportedOperationError
 from .monomial import MonomialIdeal, variable_ideal
 
@@ -31,44 +30,54 @@ from .monomial import MonomialIdeal, variable_ideal
 # configuration / results
 
 
-@dataclass(frozen=True)
-class ClosureConfig:
-    k_max: int = 12
-    window: int = 3
-    n_max: int = 8
+class ClosureConfig(Record):
+    _fields = ("k_max", "window", "n_max")
 
-    def __post_init__(self):
-        if not (self.k_max >= self.window >= 2):
+    def __init__(self, k_max: int = 12, window: int = 3, n_max: int = 8):
+        if not (k_max >= window >= 2):
             raise PreconditionError("require k_max >= window >= 2")
-        if self.n_max < 1:
+        if n_max < 1:
             raise PreconditionError("n_max must be >= 1")
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "n_max", n_max)
 
 
 DEFAULT_CONFIG = ClosureConfig()
 
 
-@dataclass(frozen=True)
-class StabilizedWindow:
-    k: int          # step at which the stability window completed
-    window: int
+class StabilizedWindow(Record):
+    _fields = ("k", "window")
+
+    def __init__(self, k: int, window: int):
+        # k: the step at which the stability window completed
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "window", window)
 
     def to_dict(self):
         return {"status": "stabilized-window", "k": self.k, "window": self.window}
 
 
-@dataclass(frozen=True)
-class BoundReached:
-    k_max: int
+class BoundReached(Record):
+    _fields = ("k_max",)
+
+    def __init__(self, k_max: int):
+        object.__setattr__(self, "k_max", k_max)
 
     def to_dict(self):
         return {"status": "bound-reached", "k_max": self.k_max}
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    value: object  # an ideal of the input's type
-    status: Union[StabilizedWindow, BoundReached]
-    growth_steps: Tuple[int, ...]  # chain indices k where the value grew
+class ClosureResult(Record):
+    _fields = ("value", "status", "growth_steps")
+
+    def __init__(self, value: object,
+                 status: Union[StabilizedWindow, BoundReached],
+                 growth_steps: Tuple[int, ...]):
+        object.__setattr__(self, "value", value)  # an ideal of the input's type
+        object.__setattr__(self, "status", status)
+        # the chain indices k where the value grew
+        object.__setattr__(self, "growth_steps", growth_steps)
 
     @property
     def certified(self) -> bool:
@@ -84,35 +93,45 @@ class ClosureResult:
 # probe outcomes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Member:
-    k: int  # smallest verified step: m * I^k is inside I^{k+1}
+class Member(Record):
+    _fields = ("k",)
+
+    def __init__(self, k: int):
+        # the smallest verified step: m * I^k is inside I^{k+1}
+        object.__setattr__(self, "k", k)
 
     def to_dict(self):
         return {"verdict": "member", "k": self.k}
 
 
-@dataclass(frozen=True)
-class NotMemberUpTo:
-    k_max: int
+class NotMemberUpTo(Record):
+    _fields = ("k_max",)
+
+    def __init__(self, k_max: int):
+        object.__setattr__(self, "k_max", k_max)
 
     def to_dict(self):
         return {"verdict": "not-member-up-to", "k_max": self.k_max}
 
 
-@dataclass(frozen=True)
-class Holds:
-    bound: int  # range bound the identity was checked through (or the
-                # certified parameter, e.g. the offset c for superficiality)
+class Holds(Record):
+    _fields = ("bound",)
+
+    def __init__(self, bound: int):
+        # the range bound the identity was checked through (or the
+        # certified parameter, e.g. the offset c for superficiality)
+        object.__setattr__(self, "bound", bound)
 
     def to_dict(self):
         return {"verdict": "holds", "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class FailsAt:
-    n: int
-    witness: object = None
+class FailsAt(Record):
+    _fields = ("n", "witness")
+
+    def __init__(self, n: int, witness: object = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "witness", witness)
 
     def to_dict(self):
         return {"verdict": "fails-at", "n": self.n,

@@ -8,9 +8,9 @@ claims are never stronger than what was computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .core import Record
 from .errors import PreconditionError
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, Holds, is_reduction,
                            rr_power, superficial_probe)
@@ -67,17 +67,23 @@ def _s_invariant(I, tilde, n_max: int):
 # report type
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    I: object
-    J: object
-    n_max: int
-    r: Optional[int]
-    r_status: str
-    rr_r: Optional[int]
-    rr_r_status: str
-    s: Optional[int]
-    s_status: str
+class ReductionReport(Record):
+    _fields = ("I", "J", "n_max", "r", "r_status", "rr_r", "rr_r_status",
+               "s", "s_status")
+
+    def __init__(self, I: object, J: object, n_max: int,
+                 r: Optional[int], r_status: str,
+                 rr_r: Optional[int], rr_r_status: str,
+                 s: Optional[int], s_status: str):
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r_status", r_status)
+        object.__setattr__(self, "rr_r", rr_r)
+        object.__setattr__(self, "rr_r_status", rr_r_status)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s_status", s_status)
 
     def to_dict(self):
         return {
@@ -134,8 +140,7 @@ def reduction_report(I, J, cfg: ClosureConfig = DEFAULT_CONFIG) -> ReductionRepo
 # the principal-reduction equivalence checker
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """Evaluation of the equivalent graded-isomorphism conditions at level t.
 
     cond_b:  I*T_t + T_{t+2} is inside x*T_t + T_{t+2}   (T_m = closure of I^m)
@@ -143,11 +148,15 @@ class EquivalenceReport:
     cokernel_trivial: T_{t+1} is inside x*T_t + T_{t+2}
     """
 
-    t: int
-    cond_b: bool
-    cond_de: bool
-    cokernel_trivial: bool
-    status: str
+    _fields = ("t", "cond_b", "cond_de", "cokernel_trivial", "status")
+
+    def __init__(self, t: int, cond_b: bool, cond_de: bool,
+                 cokernel_trivial: bool, status: str):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "cond_b", cond_b)
+        object.__setattr__(self, "cond_de", cond_de)
+        object.__setattr__(self, "cokernel_trivial", cokernel_trivial)
+        object.__setattr__(self, "status", status)
 
     @property
     def all_agree(self) -> bool:

@@ -21,13 +21,12 @@ Plane affine ideals are kept by their minimal generators, which are unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Ideal
+from .core import Ideal, Record
 from .errors import (PreconditionError, ResourceLimitError, ZeroIdealError)
 
 Pair = Tuple[int, int]
@@ -81,12 +80,14 @@ class NumericalSemigroup:
         return f"<{','.join(map(str, self.gens))}>"
 
 
-@dataclass(frozen=True)
-class SemigroupIdeal(Ideal):
+class SemigroupIdeal(Ideal, Record):
     """Ideal of a numerical semigroup ring, by its residue-class vector."""
 
-    S: NumericalSemigroup
-    v: Tuple[int, ...]
+    _fields = ("S", "v")
+
+    def __init__(self, S: NumericalSemigroup, v: Tuple[int, ...]):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "v", v)
 
     @staticmethod
     def from_gens(S: NumericalSemigroup, gens: Iterable[int]) -> "SemigroupIdeal":
@@ -307,12 +308,14 @@ def _affine_minimalize(S: AffineSemigroup2D, cands: Iterable[Pair]) -> Tuple[Pai
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True)
-class AffineIdeal(Ideal):
+class AffineIdeal(Ideal, Record):
     """Monomial ideal of a 2-D affine semigroup ring, by minimal generators."""
 
-    S: AffineSemigroup2D
-    gens: Tuple[Pair, ...]
+    _fields = ("S", "gens")
+
+    def __init__(self, S: AffineSemigroup2D, gens: Tuple[Pair, ...]):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "gens", gens)
 
     @staticmethod
     def from_gens(S: AffineSemigroup2D, gens: Iterable[Pair]) -> "AffineIdeal":

@@ -148,3 +148,21 @@ def test_non_utf8_program_names_file_line_and_column(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == (f"rrlab: {path} is not UTF-8: byte 0xe9 cannot be decoded"
                    " (line 2, column 6)\n")
+
+
+@pytest.mark.parametrize("ideal", ["(X^2, Y)", "(X^2 + Y, Y^2)"],
+                         ids=["monomial", "handle"])
+@pytest.mark.parametrize("zero", ["(0)", "0", "(X - X)"])
+def test_zero_is_a_member_of_every_ideal(tmp_path, capsys, ideal, zero):
+    path = _write(tmp_path, f"ring R = QQ[X, Y];\nideal I = {ideal};\n"
+                            f"membership {zero} I;\nmembership (X) I;\n")
+    assert main(["compute", path, "--format", "json"]) == EXIT_OK
+    cmds = json.loads(capsys.readouterr().out)["commands"]
+    assert [c["member"] for c in cmds] == [True, False]
+
+
+def test_corpus_filter_that_matches_nothing_is_a_usage_error(capsys):
+    assert main(["corpus", "run", "--filter", "NOPE"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "rrlab: no corpus case matches the filter 'NOPE'\n"
+    assert captured.out == ""
