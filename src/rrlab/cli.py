@@ -19,9 +19,9 @@ from .groebner import IdealHandle
 from .monomial import (MonomialIdeal, associated_primes_monomial,
                        integral_closure_monomial, is_borel_fixed,
                        socle_candidates)
-from .parser import (AffineDecl, Command, IdealDecl, InputProgram, RingDecl,
-                     SemiringDecl, eval_pair, eval_poly, eval_t_exponent,
-                     parse_program)
+from .parser import (COMMAND_SIGNATURES, AffineDecl, Command, IdealDecl,
+                     InputProgram, RingDecl, SemiringDecl, eval_pair,
+                     eval_poly, eval_t_exponent, parse_program)
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG,
                            depth_zero_witness_search, gr_nzd_probe,
                            is_rr_closed, rr_closure, rr_closure_via_reduction,
@@ -101,19 +101,23 @@ class Session:
                 return eval_t_exponent(value)
         elif self.kind == "affine":
             if kind == "pair":
-                return eval_pair(("pair", value))
+                return eval_pair(arg)
         raise ArityError(f"element argument {arg!r} does not fit this ring")
 
-    def ideal(self, arg):
-        return self.ideals[arg[1]]
-
-    def ideal_pair(self, a, b):
-        """The declared ideals a and b, of one type: when their types differ
-        (a monomial ideal beside a polynomial one), both become handles."""
-        A, B = self.ideal(a), self.ideal(b)
-        if type(A) is not type(B):
-            A, B = _as_handle(A), _as_handle(B)
-        return A, B
+    def arguments(self, cmd: Command) -> list:
+        """The values of cmd's arguments, each read as its signature's kind
+        says: a declared ideal, an integer or an element of the ring.  Two
+        ideals of different types (a monomial ideal beside a polynomial
+        one) both become handles."""
+        kinds = COMMAND_SIGNATURES[cmd.name]
+        values = [self.ideals[arg[1]] if kind == "ideal"
+                  else arg[1] if kind == "int" else self.element(arg)
+                  for kind, arg in zip(kinds, cmd.args)]
+        ideals = [i for i, kind in enumerate(kinds) if kind == "ideal"]
+        if len({type(values[i]) for i in ideals}) > 1:
+            for i in ideals:
+                values[i] = _as_handle(values[i])
+        return values
 
 
 def _as_handle(I) -> IdealHandle:
@@ -133,105 +137,86 @@ def _as_monomial(I) -> MonomialIdeal:
     raise UnsupportedOperationError("this command needs a monomial ideal")
 
 
+def _defect(cfg, I, n):
+    D = rr_defect(I, n, cfg)
+    return {"empty": D.is_empty(),
+            "representatives": [str(r) for r in D.representatives]}
+
+
+def _membership(cfg, m, I):
+    # zero lies in every ideal, and a monomial ideal has no exponent vector
+    # to probe it with
+    return {"member": ((isinstance(m, Polynomial) and m.is_zero())
+                       or I.contains(I.element(m)))}
+
+
+def _is_borel(cfg, I):
+    I = _as_monomial(I)
+    prio = tuple(range(I.ring.nvars))
+    return {d: is_borel_fixed(I, prio, d) for d in ("to-larger", "to-smaller")}
+
+
+def _socle(cfg, I):
+    I = _as_monomial(I)
+    return {"candidates": [I.ring.format_exponents(e)
+                           for e in socle_candidates(I)]}
+
+
+def _value_status(pair):
+    return dict(zip(("value", "status"), pair))
+
+
+# command name -> handler(cfg, *argument values) -> report fields; the
+# arguments are read by Session.arguments, in COMMAND_SIGNATURES order
+HANDLERS = {
+    "rr_closure": lambda cfg, I: rr_closure(I, cfg).to_dict(),
+    "rr_power": lambda cfg, I, n: rr_power(I, n, cfg).to_dict(),
+    "rr_via_reduction":
+        lambda cfg, I, J, n: rr_closure_via_reduction(I, J, n, cfg).to_dict(),
+    "rr_membership": lambda cfg, m, I: rr_membership_probe(m, I, cfg).to_dict(),
+    "is_rr_closed": lambda cfg, I: is_rr_closed(I, cfg).to_dict(),
+    "rr_defect": _defect,
+    "gb": lambda cfg, I: {"basis": [
+        str(p) for p in _as_handle(I).groebner_basis().polynomials]},
+    "lt": lambda cfg, I: {"value": str(_as_handle(I).leading_term_ideal())},
+    "normal_form": lambda cfg, f, I: {
+        "value": str(_as_handle(I).groebner_basis().normal_form(f))},
+    "membership": _membership,
+    "colon": lambda cfg, A, B: {"value": str(A.colon(B))},
+    "intersect": lambda cfg, A, B: {"value": str(A.intersect(B))},
+    "sum": lambda cfg, A, B: {"value": str(A + B)},
+    "product": lambda cfg, A, B: {"value": str(A * B)},
+    "power": lambda cfg, I, n: {"value": str(I.power(n))},
+    "min_gens": lambda cfg, I: {"count": len(I.gens), "generators": str(I)},
+    "integral_closure": lambda cfg, I: {
+        "value": str(integral_closure_monomial(_as_monomial(I)))},
+    "ass_primes": lambda cfg, I: {"primes": [
+        "(" + ", ".join(p) + ")"
+        for p in associated_primes_monomial(_as_monomial(I))]},
+    "socle": _socle,
+    "is_borel": _is_borel,
+    "is_reduction": lambda cfg, I, J: is_reduction(I, J, cfg.n_max).to_dict(),
+    "reduction_number":
+        lambda cfg, I, J: {"value": reduction_number(I, J, cfg.n_max)},
+    "rr_reduction_number":
+        lambda cfg, I, J: _value_status(rr_reduction_number(I, J, cfg)),
+    "s_invariant": lambda cfg, I: _value_status(s_invariant(I, cfg)),
+    "superficial": lambda cfg, a, I: superficial_probe(a, I, cfg).to_dict(),
+    "gr_nzd": lambda cfg, x, I, w: gr_nzd_probe(x, I, w, cfg).to_dict(),
+    "depth_zero": lambda cfg, I:
+        depth_zero_witness_search(_as_monomial(I), cfg).to_dict(),
+    "prop41":
+        lambda cfg, I, x, t: prop41_equivalence_check(I, x, t, cfg).to_dict(),
+}
+
+
 def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     """Execute one command against the session; returns a report fragment."""
+    if cmd.name not in HANDLERS:
+        raise ArityError(f"unknown command {cmd.name!r}", cmd.line, cmd.col)
     cfg = cfg.replace(**dict(cmd.overrides))
-    name = cmd.name
-    args = cmd.args
-    out = {"command": name,
-           "config": {"k_max": cfg.k_max, "window": cfg.window,
-                      "n_max": cfg.n_max}}
-
-    if name in ("rr_closure", "is_rr_closed", "rr_defect", "rr_power"):
-        I = session.ideal(args[0])
-        if name == "rr_closure":
-            out.update(rr_closure(I, cfg).to_dict())
-        elif name == "rr_power":
-            out.update(rr_power(I, args[1][1], cfg).to_dict())
-        elif name == "is_rr_closed":
-            out.update(is_rr_closed(I, cfg).to_dict())
-        else:
-            D = rr_defect(I, args[1][1], cfg)
-            out["empty"] = D.is_empty()
-            out["representatives"] = [str(r) for r in D.representatives]
-    elif name == "rr_via_reduction":
-        I, J = session.ideal_pair(args[0], args[1])
-        out.update(rr_closure_via_reduction(I, J, args[2][1], cfg).to_dict())
-    elif name == "rr_membership":
-        m, I = session.element(args[0]), session.ideal(args[1])
-        out.update(rr_membership_probe(m, I, cfg).to_dict())
-    elif name == "gb":
-        H = _as_handle(session.ideal(args[0]))
-        out["basis"] = [str(p) for p in H.groebner_basis().polynomials]
-    elif name == "lt":
-        H = _as_handle(session.ideal(args[0]))
-        out["value"] = str(H.leading_term_ideal())
-    elif name == "normal_form":
-        f = session.element(args[0])
-        H = _as_handle(session.ideal(args[1]))
-        out["value"] = str(H.groebner_basis().normal_form(f))
-    elif name == "membership":
-        m, I = session.element(args[0]), session.ideal(args[1])
-        # zero lies in every ideal, and a monomial ideal has no exponent
-        # vector to probe it with
-        out["member"] = ((isinstance(m, Polynomial) and m.is_zero())
-                         or I.contains(I.element(m)))
-    elif name in ("colon", "intersect", "sum", "product"):
-        A, B = session.ideal_pair(args[0], args[1])
-        value = {"colon": A.colon, "intersect": A.intersect,
-                 "sum": A.__add__, "product": A.__mul__}[name](B)
-        out["value"] = str(value)
-    elif name == "power":
-        out["value"] = str(session.ideal(args[0]).power(args[1][1]))
-    elif name == "min_gens":
-        I = session.ideal(args[0])
-        gens = I.gens
-        out["count"] = len(gens)
-        out["generators"] = str(I)
-    elif name == "integral_closure":
-        out["value"] = str(
-            integral_closure_monomial(_as_monomial(session.ideal(args[0]))))
-    elif name == "ass_primes":
-        primes = associated_primes_monomial(_as_monomial(session.ideal(args[0])))
-        out["primes"] = ["(" + ", ".join(p) + ")" for p in primes]
-    elif name == "socle":
-        I = _as_monomial(session.ideal(args[0]))
-        out["candidates"] = [I.ring.format_exponents(e)
-                             for e in socle_candidates(I)]
-    elif name == "is_borel":
-        I = _as_monomial(session.ideal(args[0]))
-        prio = tuple(range(I.ring.nvars))
-        out["to-larger"] = is_borel_fixed(I, prio, "to-larger")
-        out["to-smaller"] = is_borel_fixed(I, prio, "to-smaller")
-    elif name == "is_reduction":
-        I, J = session.ideal_pair(args[0], args[1])
-        out.update(is_reduction(I, J, cfg.n_max).to_dict())
-    elif name == "reduction_number":
-        I, J = session.ideal_pair(args[0], args[1])
-        out["value"] = reduction_number(I, J, cfg.n_max)
-    elif name == "rr_reduction_number":
-        I, J = session.ideal_pair(args[0], args[1])
-        n, status = rr_reduction_number(I, J, cfg)
-        out["value"], out["status"] = n, status
-    elif name == "s_invariant":
-        n, status = s_invariant(session.ideal(args[0]), cfg)
-        out["value"], out["status"] = n, status
-    elif name == "superficial":
-        a, I = session.element(args[0]), session.ideal(args[1])
-        out.update(superficial_probe(a, I, cfg).to_dict())
-    elif name == "gr_nzd":
-        x, I, w = (session.element(args[0]), session.ideal(args[1]),
-                   args[2][1])
-        out.update(gr_nzd_probe(x, I, w, cfg).to_dict())
-    elif name == "depth_zero":
-        I = _as_monomial(session.ideal(args[0]))
-        out.update(depth_zero_witness_search(I, cfg).to_dict())
-    elif name == "prop41":
-        I, x, t = (session.ideal(args[0]), session.element(args[1]),
-                   args[2][1])
-        out.update(prop41_equivalence_check(I, x, t, cfg).to_dict())
-    else:
-        raise ArityError(f"unknown command {name!r}", cmd.line, cmd.col)
+    out = {"command": cmd.name, "config": cfg.to_dict()}
+    out.update(HANDLERS[cmd.name](cfg, *session.arguments(cmd)))
     return out
 
 
@@ -311,9 +296,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add_cfg(p):
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=None)
+        for field in ClosureConfig._fields:  # k_max -> --kmax KMAX
+            flag = field.replace("_", "")
+            p.add_argument("--" + flag, dest=field, metavar=flag.upper(),
+                           type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
 
@@ -343,8 +329,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def _config_from(ns) -> dict:
     """The ClosureConfig fields the command line sets."""
-    flags = {"k_max": ns.kmax, "window": ns.window, "n_max": ns.nmax}
-    return {k: v for k, v in flags.items() if v is not None}
+    flags = {f: getattr(ns, f) for f in ClosureConfig._fields}
+    return {f: v for f, v in flags.items() if v is not None}
 
 
 def _read_program(path: str) -> InputProgram:

@@ -41,6 +41,9 @@ class Record:
     - repr in the dataclass form ``Name(f=v, ...)``, over all the fields.
     - ``replace(**changes)`` builds the changed copy through ``__init__``,
       so the checks run again.
+    - ``to_dict()`` is the JSON shape: the class's ``_tag`` pair, when it
+      has one (``("verdict", "holds")``), then every field by name.  A
+      field named in ``_as_text`` is given as its str, unless it is None.
 
     A subclass may define its own ``__eq__`` together with ``__hash__``.
     These are plain classes, not ``dataclasses``: a dataclass compiles its
@@ -51,6 +54,8 @@ class Record:
 
     _fields: Tuple[str, ...] = ()
     _uncompared: Tuple[str, ...] = ()
+    _tag: Optional[Tuple[str, str]] = None
+    _as_text: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -82,6 +87,13 @@ class Record:
         kwargs = {f: getattr(self, f) for f in self._fields}
         kwargs.update(changes)
         return self.__class__(**kwargs)
+
+    def to_dict(self) -> dict:
+        d = dict([self._tag]) if self._tag else {}
+        for f in self._fields:
+            value = getattr(self, f)
+            d[f] = str(value) if f in self._as_text and value is not None else value
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +670,7 @@ class PowerLadder:
 
     PowerLadder(I) returns the ladder kept on I itself, so it lives exactly
     as long as I does.  It refers to I weakly, so no reference cycle keeps
-    it alive; ``base`` is I, or None once I is gone."""
+    it alive."""
 
     __slots__ = ("_base", "_powers", "__weakref__")
 
@@ -670,10 +682,6 @@ class PowerLadder:
             inst._powers = []  # I^2, I^3, ...
             object.__setattr__(base, "_ladder", inst)  # some ideals are frozen
         return inst
-
-    @property
-    def base(self) -> Optional[Ideal]:
-        return self._base()
 
     def power(self, n: int) -> Ideal:
         if n < 0:

@@ -133,8 +133,7 @@ def run_corpus(pattern: str = "", seed: int = 0,
         report["cases"].append({
             "id": cid,
             "note": case.note,
-            "config": {"k_max": cfg.k_max, "window": cfg.window,
-                       "n_max": cfg.n_max},
+            "config": cfg.to_dict(),
             "verdict": verdict,
             "resource_cap": capped,
             "assertions": rec.rows,

@@ -9,7 +9,7 @@ Grammar (semicolon-terminated statements)::
     affine    := "affine" NAME "=" "<" pairs ">"
     ideal     := "ideal" NAME "=" "(" gens ")"
     command   := OP arg* (NAME "=" INT)*          -- trailing config overrides
-    arg       := INT | NAME | "(" poly ")"
+    arg       := INT | NAME | "(" poly ("," poly)? ")"  -- element or pair
 
 Polynomials use explicit infix: `X^4*Y^2 - X^2*Y^4`.  Numerical-semigroup
 generators are written `t^8` or plain integers; affine generators are
@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import Polynomial, Record, RingDescriptor
 from .errors import (ArityError, LexicalError, SyntacticError,
                      UnknownIdentifierError)
+from .ratliff_rush import ClosureConfig
 
 SYMBOLS = set(";=[](){}<>/^*+-,")
 
@@ -197,8 +198,6 @@ COMMAND_SIGNATURES: Dict[str, Tuple[str, ...]] = {
     "prop41": ("ideal", "elem", "int"),
 }
 
-OVERRIDE_KEYS = ("k_max", "window", "n_max")
-
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
@@ -366,23 +365,15 @@ class _Parser:
                 self.next()
                 if self.accept("sym", "="):
                     v = self.expect("int")
-                    if t.value not in OVERRIDE_KEYS:
+                    if t.value not in ClosureConfig._fields:
                         raise SyntacticError(f"unknown config key {t.value!r}",
                                              t.line, t.col)
                     overrides.append((t.value, int(v.value)))
                 else:
                     args.append(("ident", t.value))
             elif t.kind == "sym" and t.value == "(":
-                self.next()
-                # affine exponent pair or polynomial
-                node = self.poly()
-                if self.accept("sym", ","):
-                    second = self.poly()
-                    self.expect("sym", ")")
-                    args.append(("pair", (node, second)))
-                else:
-                    self.expect("sym", ")")
-                    args.append(("poly", node))
+                node = self.gen()
+                args.append(node if node[0] == "pair" else ("poly", node))
             else:
                 raise SyntacticError(f"unexpected token {t.value!r} in command",
                                      t.line, t.col)
@@ -578,15 +569,12 @@ def format_program(prog: InputProgram) -> str:
         elif isinstance(st, Command):
             parts = [st.name]
             for kind, value in st.args:
-                if kind == "int":
-                    parts.append(str(value))
-                elif kind == "ident":
-                    parts.append(value)
-                elif kind == "poly":
+                if kind == "poly":
                     parts.append(f"({format_poly_ast(value)})")
                 elif kind == "pair":
-                    a, b = value
-                    parts.append(f"({format_poly_ast(a)}, {format_poly_ast(b)})")
+                    parts.append(format_poly_ast((kind, value)))
+                else:  # an integer or an ideal name
+                    parts.append(str(value))
             for k, v in st.overrides:
                 parts.append(f"{k}={v}")
             lines.append(" ".join(parts) + ";")

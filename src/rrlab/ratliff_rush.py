@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Tuple, Union
 
-from .core import Monomial, Record, exps_mul
+from .core import Monomial, Polynomial, Record, exps_mul
 from .errors import PreconditionError, UnsupportedOperationError
 from .monomial import MonomialIdeal, variable_ideal
 
@@ -48,24 +48,20 @@ DEFAULT_CONFIG = ClosureConfig()
 
 class StabilizedWindow(Record):
     _fields = ("k", "window")
+    _tag = ("status", "stabilized-window")
 
     def __init__(self, k: int, window: int):
         # k: the step at which the stability window completed
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "window", window)
 
-    def to_dict(self):
-        return {"status": "stabilized-window", "k": self.k, "window": self.window}
-
 
 class BoundReached(Record):
     _fields = ("k_max",)
+    _tag = ("status", "bound-reached")
 
     def __init__(self, k_max: int):
         object.__setattr__(self, "k_max", k_max)
-
-    def to_dict(self):
-        return {"status": "bound-reached", "k_max": self.k_max}
 
 
 class ClosureResult(Record):
@@ -95,47 +91,39 @@ class ClosureResult(Record):
 
 class Member(Record):
     _fields = ("k",)
+    _tag = ("verdict", "member")
 
     def __init__(self, k: int):
         # the smallest verified step: m * I^k is inside I^{k+1}
         object.__setattr__(self, "k", k)
 
-    def to_dict(self):
-        return {"verdict": "member", "k": self.k}
-
 
 class NotMemberUpTo(Record):
     _fields = ("k_max",)
+    _tag = ("verdict", "not-member-up-to")
 
     def __init__(self, k_max: int):
         object.__setattr__(self, "k_max", k_max)
 
-    def to_dict(self):
-        return {"verdict": "not-member-up-to", "k_max": self.k_max}
-
 
 class Holds(Record):
     _fields = ("bound",)
+    _tag = ("verdict", "holds")
 
     def __init__(self, bound: int):
         # the range bound the identity was checked through (or the
         # certified parameter, e.g. the offset c for superficiality)
         object.__setattr__(self, "bound", bound)
 
-    def to_dict(self):
-        return {"verdict": "holds", "bound": self.bound}
-
 
 class FailsAt(Record):
     _fields = ("n", "witness")
+    _tag = ("verdict", "fails-at")
+    _as_text = ("witness",)  # a monomial, polynomial, integer or pair
 
     def __init__(self, n: int, witness: object = None):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "witness", witness)
-
-    def to_dict(self):
-        return {"verdict": "fails-at", "n": self.n,
-                "witness": None if self.witness is None else str(self.witness)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +235,25 @@ def rr_closure_via_reduction(I, J, n: int,
     return ClosureResult(value, status, growth)
 
 
+def _probe_element(m, I):
+    """m in I's representation, for a probe.  Zero is refused first, the
+    same way for every ideal type: it lies in every ideal and every power,
+    so no probe of it means anything."""
+    if isinstance(m, Polynomial) and m.is_zero():
+        raise PreconditionError(
+            "the zero element lies in every ideal; probe is vacuous")
+    return I.element(m)
+
+
+def _ring_element(m, I):
+    """A membership probe's element, refused unless it lies in I's ring: a
+    gap of a semigroup would otherwise read as a closure member."""
+    e = _probe_element(m, I)
+    if not I.power(0).contains(e):
+        raise PreconditionError("element is not in the ring")
+    return e
+
+
 def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
     """Member(k) for the least k <= k_max with e * denominator(k) inside
     I^{n+k}, else NotMemberUpTo(k_max)."""
@@ -263,7 +270,7 @@ def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
 
 def rr_membership_probe(m, I, cfg: ClosureConfig = DEFAULT_CONFIG):
     """Does m multiply some I^k into I^{k+1}?  Member(k) / NotMemberUpTo."""
-    e = I.element(m)
+    e = _ring_element(m, I)
     if I.contains(e):
         raise PreconditionError("element already lies in the ideal; probe is vacuous")
     return _probe(e, I, 1, I.power, cfg)
@@ -280,7 +287,7 @@ def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
     if n < 1:
         raise PreconditionError("power must be >= 1")
     _require_reduction(I, J, cfg)
-    e = I.element(m)
+    e = _ring_element(m, I)
     if I.power(n).contains(e):
         raise PreconditionError(
             "element already lies in the n-th power; probe is vacuous")
@@ -382,7 +389,7 @@ def gr_nzd_probe(x, I, w: int, cfg: ClosureConfig = DEFAULT_CONFIG):
     """
     if w < 1:
         raise PreconditionError("graded degree must be >= 1")
-    e = I.element(x)
+    e = _probe_element(x, I)
     if not I.power(w).contains(e):
         raise PreconditionError("element is not in the claimed power of the ideal")
     if I.power(w + 1).contains(e):
@@ -407,7 +414,7 @@ def superficial_probe(a, I, cfg: ClosureConfig = DEFAULT_CONFIG):
     such offset fails, FailsAt carries the smallest failing step of the
     c = 1 scan with a witness element of ((I^n : a) cap I^c) outside I^{n-1}.
     """
-    e = I.element(a)
+    e = _probe_element(a, I)
     if not I.contains(e):
         raise PreconditionError("candidate superficial element must lie in the ideal")
     if cfg.n_max <= cfg.window:

@@ -166,10 +166,6 @@ class EquivalenceReport(Record):
     def all_true(self) -> bool:
         return self.cond_b and self.cond_de and self.cokernel_trivial
 
-    def to_dict(self):
-        return {"t": self.t, "cond_b": self.cond_b, "cond_de": self.cond_de,
-                "cokernel_trivial": self.cokernel_trivial, "status": self.status}
-
 
 def prop41_equivalence_check(I, x, t: int,
                              cfg: ClosureConfig = DEFAULT_CONFIG) -> EquivalenceReport:

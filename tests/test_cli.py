@@ -1,11 +1,17 @@
 """Command-line entry point: subcommands, formats and exit codes."""
 
+import inspect
 import json
+import pathlib
+import re
 
 import pytest
 
 from rrlab.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       main)
+                       HANDLERS, main)
+from rrlab.parser import COMMAND_SIGNATURES
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 PROGRAM = """
 ring R = QQ[X, Y];
@@ -166,3 +172,50 @@ def test_corpus_filter_that_matches_nothing_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.err == "rrlab: no corpus case matches the filter 'NOPE'\n"
     assert captured.out == ""
+
+
+def test_handler_table_matches_the_signatures():
+    assert set(HANDLERS) == set(COMMAND_SIGNATURES)
+    for name, kinds in COMMAND_SIGNATURES.items():
+        # the chain settings, then one value per argument
+        params = inspect.signature(HANDLERS[name]).parameters
+        assert len(params) == 1 + len(kinds), name
+
+
+@pytest.mark.parametrize("ring, ideal, element", [
+    ("semiring S = <4, 5, 11>;", "(t^4, t^5, t^11)", "(t^7)"),
+    ("semiring S = <4, 5, 11>;", "(t^4, t^5, t^11)", "(t^6)"),
+    ("affine A = <(1,0), (0,2), (0,7), (2,5), (3,1)>;", "((1,0), (0,2))",
+     "(1,5)"),
+], ids=["gap-7", "gap-6", "affine-X*Y^5"])
+def test_membership_probes_refuse_elements_outside_the_ring(
+        tmp_path, capsys, ring, ideal, element):
+    """A gap of the semigroup is no ring element, so no probe of it can
+    answer; plain membership still answers False."""
+    text = f"{ring}\nideal I = {ideal};\nmembership {element} I;\n"
+    assert main(["compute", _write(tmp_path, text)]) == EXIT_OK
+    assert "member: False" in capsys.readouterr().out
+    path = _write(tmp_path, text + f"rr_membership {element} I;\n")
+    assert main(["compute", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == "rrlab: element is not in the ring\n"
+
+
+@pytest.mark.parametrize("command", ["rr_membership (0) I",
+                                     "superficial (0) I", "gr_nzd (0) I 1"])
+@pytest.mark.parametrize("ideal", ["(X^2, Y)", "(X^2 + Y, Y^2)"],
+                         ids=["monomial", "handle"])
+def test_zero_probe_is_refused_alike_on_every_ideal_type(tmp_path, capsys,
+                                                         ideal, command):
+    path = _write(tmp_path, f"ring R = QQ[X, Y];\nideal I = {ideal};\n"
+                            f"{command};\n")
+    assert main(["compute", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "rrlab: the zero element lies in every ideal; probe is vacuous\n")
+
+
+def test_readme_lists_every_command():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Input language and CLI"):
+                   text.index("## The corpus")]
+    listed = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+    assert listed == set(COMMAND_SIGNATURES)

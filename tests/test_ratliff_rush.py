@@ -257,3 +257,9 @@ def test_to_dict_round_trippable_shapes():
     assert Member(3).to_dict() == {"verdict": "member", "k": 3}
     assert NotMemberUpTo(6).to_dict() == {"verdict": "not-member-up-to",
                                           "k_max": 6}
+    # a witness is given as text whatever its type, a semigroup's int too
+    assert FailsAt(2, 11).to_dict() == {"verdict": "fails-at", "n": 2,
+                                        "witness": "11"}
+    assert FailsAt(2).to_dict()["witness"] is None
+    assert ClosureConfig(6, 2).to_dict() == {"k_max": 6, "window": 2,
+                                             "n_max": 8}

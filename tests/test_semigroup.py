@@ -8,7 +8,8 @@ import pytest
 
 from rrlab.cli import EXIT_OK, main
 from rrlab.errors import PreconditionError, ZeroIdealError
-from rrlab.ratliff_rush import rr_closure, rr_power
+from rrlab.ratliff_rush import (rr_closure, rr_membership_probe,
+                                rr_membership_probe_via_reduction, rr_power)
 from rrlab.semigroup import (AffineIdeal, AffineSemigroup2D,
                              NumericalSemigroup, SemigroupIdeal)
 
@@ -204,3 +205,20 @@ def test_affine_membership_in_narrow_cones():
         reach = _reachable(S, 20)
         for p in product(range(21), repeat=2):
             assert S.contains(p) == (p in reach), (gens, p)
+
+
+def test_membership_probes_refuse_gaps():
+    """6 and 7 are gaps of <4,5,11>: no ring element, so neither probe may
+    report them as closure members."""
+    S = NumericalSemigroup([4, 5, 11])
+    I = SemigroupIdeal.from_gens(S, [4, 5, 11])
+    J = SemigroupIdeal.from_gens(S, [4])
+    for gap in (6, 7):
+        with pytest.raises(PreconditionError, match="not in the ring"):
+            rr_membership_probe(gap, I)
+        with pytest.raises(PreconditionError, match="not in the ring"):
+            rr_membership_probe_via_reduction(gap, I, J)
+        assert not I.contains(gap)
+    A = AffineSemigroup2D([(1, 0), (0, 2), (0, 7), (2, 5), (3, 1)])
+    with pytest.raises(PreconditionError, match="not in the ring"):
+        rr_membership_probe((1, 5), AffineIdeal.from_gens(A, [(1, 0), (0, 2)]))
