@@ -14,7 +14,7 @@ class ZeroIdealError(RRLabError):
 
 
 class ResourceLimitError(RRLabError):
-    """A configured resource cap (pair queue, working bound, box) was hit."""
+    """A configured resource cap (pair queue, working bound) was hit."""
 
 
 class UnsupportedOperationError(RRLabError):

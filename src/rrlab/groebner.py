@@ -429,8 +429,9 @@ class IdealHandle(Ideal):
         return IdealHandle(self.ring, [self.ring.one()])
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
+        """The generators of both, each one once."""
         self._check(other)
-        return IdealHandle(self.ring, self.gens + other.gens)
+        return IdealHandle(self.ring, list(dict.fromkeys(self.gens + other.gens)))
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
         """The products of the generators, each one once."""

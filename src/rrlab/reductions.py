@@ -12,8 +12,8 @@ from typing import Optional
 
 from .core import Record
 from .errors import PreconditionError
-from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, Holds, is_reduction,
-                           rr_power, superficial_probe)
+from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, Holds, _ring_element,
+                           is_reduction, rr_power, superficial_probe)
 
 EXACT = "exact-within-bound"
 BOUNDED = "bound-reached"
@@ -175,7 +175,7 @@ def prop41_equivalence_check(I, x, t: int,
     probes as superficial."""
     if t < 0:
         raise PreconditionError("level t must be >= 0")
-    X = I.power(0).times(I.element(x))
+    X = I.power(0).times(_ring_element(x, I))
     if not isinstance(is_reduction(I, X, cfg.n_max), Holds):
         raise PreconditionError("(x) did not verify as a reduction of I")
     sup = superficial_probe(x, I, cfg)

@@ -16,7 +16,25 @@ scans the integers below the conductor.  The genus of S is Selmer's sum of
 (w[r] - r) / m, and it bounds the principal-reduction index: for x = min E
 the sets E^n - n*x ascend from S inside N, each strict step adding a gap.
 
-Plane affine ideals are kept by their minimal generators, which are unique.
+A plane affine semigroup S is kept as one staircase per coset of the
+lattice L = Zu + Zw, u and w the least generators on the two extreme rays
+of the cone of S (Rosales and Garcia-Sanchez, *Finitely Generated
+Commutative Monoids*, 1999).  A point p has (A, B) = (det(p, w), det(u, p)),
+so p = (A*u + B*w) / d with d = det(u, w); p lies in the cone when A, B >= 0,
+its coset is (A % d, B % d) and its coordinates there are (A // d, B // d).
+S is closed under adding u and w, so in each coset c the members of S, and
+those of any ideal E, form a monomial ideal E[c] in these coordinates: p
+lies in E exactly when E[c] holds its coordinates.  S meets each of the
+[gp(S) : L] <= d cosets.  When all generators lie on one ray, w is u turned
+a quarter, B is 0 on the ray and the staircases have the one coordinate
+A // d.  Every operation is a monomial kernel.  E + F and E cap F work coset
+by coset; t^p * E moves E[c] to the coset c + p and shifts it by
+((r + A) // d, (s + B) // d), for c = (r, s) and (A, B) those of p;
+(E : F)[c] is S[c] cap the (E[c + f] : that shift of f from c) over the
+generators f of F; E * F is the sum of the t^g * F over the generators g
+of E.  The minimal generators are the staircase corners p with no p - g in
+E for a generator g of S.  Staircases are canonical, so equal ideals have
+equal ones.
 """
 
 from __future__ import annotations
@@ -24,10 +42,11 @@ from __future__ import annotations
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import Ideal, Record
-from .errors import (PreconditionError, ResourceLimitError, ZeroIdealError)
+from .core import Exponents, Ideal, Record, RingDescriptor, exps_divides
+from .errors import PreconditionError, ZeroIdealError
+from .monomial import MonomialIdeal, colon_single, intersect_monomial, minimalize
 
 Pair = Tuple[int, int]
 
@@ -183,7 +202,8 @@ class SemigroupIdeal(Ideal, Record):
 
 
 class AffineSemigroup2D:
-    """Submonoid of N^2 generated by finitely many nonzero pairs."""
+    """Submonoid of N^2 generated by finitely many nonzero pairs, as one
+    staircase per coset of L = Zu + Zw (see the module docstring)."""
 
     def __init__(self, gens: Sequence[Pair]):
         gens = tuple(sorted(set(map(tuple, gens))))
@@ -192,98 +212,77 @@ class AffineSemigroup2D:
         if any(a < 0 or b < 0 for a, b in gens):
             raise PreconditionError("generators must be non-negative")
         self.gens = gens
-        self._memo = {(0, 0): True}
-        self._lattice = _lattice_basis(gens)
-        self._rays = _extreme_rays(gens)
+        u, w = _extreme_rays(gens)
+        nvars = 2
+        if u == w:  # one ray: with w a quarter turn of u, B is 0 on the ray
+            w, nvars = (-u[1], u[0]), 1
+        self._u, self._w, self._d = u, w, u[0] * w[1] - u[1] * w[0]
+        self.ring = RingDescriptor(("u", "w")[:nvars])
+        found = self._close([g for g in gens if g not in (u, w)])
+        self.cosets = tuple(sorted(found))
+        self._index = {c: i for i, c in enumerate(self.cosets)}
+        self.stairs = tuple(MonomialIdeal(self.ring, tuple(sorted(found[c])))
+                            for c in self.cosets)
+
+    def _close(self, others: Sequence[Pair]) -> Dict[Pair, List[Exponents]]:
+        """S's staircase corners by coset.  A member is a sum q of the
+        generators off the rays plus a point of Nu + Nw, so the q generate
+        the staircases.  They are taken in order of degree, so no later q
+        lies under an earlier corner, and a q over a corner adds nothing,
+        nor do the sums made from it; Dickson's lemma bounds the corners."""
+        found: Dict[Pair, List[Exponents]] = {}
+        heap = [(0, (0, 0))]
+        while heap:
+            _, q = heappop(heap)
+            coset, k = self._split(*self._ab(q))
+            corners = found.setdefault(coset, [])
+            if not any(exps_divides(c, k) for c in corners):
+                corners.append(k)
+                for x, y in others:
+                    heappush(heap, (q[0] + x + q[1] + y, (q[0] + x, q[1] + y)))
+        return found
+
+    def _ab(self, p: Pair) -> Pair:
+        """(A, B) = (det(p, w), det(u, p)), so that p = (A*u + B*w) / d."""
+        (a, b), (c, e) = self._u, self._w
+        return p[0] * e - p[1] * c, a * p[1] - b * p[0]
+
+    def _split(self, A: int, B: int) -> Tuple[Pair, Exponents]:
+        """The coset and the staircase coordinates of (A*u + B*w) / d."""
+        d = self._d
+        return (A % d, B % d), (A // d, B // d)[:self.ring.nvars]
+
+    def _point(self, coset: Pair, k: Exponents) -> Pair:
+        """The point of the coset with the staircase coordinates k."""
+        A, B = (self._d * x + r for x, r in zip(k + (0,), coset))
+        (a, b), (c, e), d = self._u, self._w, self._d
+        return (A * a + B * c) // d, (A * b + B * e) // d
+
+    def _moves(self, p: Pair) -> List[Tuple[int, Exponents]]:
+        """For each coset c, in order, the index of c + p and the shift of
+        the coordinates from c to c + p, its carry included."""
+        A, B = self._ab(p)
+        moves = [self._split(r + A, s + B) for r, s in self.cosets]
+        return [(self._index[c], shift) for c, shift in moves]
+
+    def _holds(self, stairs: Tuple[MonomialIdeal, ...], p: Pair) -> bool:
+        """p lies in the ideal with these staircases: in the cone (on the
+        ray, for one ray), in a coset of S and in that coset's staircase."""
+        A, B = self._ab(p)
+        if A < 0 or B < 0 or (B and self.ring.nvars == 1):
+            return False
+        coset, k = self._split(A, B)
+        i = self._index.get(coset)
+        return i is not None and stairs[i].contains(k)
 
     def contains(self, p: Pair) -> bool:
         p = tuple(p)
         if p[0] < 0 or p[1] < 0:
             raise PreconditionError("membership query must be componentwise >= 0")
-        hit = self._memo.get(p)
-        if hit is not None:
-            return hit
-        if not (self._in_cone(p) and self._in_group(p)):
-            # A member is a sum of generators, so it lies in the cone they
-            # span and in the group they generate.  Checking both first
-            # spares the search below, which must visit every point under p
-            # before it can answer False.
-            return False
-        return self._search(p)
-
-    def _in_cone(self, p: Pair) -> bool:
-        (a, b), (c, d) = self._rays
-        return a * p[1] - b * p[0] >= 0 and p[0] * d - p[1] * c >= 0
-
-    def _in_group(self, p: Pair) -> bool:
-        a, b, c = self._lattice
-        if a == 0:
-            if p[0]:
-                return False
-            rest = p[1]
-        else:
-            if p[0] % a:
-                return False
-            rest = p[1] - (p[0] // a) * b
-        return rest % c == 0 if c else rest == 0
-
-    def _search(self, p: Pair) -> bool:
-        """Memoized DFS on p minus generators, with an explicit stack of
-        [point, index of the next generator to try] frames."""
-        memo = self._memo
-        gens = self.gens
-        stack = [[p, 0]]
-        while stack:
-            frame = stack[-1]
-            (x, y), start = frame
-            result = False
-            for idx in range(start, len(gens)):
-                a, b = gens[idx]
-                if a > x or b > y:
-                    continue
-                known = memo.get((x - a, y - b))
-                if known is None:
-                    frame[1] = idx  # try this generator again once that is known
-                    stack.append([(x - a, y - b), 0])
-                    result = None
-                    break
-                if known:
-                    result = True
-                    break
-            if result is not None:
-                memo[(x, y)] = result
-                stack.pop()
-        return memo[p]
+        return self._holds(self.stairs, p)
 
     def __repr__(self):
         return "<" + ", ".join(map(str, self.gens)) + ">"
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
-def _lattice_basis(gens: Sequence[Pair]) -> Tuple[int, int, int]:
-    """(a, b, c) such that the subgroup of Z^2 generated by gens is
-    Z*(a, b) + Z*(0, c), with a, c >= 0 and b == 0 whenever a == 0."""
-    a = b = c = 0
-    for x, y in gens:
-        g, s, t = _xgcd(a, x)
-        if g:
-            # unimodular change of basis of {(a, b), (x, y)}:
-            # s*(a, b) + t*(x, y) = (g, .), (a*(x, y) - x*(a, b)) / g = (0, .)
-            c = gcd(c, (a * y - x * b) // g)
-            a, b = g, s * b + t * y
-        else:
-            c = gcd(c, y)
-    return a, b, c
 
 
 def _extreme_rays(gens: Sequence[Pair]) -> Tuple[Pair, Pair]:
@@ -298,24 +297,15 @@ def _extreme_rays(gens: Sequence[Pair]) -> Tuple[Pair, Pair]:
     return low, high
 
 
-def _affine_minimalize(S: AffineSemigroup2D, cands: Iterable[Pair]) -> Tuple[Pair, ...]:
-    cands = sorted(set(map(tuple, cands)), key=lambda p: (p[0] + p[1], p))
-    kept: List[Pair] = []
-    for g in cands:
-        if not any(g[0] >= k[0] and g[1] >= k[1]
-                   and S.contains((g[0] - k[0], g[1] - k[1])) for k in kept):
-            kept.append(g)
-    return tuple(sorted(kept))
-
-
 class AffineIdeal(Ideal, Record):
-    """Monomial ideal of a 2-D affine semigroup ring, by minimal generators."""
+    """Monomial ideal of a 2-D affine semigroup ring, by one staircase per
+    coset of S."""
 
-    _fields = ("S", "gens")
+    _fields = ("S", "stairs")
 
-    def __init__(self, S: AffineSemigroup2D, gens: Tuple[Pair, ...]):
+    def __init__(self, S: AffineSemigroup2D, stairs: Tuple[MonomialIdeal, ...]):
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "stairs", stairs)
 
     @staticmethod
     def from_gens(S: AffineSemigroup2D, gens: Iterable[Pair]) -> "AffineIdeal":
@@ -325,34 +315,54 @@ class AffineIdeal(Ideal, Record):
         for g in gens:
             if not S.contains(g):
                 raise PreconditionError(f"generator {g} is not in the semigroup")
-        return AffineIdeal(S, _affine_minimalize(S, gens))
+        unit = AffineIdeal(S, S.stairs)
+        return _sum(S, [unit.times(g) for g in gens])
+
+    @cached_property
+    def gens(self) -> Tuple[Pair, ...]:
+        """The minimal generators: the corners p with no p - g inside, for g
+        a generator of S."""
+        S = self.S
+        corners = (S._point(c, k) for c, T in zip(S.cosets, self.stairs)
+                   for k in T.gens)
+        return tuple(sorted(p for p in corners if not any(
+            self.contains((p[0] - x, p[1] - y)) for x, y in S.gens)))
 
     def _check(self, other: "AffineIdeal") -> None:
         if self.S.gens != other.S.gens:
             raise PreconditionError("ideals belong to different semigroups")
 
     def unit(self) -> "AffineIdeal":
-        return AffineIdeal(self.S, ((0, 0),))
+        return AffineIdeal(self.S, self.S.stairs)
 
     def contains(self, p: Pair) -> bool:
-        p = tuple(p)
-        return any(p[0] >= g[0] and p[1] >= g[1]
-                   and self.S.contains((p[0] - g[0], p[1] - g[1]))
-                   for g in self.gens)
+        return self.S._holds(self.stairs, tuple(p))
+
+    def contains_ideal(self, other: "AffineIdeal") -> bool:
+        self._check(other)
+        return all(map(MonomialIdeal.contains_ideal, self.stairs, other.stairs))
+
+    def equals(self, other: "AffineIdeal") -> bool:
+        """Staircases are canonical, so equal ideals have equal ones."""
+        self._check(other)
+        return self.stairs == other.stairs
 
     def __add__(self, other: "AffineIdeal") -> "AffineIdeal":
         self._check(other)
-        return AffineIdeal(self.S, _affine_minimalize(self.S, self.gens + other.gens))
+        return _sum(self.S, (self, other))
 
     def __mul__(self, other: "AffineIdeal") -> "AffineIdeal":
         self._check(other)
-        sums = [(a[0] + b[0], a[1] + b[1]) for a in self.gens for b in other.gens]
-        return AffineIdeal(self.S, _affine_minimalize(self.S, sums))
+        return _sum(self.S, [other.times(g) for g in self.gens])
 
     def times(self, p: Pair) -> "AffineIdeal":
-        """The ideal t^p * I: every generator shifted by p."""
-        return AffineIdeal(self.S, tuple((g[0] + p[0], g[1] + p[1])
-                                         for g in self.gens))
+        """The ideal t^p * I: each staircase moved to its coset plus p."""
+        if not self.S.contains(p):
+            raise PreconditionError(f"{p} is not in the semigroup")
+        stairs: List[MonomialIdeal] = list(self.stairs)
+        for T, (j, shift) in zip(self.stairs, self.S._moves(p)):
+            stairs[j] = T.times(shift)
+        return AffineIdeal(self.S, tuple(stairs))
 
     def gen_powers(self, k: int) -> "AffineIdeal":
         return AffineIdeal.from_gens(self.S, [(k * a, k * b) for a, b in self.gens])
@@ -364,44 +374,31 @@ class AffineIdeal(Ideal, Record):
 
     def colon(self, other: "AffineIdeal",
               floor: Optional["AffineIdeal"] = None) -> "AffineIdeal":
-        """Bounded box search for {p in S : p + gens(other) inside self}.
+        """{p in S : p + gens(other) inside self}, per coset c:
+        S[c] cap the (self[c + f] : shift of f from c) over f in gens(other).
 
         The floor is not used: the whole colon is returned."""
         self._check(other)
-        bx = max(g[0] for g in self.gens) + max(max(s[0] for s in self.S.gens), 1)
-        by = max(g[1] for g in self.gens) + max(max(s[1] for s in self.S.gens), 1)
-        bx += max(g[0] for g in other.gens)
-        by += max(g[1] for g in other.gens)
-        found = []
-        for x in range(bx + 1):
-            for y in range(by + 1):
-                p = (x, y)
-                if self.S.contains(p) and all(
-                        self.contains((x + g[0], y + g[1])) for g in other.gens):
-                    found.append(p)
-        if not found:
-            raise ResourceLimitError("affine colon box exhausted without candidates")
-        mins = _affine_minimalize(self.S, found)
-        if any(g[0] >= bx or g[1] >= by for g in mins):
-            raise ResourceLimitError("affine colon box too small to certify generators")
-        return AffineIdeal(self.S, mins)
+        moves = [self.S._moves(f) for f in other.gens]
+        stairs = []
+        for i, T in enumerate(self.S.stairs):
+            for m in moves:
+                j, shift = m[i]
+                T = intersect_monomial(T, colon_single(self.stairs[j], shift))
+            stairs.append(T)
+        return AffineIdeal(self.S, tuple(stairs))
 
     def intersect(self, other: "AffineIdeal") -> "AffineIdeal":
         self._check(other)
-        bx = max(g[0] for g in self.gens + other.gens) + \
-            max(max(s[0] for s in self.S.gens), 1) * 2
-        by = max(g[1] for g in self.gens + other.gens) + \
-            max(max(s[1] for s in self.S.gens), 1) * 2
-        found = [(x, y) for x in range(bx + 1) for y in range(by + 1)
-                 if self.contains((x, y)) and other.contains((x, y))]
-        if not found:
-            raise ResourceLimitError("affine intersection box exhausted")
-        mins = _affine_minimalize(self.S, found)
-        if any(g[0] >= bx or g[1] >= by for g in mins):
-            raise ResourceLimitError("affine intersection box too small to certify")
-        return AffineIdeal(self.S, mins)
+        return AffineIdeal(self.S, tuple(map(intersect_monomial, self.stairs,
+                                             other.stairs)))
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
+def _sum(S: AffineSemigroup2D, ideals: Sequence[AffineIdeal]) -> AffineIdeal:
+    """The sum of ideals of S, coset by coset."""
+    return AffineIdeal(S, tuple(
+        MonomialIdeal(S.ring, minimalize(g for T in column for g in T.gens))
+        for column in zip(*(I.stairs for I in ideals))))

@@ -187,21 +187,25 @@ def test_handler_table_matches_the_signatures():
     ("semiring S = <4, 5, 11>;", "(t^4, t^5, t^11)", "(t^6)"),
     ("affine A = <(1,0), (0,2), (0,7), (2,5), (3,1)>;", "((1,0), (0,2))",
      "(1,5)"),
-], ids=["gap-7", "gap-6", "affine-X*Y^5"])
+    ("affine A = <(1,0), (1,1)>;", "((1,0), (1,1))", "(0,3)"),
+], ids=["gap-7", "gap-6", "affine-X*Y^5", "affine-off-cone"])
 def test_membership_probes_refuse_elements_outside_the_ring(
         tmp_path, capsys, ring, ideal, element):
-    """A gap of the semigroup is no ring element, so no probe of it can
-    answer; plain membership still answers False."""
+    """A gap of the semigroup, or a point above its cone, is no ring
+    element, so no probe of it can answer, nor can prop41 take it as x;
+    plain membership still answers False."""
     text = f"{ring}\nideal I = {ideal};\nmembership {element} I;\n"
     assert main(["compute", _write(tmp_path, text)]) == EXIT_OK
     assert "member: False" in capsys.readouterr().out
-    path = _write(tmp_path, text + f"rr_membership {element} I;\n")
-    assert main(["compute", path]) == EXIT_USAGE
-    assert capsys.readouterr().err == "rrlab: element is not in the ring\n"
+    for probe in (f"rr_membership {element} I", f"prop41 I {element} 1"):
+        path = _write(tmp_path, text + f"{probe};\n")
+        assert main(["compute", path]) == EXIT_USAGE
+        assert capsys.readouterr().err == "rrlab: element is not in the ring\n"
 
 
 @pytest.mark.parametrize("command", ["rr_membership (0) I",
-                                     "superficial (0) I", "gr_nzd (0) I 1"])
+                                     "superficial (0) I", "gr_nzd (0) I 1",
+                                     "prop41 I (0) 1"])
 @pytest.mark.parametrize("ideal", ["(X^2, Y)", "(X^2 + Y, Y^2)"],
                          ids=["monomial", "handle"])
 def test_zero_probe_is_refused_alike_on_every_ideal_type(tmp_path, capsys,

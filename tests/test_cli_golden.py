@@ -4,8 +4,9 @@ Each program in tests/golden/ runs through `cli.main` in text and in JSON
 and must print exactly the `.txt` and `.json` file recorded beside it.
 Together the programs run every command of the language, over monomial
 and polynomial ideals in QQ[X,Y], a prime field, a quotient ring, mixed
-monomial and polynomial operands, a numerical semigroup and an affine
-semigroup, with per-command overrides of the chain settings.
+monomial and polynomial operands, a numerical semigroup and affine
+semigroups, one of them on a single ray, with per-command overrides of the
+chain settings.
 """
 
 import pathlib
