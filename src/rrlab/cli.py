@@ -30,7 +30,7 @@ from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG,
 from .reductions import (is_reduction, prop41_equivalence_check,
                          reduction_number, rr_reduction_number, s_invariant)
 from .semigroup import (AffineIdeal, AffineSemigroup2D, NumericalSemigroup,
-                        SemigroupIdeal)
+                        SemigroupIdeal, affine_ring)
 from . import corpus as corpus_mod
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ class Session:
 
     def __init__(self):
         self.kind: Optional[str] = None  # 'poly' | 'ns' | 'affine'
-        self.ring = None                 # RingDescriptor / NumericalSemigroup
+        self.ring = None  # RingDescriptor / NumericalSemigroup / AffineSemigroup2D
         self.ideals = {}
 
     # -- declarations -------------------------------------------------------
@@ -64,7 +64,7 @@ class Session:
         elif isinstance(st, SemiringDecl):
             self.kind, self.ring = "ns", NumericalSemigroup(st.gens)
         elif isinstance(st, AffineDecl):
-            self.kind, self.ring = "affine", AffineSemigroup2D(st.gens)
+            self.kind, self.ring = "affine", affine_ring(st.gens)
         elif isinstance(st, IdealDecl):
             self.ideals[st.name] = self._build_ideal(st)
         else:
@@ -77,12 +77,11 @@ class Session:
                 return MonomialIdeal.from_gens(
                     self.ring, [next(iter(p.terms)) for p in polys])
             return IdealHandle(self.ring, polys)
-        if self.kind == "ns":
-            return SemigroupIdeal.from_gens(
-                self.ring, [eval_t_exponent(g) for g in st.gens])
-        if self.kind == "affine":
-            return AffineIdeal.from_gens(
-                self.ring, [eval_pair(g) for g in st.gens])
+        if self.kind in ("ns", "affine"):
+            read = eval_t_exponent if self.kind == "ns" else eval_pair
+            ideal = (AffineIdeal if isinstance(self.ring, AffineSemigroup2D)
+                     else SemigroupIdeal)
+            return ideal.from_gens(self.ring, [read(g) for g in st.gens])
         raise UnsupportedOperationError("declare a ring before any ideal")
 
     # -- elements -----------------------------------------------------------

@@ -191,12 +191,11 @@ def _buchberger(gens: Sequence[dict], pk: Packing) -> List[dict]:
     """Raw (unreduced) Groebner basis of the packed gens, each element
     monic and in descending order.
 
-    Pairs follow the normal strategy: the pair whose lcm of leading terms has
-    the smallest total degree goes first, ties broken by the term order of
-    that lcm and then by the index pair (i, j).  Each pair's sort entry is
-    computed once, when the pair is made, and kept on a heap; the set of open
-    pairs serves the chain criterion.  The reducer list is sorted once and
-    each new remainder is inserted in place.
+    Pairs follow the normal strategy: the pair whose lcm of leading terms is
+    least in the term order goes first, ties broken by the index pair (i, j).
+    Each pair's sort entry is computed once, when the pair is made, and kept
+    on a heap; the set of open pairs serves the chain criterion.  The reducer
+    list is sorted once and each new remainder is inserted in place.
     """
     G = [_monic(g) for g in gens if g]
     if not G:
@@ -206,19 +205,18 @@ def _buchberger(gens: Sequence[dict], pk: Packing) -> List[dict]:
     lows = [r[1] for r in red]
 
     def entry(i: int, j: int):
-        e = pk.unpack(pk.lcm(lows[i], lows[j]))
-        return sum(e), pk.pack(e), i, j
+        return pk.pack(pk.unpack(pk.lcm(lows[i], lows[j]))), i, j
 
     heap = [entry(i, j) for j in range(len(G)) for i in range(j)]
     heapq.heapify(heap)
-    pairs = {(i, j) for _, _, i, j in heap}
+    pairs = {(i, j) for _, i, j in heap}
     reducers = sorted(red, key=itemgetter(0))
     processed = 0
     while heap:
         processed += 1
         if processed > PAIR_CAP:
             raise ResourceLimitError(f"Buchberger pair cap {PAIR_CAP} exceeded")
-        _, lcm, i, j = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
         low = lcm & mask
         # coprime criterion

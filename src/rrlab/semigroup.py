@@ -16,25 +16,26 @@ scans the integers below the conductor.  The genus of S is Selmer's sum of
 (w[r] - r) / m, and it bounds the principal-reduction index: for x = min E
 the sets E^n - n*x ascend from S inside N, each strict step adding a gap.
 
-A plane affine semigroup S is kept as one staircase per coset of the
-lattice L = Zu + Zw, u and w the least generators on the two extreme rays
-of the cone of S (Rosales and Garcia-Sanchez, *Finitely Generated
-Commutative Monoids*, 1999).  A point p has (A, B) = (det(p, w), det(u, p)),
-so p = (A*u + B*w) / d with d = det(u, w); p lies in the cone when A, B >= 0,
-its coset is (A % d, B % d) and its coordinates there are (A // d, B // d).
-S is closed under adding u and w, so in each coset c the members of S, and
-those of any ideal E, form a monomial ideal E[c] in these coordinates: p
-lies in E exactly when E[c] holds its coordinates.  S meets each of the
-[gp(S) : L] <= d cosets.  When all generators lie on one ray, w is u turned
-a quarter, B is 0 on the ray and the staircases have the one coordinate
-A // d.  Every operation is a monomial kernel.  E + F and E cap F work coset
-by coset; t^p * E moves E[c] to the coset c + p and shifts it by
-((r + A) // d, (s + B) // d), for c = (r, s) and (A, B) those of p;
-(E : F)[c] is S[c] cap the (E[c + f] : that shift of f from c) over the
-generators f of F; E * F is the sum of the t^g * F over the generators g
-of E.  The minimal generators are the staircase corners p with no p - g in
-E for a generator g of S.  Staircases are canonical, so equal ideals have
-equal ones.
+A plane affine semigroup on one ray, generated by z_1 * v, ..., z_n * v
+with gcd(z) = 1, is the numerical semigroup <z_1, ..., z_n>, its elements
+read and printed as the pairs z * v.  Any other one, S, is kept as one
+staircase per coset of the lattice L = Zu + Zw, u and w the least
+generators on the two extreme rays of the cone of S (Rosales and
+Garcia-Sanchez, *Finitely Generated Commutative Monoids*, 1999).  A point p
+has (A, B) = (det(p, w), det(u, p)), so p = (A*u + B*w) / d with
+d = det(u, w); p lies in the cone when A, B >= 0, its coset is
+(A % d, B % d) and its coordinates there are (A // d, B // d).  S is closed
+under adding u and w, so in each coset c the members of S, and those of
+any ideal E, form a monomial ideal E[c] in these coordinates: p lies in E
+exactly when E[c] holds its coordinates.  S meets each of the
+[gp(S) : L] <= d cosets.  Every operation is a monomial kernel.  E + F and
+E cap F work coset by coset; t^p * E moves E[c] to the coset c + p and
+shifts it by ((r + A) // d, (s + B) // d), for c = (r, s) and (A, B) those
+of p; (E : F)[c] is S[c] cap the (E[c + f] : that shift of f from c) over
+the generators f of F; E * F is the sum of the t^g * F over the generators
+g of E.  The minimal generators are the staircase corners p with no p - g
+in E for a generator g of S.  Staircases are canonical, so equal ideals
+have equal ones.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Exponents, Ideal, Record, RingDescriptor, exps_divides
 from .errors import PreconditionError, ZeroIdealError
@@ -58,13 +59,13 @@ Pair = Tuple[int, int]
 class NumericalSemigroup:
     """Additive submonoid of N with finite complement, by its Apery set."""
 
-    def __init__(self, gens: Sequence[int]):
+    def __init__(self, gens: Sequence[int], ray: Optional[Pair] = None):
         gens = tuple(sorted(set(gens)))
         if not gens or any(g <= 0 for g in gens):
             raise PreconditionError("generators must be positive integers")
         if gcd(*gens) != 1:
             raise PreconditionError("generators must be coprime overall")
-        self.gens = gens
+        self.gens, self.ray = gens, ray  # a one-ray ring reads z as z * ray
         m = gens[0]
         self.apery = self.span((0,))
         self.genus = sum((w - r) // m for r, w in enumerate(self.apery))
@@ -109,14 +110,16 @@ class SemigroupIdeal(Ideal, Record):
         object.__setattr__(self, "v", v)
 
     @staticmethod
-    def from_gens(S: NumericalSemigroup, gens: Iterable[int]) -> "SemigroupIdeal":
+    def from_gens(S: NumericalSemigroup, gens: Iterable) -> "SemigroupIdeal":
+        """The ideal gens + S, for gens elements of the ring (see element)."""
         gens = tuple(gens)
         if not gens:
             raise ZeroIdealError("a semigroup ideal needs at least one generator")
+        unit = SemigroupIdeal(S, S.apery)
         for g in gens:
-            if g < 0 or not S.contains(g):
+            if not unit.contains(unit.element(g)):
                 raise PreconditionError(f"generator {g} is not in the semigroup")
-        return SemigroupIdeal(S, S.span(gens))
+        return SemigroupIdeal(S, S.span(map(unit.element, gens)))
 
     @cached_property
     def gens(self) -> Tuple[int, ...]:
@@ -125,11 +128,19 @@ class SemigroupIdeal(Ideal, Record):
                             if not any(self.contains(z - g) for g in self.S.gens)))
 
     def _check(self, other: "SemigroupIdeal") -> None:
-        if self.S.gens != other.S.gens:
+        if (self.S.gens, self.S.ray) != (other.S.gens, other.S.ray):
             raise PreconditionError("ideals belong to different semigroups")
 
     def unit(self) -> "SemigroupIdeal":
         return SemigroupIdeal(self.S, self.S.apery)
+
+    def _pair(self, z: int):
+        """The ring element with exponent z: z, or z * v on a ray v."""
+        ray = self.S.ray
+        return z if ray is None else (z * ray[0], z * ray[1])
+
+    def gens_outside(self, other: "SemigroupIdeal") -> Iterator:
+        return (self._pair(g) for g in self.gens if not other.contains(g))
 
     def contains(self, z: int) -> bool:
         return z >= self.v[z % len(self.v)]
@@ -162,12 +173,20 @@ class SemigroupIdeal(Ideal, Record):
                                             for r in range(m)))
 
     def gen_powers(self, k: int) -> "SemigroupIdeal":
-        return SemigroupIdeal.from_gens(self.S, [k * g for g in self.gens])
+        return SemigroupIdeal(self.S, self.S.span(k * g for g in self.gens))
 
     def element(self, m) -> int:
-        if isinstance(m, int):
-            return m
-        raise PreconditionError("semigroup elements are integers (t-exponents)")
+        """The exponent of m: m itself, or z for a pair m = z * v on a ray v,
+        where a pair off the lattice Zv reads as -1, which no ideal holds."""
+        ray = self.S.ray
+        if ray is None:
+            if isinstance(m, int):
+                return m
+            raise PreconditionError("semigroup elements are integers (t-exponents)")
+        if not (isinstance(m, tuple) and len(m) == 2):
+            raise PreconditionError("affine elements are exponent pairs")
+        z = (m[0] + m[1]) // (ray[0] + ray[1])
+        return z if self._pair(z) == m else -1
 
     def colon(self, other: "SemigroupIdeal",
               floor: Optional["SemigroupIdeal"] = None) -> "SemigroupIdeal":
@@ -185,7 +204,8 @@ class SemigroupIdeal(Ideal, Record):
         return SemigroupIdeal(self.S, tuple(map(max, self.v, other.v)))
 
     def __str__(self):
-        return "(" + ", ".join(f"t^{g}" for g in self.gens) + ")"
+        show = "t^{}".format if self.S.ray is None else self._pair
+        return "(" + ", ".join(str(show(g)) for g in self.gens) + ")"
 
     # exact closure ---------------------------------------------------------
 
@@ -201,23 +221,40 @@ class SemigroupIdeal(Ideal, Record):
         return self.S.genus
 
 
+def _plane_gens(gens: Sequence[Pair]) -> Tuple[Pair, ...]:
+    """The distinct generators, sorted, checked to be pairs of naturals."""
+    gens = tuple(sorted(set(map(tuple, gens))))
+    if not gens or any(len(g) != 2 or g < (0, 0) or g == (0, 0) for g in gens):
+        raise PreconditionError("generators must be nonzero pairs of naturals")
+    if any(a < 0 or b < 0 for a, b in gens):
+        raise PreconditionError("generators must be non-negative")
+    return gens
+
+
+def affine_ring(gens: Sequence[Pair]):
+    """The semigroup of N^2 that gens generate: on one ray, the numerical
+    semigroup of the c / g on v = g * p, for gens c * p with p primitive and
+    g = gcd(c); else an AffineSemigroup2D."""
+    gens = _plane_gens(gens)
+    u, w = _extreme_rays(gens)
+    if u != w:
+        return AffineSemigroup2D(gens)
+    (a, b), c = gens[0], [gcd(*q) for q in gens]
+    g = gcd(*c)
+    return NumericalSemigroup([x // g for x in c], (a // c[0] * g, b // c[0] * g))
+
+
 class AffineSemigroup2D:
-    """Submonoid of N^2 generated by finitely many nonzero pairs, as one
-    staircase per coset of L = Zu + Zw (see the module docstring)."""
+    """Submonoid of N^2 generated by nonzero pairs on two rays or more, as
+    one staircase per coset of L = Zu + Zw (see the module docstring)."""
 
     def __init__(self, gens: Sequence[Pair]):
-        gens = tuple(sorted(set(map(tuple, gens))))
-        if not gens or any(len(g) != 2 or g < (0, 0) or g == (0, 0) for g in gens):
-            raise PreconditionError("generators must be nonzero pairs of naturals")
-        if any(a < 0 or b < 0 for a, b in gens):
-            raise PreconditionError("generators must be non-negative")
-        self.gens = gens
+        self.gens = gens = _plane_gens(gens)
         u, w = _extreme_rays(gens)
-        nvars = 2
-        if u == w:  # one ray: with w a quarter turn of u, B is 0 on the ray
-            w, nvars = (-u[1], u[0]), 1
+        if u == w:
+            raise PreconditionError("generators on one ray: see affine_ring")
         self._u, self._w, self._d = u, w, u[0] * w[1] - u[1] * w[0]
-        self.ring = RingDescriptor(("u", "w")[:nvars])
+        self.ring = RingDescriptor(("u", "w"))
         found = self._close([g for g in gens if g not in (u, w)])
         self.cosets = tuple(sorted(found))
         self._index = {c: i for i, c in enumerate(self.cosets)}
@@ -250,11 +287,11 @@ class AffineSemigroup2D:
     def _split(self, A: int, B: int) -> Tuple[Pair, Exponents]:
         """The coset and the staircase coordinates of (A*u + B*w) / d."""
         d = self._d
-        return (A % d, B % d), (A // d, B // d)[:self.ring.nvars]
+        return (A % d, B % d), (A // d, B // d)
 
     def _point(self, coset: Pair, k: Exponents) -> Pair:
         """The point of the coset with the staircase coordinates k."""
-        A, B = (self._d * x + r for x, r in zip(k + (0,), coset))
+        A, B = (self._d * x + r for x, r in zip(k, coset))
         (a, b), (c, e), d = self._u, self._w, self._d
         return (A * a + B * c) // d, (A * b + B * e) // d
 
@@ -266,10 +303,10 @@ class AffineSemigroup2D:
         return [(self._index[c], shift) for c, shift in moves]
 
     def _holds(self, stairs: Tuple[MonomialIdeal, ...], p: Pair) -> bool:
-        """p lies in the ideal with these staircases: in the cone (on the
-        ray, for one ray), in a coset of S and in that coset's staircase."""
+        """p lies in the ideal with these staircases: in the cone, in a coset
+        of S and in that coset's staircase."""
         A, B = self._ab(p)
-        if A < 0 or B < 0 or (B and self.ring.nvars == 1):
+        if A < 0 or B < 0:
             return False
         coset, k = self._split(A, B)
         i = self._index.get(coset)

@@ -9,7 +9,9 @@ generators there with those rrlab reports, so every reported generator must
 lie in the window.  The window reaches twice past the largest generator of
 every operand and every result, at least MIN_WINDOW; a colon needs its
 members' translates by generators of at most TOP, so the box reaches TOP
-past the window.
+past the window.  Each semigroup is built by affine_ring, so one on a
+single ray is a numerical semigroup; every point is read through the
+ideal's element, and its generators are compared as pairs.
 """
 
 import random
@@ -18,7 +20,8 @@ from itertools import product
 import pytest
 
 from rrlab.errors import PreconditionError
-from rrlab.semigroup import AffineIdeal, AffineSemigroup2D
+from rrlab.semigroup import (AffineIdeal, AffineSemigroup2D, SemigroupIdeal,
+                             affine_ring)
 
 TOP = 8  # the largest coordinate of a drawn ideal generator
 MIN_WINDOW = 24
@@ -57,6 +60,23 @@ def _min_gens(E, S_gens, window):
                         if not any((z[0] - x, z[1] - y) in E for x, y in S_gens)))
 
 
+def _ideal_type(S):
+    return AffineIdeal if isinstance(S, AffineSemigroup2D) else SemigroupIdeal
+
+
+def _pairs(I):
+    """I's minimal generators as pairs: a one-ray ideal keeps the
+    multiples z of its ray vector."""
+    if isinstance(I, AffineIdeal):
+        return I.gens
+    a, b = I.S.ray
+    return tuple((z * a, z * b) for z in I.gens)
+
+
+def _holds(I, p):
+    return I.contains(I.element(p))
+
+
 def _random_semigroup(rng):
     """2-4 nonzero generators with entries <= 4; one case in four on a
     single ray."""
@@ -83,21 +103,22 @@ def test_ideal_operations_match_the_set_definitions(seed):
     rng = random.Random(seed)
     for _ in range(6):
         S_gens = _random_semigroup(rng)
-        S = AffineSemigroup2D(S_gens)
+        S = affine_ring(S_gens)
         small = _sums(S_gens, TOP)
         a_gens, b_gens = _draw(rng, small), _draw(rng, small)
         p = rng.choice(sorted(small))
-        A, B = AffineIdeal.from_gens(S, a_gens), AffineIdeal.from_gens(S, b_gens)
+        A, B = (_ideal_type(S).from_gens(S, gens) for gens in (a_gens, b_gens))
         got = {"A": A, "B": B, "sum": A + B, "product": A * B,
-               "intersect": A.intersect(B), "times": A.times(p),
+               "intersect": A.intersect(B), "times": A.times(A.element(p)),
                "A:B": A.colon(B), "B:A": B.colon(A)}
 
         window = max([MIN_WINDOW] + [2 * max(g) for I in got.values()
-                                     for g in I.gens])
+                                     for g in _pairs(I)])
         box = window + TOP
         S_set = _sums(S_gens, box)
         points = list(product(range(window + 1), repeat=2))
-        assert {z for z in points if S.contains(z)} == _window(S_set, window)
+        assert ({z for z in points if _holds(A.unit(), z)}
+                == _window(S_set, window))
 
         A_set, B_set = _ideal_set(S_set, a_gens, box), _ideal_set(S_set, b_gens, box)
         A_min, B_min = _min_gens(A_set, S_gens, TOP), _min_gens(B_set, S_gens, TOP)
@@ -116,11 +137,11 @@ def test_ideal_operations_match_the_set_definitions(seed):
         seen = {name: _window(E, window) for name, E in expected.items()}
         for name, ideal in got.items():
             what = (S_gens, a_gens, b_gens, name)
-            assert {z for z in points if ideal.contains(z)} == seen[name], what
-            assert ideal.gens == _min_gens(expected[name], S_gens, window), what
+            assert {z for z in points if _holds(ideal, z)} == seen[name], what
+            assert _pairs(ideal) == _min_gens(expected[name], S_gens, window), what
 
-        # equals and contains_ideal read the staircases; every generator
-        # lies in the window, so the window decides both
+        # equals and contains_ideal read the staircases or residue
+        # vectors; every generator lies in the window, so it decides both
         for X, Y in product(got, repeat=2):
             assert got[X].contains_ideal(got[Y]) == (seen[Y] <= seen[X]), (S_gens, X, Y)
             assert got[X].equals(got[Y]) == (seen[X] == seen[Y]), (S_gens, X, Y)

@@ -188,7 +188,10 @@ def test_handler_table_matches_the_signatures():
     ("affine A = <(1,0), (0,2), (0,7), (2,5), (3,1)>;", "((1,0), (0,2))",
      "(1,5)"),
     ("affine A = <(1,0), (1,1)>;", "((1,0), (1,1))", "(0,3)"),
-], ids=["gap-7", "gap-6", "affine-X*Y^5", "affine-off-cone"])
+    ("affine A = <(0,2), (0,3)>;", "((0,2), (0,3))", "(1,2)"),
+    ("affine A = <(0,2), (0,4)>;", "((0,2))", "(0,3)"),
+], ids=["gap-7", "gap-6", "affine-X*Y^5", "affine-off-cone",
+        "one-ray-off-ray", "one-ray-off-lattice"])
 def test_membership_probes_refuse_elements_outside_the_ring(
         tmp_path, capsys, ring, ideal, element):
     """A gap of the semigroup, or a point above its cone, is no ring
@@ -201,6 +204,33 @@ def test_membership_probes_refuse_elements_outside_the_ring(
         path = _write(tmp_path, text + f"{probe};\n")
         assert main(["compute", path]) == EXIT_USAGE
         assert capsys.readouterr().err == "rrlab: element is not in the ring\n"
+
+
+@pytest.mark.parametrize("generator, shown", [("(1,2)", "(1, 2)"),
+                                              ("(0,1)", "(0, 1)")],
+                         ids=["off-ray", "gap"])
+def test_one_ray_generator_outside_the_ring_is_named(tmp_path, capsys,
+                                                     generator, shown):
+    path = _write(tmp_path, f"affine A = <(0,2), (0,3)>;\n"
+                            f"ideal I = ({generator});\n")
+    assert main(["compute", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"rrlab: generator {shown} is not in the semigroup\n")
+
+
+@pytest.mark.parametrize("first", ["affine A = <(0,2), (0,3)>;\n"
+                                   "ideal I = ((0,2));",
+                                   "semiring S = <2, 3>;\nideal I = (t^2);"],
+                         ids=["other-ray", "t-exponents"])
+def test_one_ray_ideals_of_different_rings_do_not_combine(tmp_path, capsys,
+                                                          first):
+    """<(0,2),(0,3)>, <(2,0),(3,0)> and <2,3> are all the numerical
+    semigroup <2,3>, read on different rays or as t-exponents."""
+    path = _write(tmp_path, f"{first}\naffine B = <(2,0), (3,0)>;\n"
+                            "ideal J = ((2,0));\nsum I J;\n")
+    assert main(["compute", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "rrlab: ideals belong to different semigroups\n")
 
 
 @pytest.mark.parametrize("command", ["rr_membership (0) I",

@@ -5,8 +5,9 @@ and must print exactly the `.txt` and `.json` file recorded beside it.
 Together the programs run every command of the language, over monomial
 and polynomial ideals in QQ[X,Y], a prime field, a quotient ring, mixed
 monomial and polynomial operands, a numerical semigroup and affine
-semigroups, one of them on a single ray, with per-command overrides of the
-chain settings.
+semigroups, some on a single ray (numerical semigroups read in pairs, one
+of them on a ray vector that is not primitive), with per-command
+overrides of the chain settings.
 """
 
 import pathlib

@@ -6,6 +6,7 @@ against their defining properties.
 """
 
 import random
+import time
 
 import pytest
 
@@ -248,3 +249,28 @@ def test_width_elimination_grows_past_inputs(field):
     assert XA.colon(X).equals(A)
     assert _basis(XA.colon(X)) == {parse_polynomial(R, "X - Z^225"),
                                    parse_polynomial(R, "Y - Z^15")}
+
+
+# -- pair order under lex -----------------------------------------------------
+#
+# Pairs taken by least total degree let QQ coefficients explode on this
+# lex intersection: it ran past 40 s in either order.  In term order each
+# order takes a few hundredths of a second.
+
+LEX_A = ("3*X^2*Y + 3*X^3", "2*X*Y^2 - 2*Y + X*Y")
+LEX_B = ("-3*X^3", "2*Y^3 + 2 + 2*Y")
+LEX_A_CAP_B = [
+    "Y^6 + 1/2*Y^5 + 2*Y^4 + 3/2*Y^3 + 3/2*Y^2 + Y",
+    "X*Y^4 + X*Y^2 + X*Y + Y^5 + Y^3 + Y^2",
+    "X^3 - 4/17*Y^5 - 12/17*Y^4 - 4/17*Y^3 - 16/17*Y^2 - 12/17*Y",
+]
+
+
+@pytest.mark.parametrize("first, second", [(LEX_A, LEX_B), (LEX_B, LEX_A)],
+                         ids=["A-cap-B", "B-cap-A"])
+def test_lex_intersection_over_qq_in_term_order(first, second):
+    R = _lex_ring(QQ, ("X", "Y"))
+    start = time.perf_counter()
+    C = _handle(R, *first).intersect(_handle(R, *second))
+    assert [str(g) for g in C.groebner_basis().polynomials] == LEX_A_CAP_B
+    assert time.perf_counter() - start < 5.0

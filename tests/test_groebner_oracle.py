@@ -184,3 +184,21 @@ def test_colon_matches_sympy(problem):
     ours = _handle(ring, A).colon(_handle(ring, B))
     theirs = _sympy_colon(_exprs(A, xs), _exprs(B, xs), problem)
     assert _rrlab_reduced(ours, problem) == _sympy_reduced(theirs, problem)
+
+
+
+def test_lex_intersection_regression_matches_sympy():
+    """The lex intersection pinned in tests/test_groebner.py, whose QQ
+    coefficients once exploded, in both orders: its reduced basis is
+    sympy's."""
+    problem = {"nvars": 2, "characteristic": 0, "kind": "lex",
+               "priority": (0, 1)}
+    A = [{(3, 0): 3, (2, 1): 3}, {(1, 2): 2, (1, 1): 1, (0, 1): -2}]
+    B = [{(3, 0): -3}, {(0, 3): 2, (0, 1): 2, (0, 0): 2}]
+    ring, xs = _ring(problem), _symbols(problem)
+    theirs = _sympy_reduced(
+        _sympy_intersect(_exprs(A, xs), _exprs(B, xs), problem), problem)
+    assert len(theirs) == 3
+    for first, second in ((A, B), (B, A)):
+        ours = _handle(ring, first).intersect(_handle(ring, second))
+        assert _rrlab_reduced(ours, problem) == theirs

@@ -11,7 +11,7 @@ from rrlab.errors import PreconditionError, ZeroIdealError
 from rrlab.ratliff_rush import (rr_closure, rr_membership_probe,
                                 rr_membership_probe_via_reduction, rr_power)
 from rrlab.semigroup import (AffineIdeal, AffineSemigroup2D,
-                             NumericalSemigroup, SemigroupIdeal)
+                             NumericalSemigroup, SemigroupIdeal, affine_ring)
 
 
 def test_numerical_semigroup_basics():
@@ -161,13 +161,13 @@ def test_affine_membership_deep_queries():
     assert S.contains((3000, 3000))
 
 
-def _reachable(S, box):
-    """Every sum of S's generators with both coordinates at most box."""
+def _reachable(gens, box):
+    """Every sum of the generators with both coordinates at most box."""
     reach = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:
         p = frontier.pop()
-        for g in S.gens:
+        for g in gens:
             q = (p[0] + g[0], p[1] + g[1])
             if q[0] <= box and q[1] <= box and q not in reach:
                 reach.add(q)
@@ -175,15 +175,24 @@ def _reachable(S, box):
     return reach
 
 
+def _ring_membership(gens):
+    """Membership in the ring affine_ring(gens), read through its unit
+    ideal: on one ray the ring is a numerical semigroup read in pairs."""
+    S = affine_ring(gens)
+    ideal = AffineIdeal if isinstance(S, AffineSemigroup2D) else SemigroupIdeal
+    unit = ideal.from_gens(S, [(0, 0)])
+    return lambda p: unit.contains(unit.element(p))
+
+
 def test_affine_membership_on_a_proper_sublattice():
     # The generators span a proper subgroup of Z^2 (index 3, index 2, rank 1).
     # Points off it are rejected without search; all answers must still match
     # brute force.
     for gens in ([(1, 1), (2, 5), (0, 3)], [(1, 0), (0, 2)], [(2, 4), (3, 6)]):
-        S = AffineSemigroup2D(gens)
-        reach = _reachable(S, 20)
+        contains = _ring_membership(gens)
+        reach = _reachable(gens, 20)
         for p in product(range(21), repeat=2):
-            assert S.contains(p) == (p in reach)
+            assert contains(p) == (p in reach)
 
 
 def test_affine_membership_outside_the_cone():
@@ -200,10 +209,28 @@ def test_affine_membership_in_narrow_cones():
     for gens in ([(1, 0), (1, 2), (1, 3)], [(3, 1), (1, 1), (2, 5)],
                  [(2, 1), (1, 3)], [(0, 1), (2, 1)], [(1, 1), (2, 2)],
                  [(0, 2), (0, 3)], [(4, 1), (5, 1), (1, 0)]):
-        S = AffineSemigroup2D(gens)
-        reach = _reachable(S, 20)
+        contains = _ring_membership(gens)
+        reach = _reachable(gens, 20)
         for p in product(range(21), repeat=2):
-            assert S.contains(p) == (p in reach), (gens, p)
+            assert contains(p) == (p in reach), (gens, p)
+
+
+def test_plane_semigroup_refuses_generators_on_one_ray():
+    for gens in ([(1, 1), (2, 2)], [(0, 2), (0, 3)], [(3, 0)], [(2, 4), (3, 6)]):
+        with pytest.raises(PreconditionError, match="one ray"):
+            AffineSemigroup2D(gens)
+
+
+def test_one_ray_ring_is_a_numerical_semigroup_on_its_ray():
+    # v is the largest point of the ray that divides every generator
+    for gens, multiples, ray in [([(0, 9), (0, 13)], (9, 13), (0, 1)),
+                                 ([(0, 2), (0, 4)], (1, 2), (0, 2)),
+                                 ([(4, 6), (6, 9)], (2, 3), (2, 3)),
+                                 ([(4, 8), (6, 12)], (2, 3), (2, 4))]:
+        S = affine_ring(gens)
+        assert isinstance(S, NumericalSemigroup)
+        assert (S.gens, S.ray) == (multiples, ray)
+    assert isinstance(affine_ring([(1, 0), (1, 1)]), AffineSemigroup2D)
 
 
 def test_membership_probes_refuse_gaps():
