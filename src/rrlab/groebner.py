@@ -33,12 +33,22 @@ depend on the scaling of the reducers, and no step divides.
 either.  So a raw basis of monic elements is the classic one with each
 element scaled by a nonzero constant: the pair criteria read only leading
 monomials, and the reduced basis, which is unique, is the same.
+
+Coefficients.  Inside one engine call a QQ coefficient is a native ``int``
+while it is integral, and a ``Fraction`` only when it is not: ``_pack``
+turns an integral ``Fraction`` into its numerator, and every division goes
+through ``_quo``, which divides two ints as a ``Fraction`` and gives an int
+back when the quotient is integral.  Sums and products of ints and
+``Fraction``s stay exact.  ``_unpack`` turns the ints back into
+``Fraction``s, so no ``Polynomial`` ever holds one.  F_p residues pass
+through unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
+from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,7 +59,7 @@ from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
 
-PAIR_CAP = 200_000  # S-pairs one Buchberger run may process
+PAIR_CAP = 200_000  # S-pairs one Buchberger run reduces, after the criteria
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +70,27 @@ class _Overflow(Exception):
     """A packed product reached a guard bit; the call reruns wider."""
 
 
+def _int(c):
+    """c, or its numerator when c is an integral Fraction."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _quo(c, d):
+    """c / d, exact: two ints divide as a Fraction, and an integral QQ
+    quotient is an int."""
+    return _int(Fraction(c, d) if type(c) is int and type(d) is int else c / d)
+
+
 def _pack(pk: Packing, terms: dict) -> dict:
     """The packed polynomial, its terms in descending order."""
-    packed = [(pk.pack(e), c) for e, c in terms.items()]
+    packed = [(pk.pack(e), _int(c)) for e, c in terms.items()]
     packed.sort(key=itemgetter(0), reverse=True)
     return dict(packed)
 
 
 def _unpack(pk: Packing, packed: dict) -> dict:
-    return {pk.unpack(m): c for m, c in packed.items()}
+    return {pk.unpack(m): Fraction(c) if type(c) is int else c
+            for m, c in packed.items()}
 
 
 def _width(polys: Iterable[dict]) -> int:
@@ -96,10 +118,12 @@ def _packed(order: MonomialOrder, nvars: int, polys: Sequence[dict],
 
 
 def _monic(g: dict) -> dict:
-    """g divided by its leading coefficient; g's terms are in descending
-    order."""
+    """g divided by its leading coefficient, g itself when that is 1; g's
+    terms are in descending order."""
     lc = next(iter(g.values()))
-    return {m: c / lc for m, c in g.items()}
+    if lc == 1:
+        return g
+    return {m: _quo(c, lc) for m, c in g.items()}
 
 
 def _reducer(g: dict, pk: Packing) -> tuple:
@@ -191,61 +215,69 @@ def _buchberger(gens: Sequence[dict], pk: Packing) -> List[dict]:
     """Raw (unreduced) Groebner basis of the packed gens, each element
     monic and in descending order.
 
+    Elements join the basis one at a time, the inputs first, ascending by
+    leading term, through the Gebauer-Moeller update.  When h joins, an
+    open pair (i, j) is dropped when lt(h) divides its lcm and that lcm is
+    neither lcm(i, h) nor lcm(j, h) (criterion B_k).  Of the new pairs (k, h)
+    with k still active, only those whose lcm no other new lcm properly
+    divides are kept (criterion M), one per lcm (criterion F), and none
+    whose lcm is that of a coprime pair.  The active elements whose leading
+    term lt(h) divides make no further pairs.
+
     Pairs follow the normal strategy: the pair whose lcm of leading terms is
     least in the term order goes first, ties broken by the index pair (i, j).
-    Each pair's sort entry is computed once, when the pair is made, and kept
-    on a heap; the set of open pairs serves the chain criterion.  The reducer
-    list is sorted once and each new remainder is inserted in place.
+    Each surviving pair's sort entry is computed once and kept on a heap; the
+    dict of open pairs is the truth, and an entry whose pair was dropped is
+    skipped when it pops.  The reducer list is kept sorted by leading term.
     """
-    G = [_monic(g) for g in gens if g]
-    if not G:
-        return []
     guards, mask = pk.guards, pk.mask
-    red = [_reducer(g, pk) for g in G]
-    lows = [r[1] for r in red]
+    G: List[dict] = []
+    red: List[tuple] = []
+    lows: List[int] = []
+    reducers: List[tuple] = []
+    active: List[int] = []
+    pairs: Dict[Tuple[int, int], int] = {}
+    heap: List[tuple] = []
 
-    def entry(i: int, j: int):
-        return pk.pack(pk.unpack(pk.lcm(lows[i], lows[j]))), i, j
+    def add(h: dict) -> None:
+        r = _reducer(h, pk)
+        lh, new = r[1], len(G)
+        for (i, j), lcm in list(pairs.items()):
+            low = lcm & mask
+            if ((low | guards) - lh) & guards == guards \
+                    and pk.lcm(lows[i], lh) != low and pk.lcm(lows[j], lh) != low:
+                del pairs[i, j]
+        by_lcm: Dict[int, List[int]] = {}
+        for k in active:
+            by_lcm.setdefault(pk.lcm(lows[k], lh), []).append(k)
+        for low in pk.minimal(by_lcm):
+            ks = by_lcm[low]
+            if any(low == lows[k] + lh for k in ks):
+                continue
+            lcm = pk.pack(pk.unpack(low))
+            pairs[ks[0], new] = lcm
+            heapq.heappush(heap, (lcm, ks[0], new))
+        active[:] = [k for k in active
+                     if ((lows[k] | guards) - lh) & guards != guards]
+        active.append(new)
+        G.append(h)
+        red.append(r)
+        lows.append(lh)
+        insort(reducers, r, key=itemgetter(0))
 
-    heap = [entry(i, j) for j in range(len(G)) for i in range(j)]
-    heapq.heapify(heap)
-    pairs = {(i, j) for _, i, j in heap}
-    reducers = sorted(red, key=itemgetter(0))
+    for g in sorted((_monic(g) for g in gens if g), key=lambda g: next(iter(g))):
+        add(g)
     processed = 0
     while heap:
+        lcm, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue
         processed += 1
         if processed > PAIR_CAP:
             raise ResourceLimitError(f"Buchberger pair cap {PAIR_CAP} exceeded")
-        lcm, i, j = heapq.heappop(heap)
-        pairs.discard((i, j))
-        low = lcm & mask
-        # coprime criterion
-        if low == lows[i] + lows[j]:
-            continue
-        # chain criterion: some k with lt_k | lcm and both other pairs done
-        lg = low | guards
-        skip = False
-        for k, lk in enumerate(lows):
-            if (lg - lk) & guards != guards or k == i or k == j:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
         r = _normal_form(_spoly(red[i], red[j], lcm, guards), reducers, pk)
         if r:
-            r = _monic(r)
-            G.append(r)
-            red.append(_reducer(r, pk))
-            lows.append(red[-1][1])
-            insort(reducers, red[-1], key=itemgetter(0))
-            new = len(G) - 1
-            for k in range(new):
-                heapq.heappush(heap, entry(k, new))
-            pairs.update((k, new) for k in range(new))
+            add(_monic(r))
     return G
 
 
@@ -526,5 +558,5 @@ def _exact_divide(f: Polynomial, b: Polynomial) -> Polynomial:
         if _normal_form(_pack(pk, f.terms), [_reducer(_monic(g), pk)], pk, quot):
             raise PreconditionError("exact division failed: not a multiple")
         lc = next(iter(g.values()))
-        return _unpack(pk, {s: c / lc for s, c in quot.items()})
+        return _unpack(pk, {s: _quo(c, lc) for s, c in quot.items()})
     return Polynomial(ring, _packed(ring.order, ring.nvars, [f.terms, b.terms], run))

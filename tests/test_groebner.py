@@ -7,6 +7,7 @@ against their defining properties.
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -274,3 +275,28 @@ def test_lex_intersection_over_qq_in_term_order(first, second):
     C = _handle(R, *first).intersect(_handle(R, *second))
     assert [str(g) for g in C.groebner_basis().polynomials] == LEX_A_CAP_B
     assert time.perf_counter() - start < 5.0
+
+
+# -- coefficients -------------------------------------------------------------
+#
+# Inside an engine call integral QQ coefficients are ints; every value the
+# engine hands back is a Fraction again, the integral ones included.
+
+def test_qq_results_hold_fractions_only():
+    R = _ring()
+    H = _handle(R, "2*X - Y", "3*Y^2 - X")
+    basis = H.groebner_basis().polynomials
+    assert [str(g) for g in basis] == ["X - 1/2*Y", "Y^2 - 1/6*Y"]
+    lex = H.groebner_basis(MonomialOrder("lex", (1, 0))).polynomials
+    assert [g.terms for g in lex] == [
+        {(2, 0): 1, (1, 0): Fraction(-1, 12)}, {(0, 1): 1, (1, 0): -2}]
+    nf = H.groebner_basis().normal_form(parse_polynomial(R, "2*X"))
+    assert nf.terms == {(0, 1): 1}
+    colon = H.colon_element(parse_polynomial(R, "Y"))
+    assert [str(g) for g in colon.gens] == ["Y - 1/6", "X - 1/12"]
+    cap = H.intersect(_handle(R, "X"))
+    assert [str(g) for g in cap.gens] == ["X*Y - 1/6*X", "X^2 - 1/12*X"]
+    coefficients = [c for f in (*basis, *lex, nf, *colon.gens, *cap.gens)
+                    for c in f.terms.values()]
+    assert {type(c) for c in coefficients} == {Fraction}
+    assert Fraction(1) in coefficients and Fraction(-2) in coefficients

@@ -202,3 +202,52 @@ def test_lex_intersection_regression_matches_sympy():
     for first, second in ((A, B), (B, A)):
         ours = _handle(ring, first).intersect(_handle(ring, second))
         assert _rrlab_reduced(ours, problem) == theirs
+
+
+# Fixed systems large enough for every pair criterion of the Gebauer-Moeller
+# update, which the random draws above are too small to reach.  On all of
+# them criteria M and F drop most new pairs.  Criterion B_k drops open pairs
+# and new leading terms prune the pairing elements on katsura-3 in lex,
+# cyclic-4 in lex and cyclic-5 in grevlex (over QQ and F_7); in grevlex,
+# cyclic-4 and the cubed prime reach neither.
+CYCLIC4 = ["x0 + x1 + x2 + x3", "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+           "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1", "x0*x1*x2*x3 - 1"]
+CYCLIC5 = ["x0 + x1 + x2 + x3 + x4",
+           "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0",
+           "x0*x1*x2 + x1*x2*x3 + x2*x3*x4 + x3*x4*x0 + x4*x0*x1",
+           "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1"
+           " + x4*x0*x1*x2",
+           "x0*x1*x2*x3*x4 - 1"]
+KATSURA3 = ["x0 + 2*x1 + 2*x2 + 2*x3 - 1",
+            "x0**2 + 2*x1**2 + 2*x2**2 + 2*x3**2 - x0",
+            "2*x0*x1 + 2*x1*x2 + 2*x2*x3 - x1",
+            "x1**2 + 2*x0*x2 + 2*x1*x3 - x2"]
+# EX-3.5's height-two prime (X^3 - Y*Z, Y^2 - X*Z, Z^2 - X^2*Y), cubed
+PRIME = ["x0**3 - x1*x2", "x1**2 - x0*x2", "x2**2 - x0**2*x1"]
+PRIME_CUBED = [f"({a})*({b})*({c})"
+               for i, a in enumerate(PRIME) for j, b in enumerate(PRIME[i:], i)
+               for c in PRIME[j:]]
+
+
+def _system(texts, nvars, characteristic, kind):
+    """A problem in the form of _problems from sympy-syntax generators."""
+    xs = sympy.symbols(f"x0:{nvars}")
+    gens = [{e: int(c) for e, c in sympy.Poly(sympy.sympify(t), *xs).terms()}
+            for t in texts]
+    return {"nvars": nvars, "characteristic": characteristic, "kind": kind,
+            "priority": tuple(range(nvars)), "gens": gens}
+
+
+@pytest.mark.parametrize("texts, nvars, characteristic, kind", [
+    (CYCLIC4, 4, 0, "grevlex"),
+    (CYCLIC4, 4, MODULUS, "grevlex"),
+    (CYCLIC4, 4, 0, "lex"),
+    (CYCLIC5, 5, 0, "grevlex"),
+    (CYCLIC5, 5, MODULUS, "grevlex"),
+    (KATSURA3, 4, 0, "lex"),
+    (PRIME_CUBED, 3, 0, "grevlex"),
+], ids=["cyclic4-QQ", "cyclic4-F7", "cyclic4-lex", "cyclic5-QQ", "cyclic5-F7",
+        "katsura3-lex", "ex35-prime-cubed"])
+def test_fixed_system_matches_sympy(texts, nvars, characteristic, kind):
+    problem = _system(texts, nvars, characteristic, kind)
+    assert _rrlab_basis(problem) == _sympy_basis(problem)
