@@ -31,16 +31,19 @@ class Record:
     exponent-set ideals, tokens and statements, configs, verdicts, reports
     and corpus cases.
 
+    - Fields: ``_fields`` names them in repr order.  Subclasses write no
+      ``__init__``: arguments bind to the fields in order, ``_keyword`` ones
+      only by keyword, and a field not given takes its ``_defaults`` value;
+      an unknown, repeated or missing field, or too many positional
+      arguments, raise TypeError.  Then ``_validate()`` raises unless the
+      fields make a valid value; here it does nothing.
     - Frozen: assigning or deleting any attribute raises AttributeError.
-    - Fields: ``_fields`` names them in repr order.  Each subclass sets
-      them in its own ``__init__`` with ``object.__setattr__``, and runs
-      its checks there.
     - Equal when of the same class with equal compared fields, all of
       ``_fields`` but ``_uncompared``; otherwise ``==`` returns
       NotImplemented.  The hash reads the same fields.
     - repr in the dataclass form ``Name(f=v, ...)``, over all the fields.
     - ``replace(**changes)`` builds the changed copy through ``__init__``,
-      so the checks run again.
+      so ``_validate`` runs again.
     - ``to_dict()`` is the JSON shape: the class's ``_tag`` pair, when it
       has one (``("verdict", "holds")``), then every field by name.  A
       field named in ``_as_text`` is given as its str, unless it is None.
@@ -53,6 +56,8 @@ class Record:
     """
 
     _fields: Tuple[str, ...] = ()
+    _keyword: Tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
     _uncompared: Tuple[str, ...] = ()
     _tag: Optional[Tuple[str, str]] = None
     _as_text: Tuple[str, ...] = ()
@@ -62,6 +67,34 @@ class Record:
         if "_fields" in cls.__dict__:
             cls._values = attrgetter(
                 *[f for f in cls._fields if f not in cls._uncompared])
+        cls._arity = None if cls._keyword else len(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != self._arity:  # not one argument per field
+            args = self._bind(args, kwargs)
+        # not through self.__dict__: reading it gives the instance a dict of
+        # its own, and makes every later read of a field slower
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        positional = [f for f in cls._fields if f not in cls._keyword]
+        if len(args) > len(positional):
+            raise TypeError(f"{cls.__qualname__}: too many positional arguments")
+        given = dict(zip(positional, args))
+        for f in kwargs:
+            if f not in cls._fields or f in given:
+                raise TypeError(f"{cls.__qualname__}: unknown or repeated field {f!r}")
+        values = {**cls._defaults, **given, **kwargs}
+        if len(values) < len(cls._fields):
+            missing = [f for f in cls._fields if f not in values]
+            raise TypeError(f"{cls.__qualname__}: missing fields {missing}")
+        return [values[f] for f in cls._fields]
+
+    def _validate(self) -> None:
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -103,10 +136,6 @@ class Record:
 class PrimeFieldElement(Record):
     _fields = ("residue", "modulus")
 
-    def __init__(self, residue: int, modulus: int):
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "modulus", modulus)
-
     def _check(self, other: "PrimeFieldElement") -> None:
         if self.modulus != other.modulus:
             raise RingMismatchError("prime field moduli differ")
@@ -143,26 +172,50 @@ class PrimeFieldElement(Record):
 FieldScalar = Union[Fraction, PrimeFieldElement]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_TEST_BOUND (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n < PRIME_TEST_BOUND."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class Field(Record):
-    """Coefficient field: the rationals (p == 0) or F_p for prime p."""
+    """Coefficient field: the rationals (p == 0, the default) or F_p for a
+    prime p below PRIME_TEST_BOUND."""
 
     _fields = ("characteristic",)
+    _defaults = {"characteristic": 0}
 
-    def __init__(self, characteristic: int = 0):
-        if characteristic and not _is_prime(characteristic):
-            raise PreconditionError(f"{characteristic} is not prime")
-        object.__setattr__(self, "characteristic", characteristic)
+    def _validate(self):
+        p = self.characteristic
+        if p >= PRIME_TEST_BOUND:
+            raise PreconditionError(f"characteristic {p} is too large: the "
+                                    f"primality test is exact below {PRIME_TEST_BOUND}")
+        if p and not _is_prime(p):
+            raise PreconditionError(f"{p} is not prime")
 
     @property
     def is_rational(self) -> bool:
@@ -201,13 +254,11 @@ class MonomialOrder(Record):
     """
 
     _fields = ("kind", "priority")
+    _defaults = {"kind": "grevlex", "priority": None}
 
-    def __init__(self, kind: str = "grevlex",
-                 priority: Optional[Tuple[int, ...]] = None):
-        if kind not in ORDER_KINDS:
-            raise PreconditionError(f"unknown order kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "priority", priority)
+    def _validate(self):
+        if self.kind not in ORDER_KINDS:
+            raise PreconditionError(f"unknown order kind {self.kind!r}")
 
     def resolved_priority(self, nvars: int) -> Tuple[int, ...]:
         if self.priority is None:
@@ -469,13 +520,11 @@ class Packing:
 class Monomial(Record):
     _fields = ("ring", "exps")
 
-    def __init__(self, ring: RingDescriptor, exps: Exponents):
-        if len(exps) != ring.nvars:
+    def _validate(self):
+        if len(self.exps) != self.ring.nvars:
             raise PreconditionError("exponent vector length != number of variables")
-        if any(e < 0 for e in exps):
+        if any(e < 0 for e in self.exps):
             raise PreconditionError("negative exponent")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "exps", exps)
 
     def as_polynomial(self) -> "Polynomial":
         return Polynomial(self.ring, {self.exps: self.ring.field.one()})

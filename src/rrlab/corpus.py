@@ -13,7 +13,7 @@ from __future__ import annotations
 import fnmatch
 import random
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import Record, RingDescriptor, exps_mul
 from .errors import InputError, ResourceLimitError
@@ -65,13 +65,6 @@ class _Recorder:
 
 class CorpusCase(Record):
     _fields = ("id", "note", "config", "fn")
-
-    def __init__(self, id: str, note: str, config: ClosureConfig,
-                 fn: Callable):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "fn", fn)
 
 
 _CASES: Dict[str, CorpusCase] = {}

@@ -92,10 +92,6 @@ def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
 class MonomialIdeal(Ideal, Record):
     _fields = ("ring", "gens")
 
-    def __init__(self, ring: RingDescriptor, gens: Tuple[Exponents, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", gens)
-
     @staticmethod
     def from_gens(ring: RingDescriptor, gens: Iterable[Exponents]) -> "MonomialIdeal":
         gens = tuple(gens)

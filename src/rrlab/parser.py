@@ -28,15 +28,15 @@ from .ratliff_rush import ClosureConfig
 
 SYMBOLS = set(";=[](){}<>/^*+-,")
 
+# parentheses and unary minus signs open at once within a polynomial; each
+# costs a few frames of recursion in the parser and in eval_poly
+MAX_NESTING = 50
+
 
 class Token(Record):
-    _fields = ("kind", "value", "line", "col")
+    """kind is 'ident', 'int', 'sym' or 'eof'."""
 
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)  # 'ident' | 'int' | 'sym' | 'eof'
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
+    _fields = ("kind", "value", "line", "col")
 
 
 def tokenize(text: str) -> List[Token]:
@@ -89,80 +89,47 @@ def tokenize(text: str) -> List[Token]:
 # ---------------------------------------------------------------------------
 # AST
 
-PolyAST = tuple  # ('+',a,b) ('-',a,b) ('*',a,b) ('^',a,int) ('neg',a) ('int',n) ('var',name)
+# ('+', ((sign, term), ...)) with sign '+' or '-', ('*', (factor, ...)),
+# ('^', a, int), ('neg', a), ('int', n), ('var', name): a chain of terms or
+# factors is one node, so the tree is as deep as the nesting, not the chain.
+PolyAST = tuple
 
 
 class _Statement(Record):
-    """A statement's source position, the keyword-only ``line`` and
-    ``col`` (default 0), first in the repr and left out of comparisons."""
+    """A statement: its position, ``line`` and ``col``, binds by keyword
+    only (default 0), comes first in the repr and is left out of ``==``."""
 
+    _keyword = ("line", "col")
+    _defaults = {"line": 0, "col": 0}
     _uncompared = ("line", "col")
-
-    def _at(self, line: int, col: int) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
 
 
 class RingDecl(_Statement):
-    _fields = ("line", "col", "name", "field_char", "variables", "quotient")
+    """field_char is 0 for the rationals."""
 
-    def __init__(self, name: str, field_char: int, variables: Tuple[str, ...],
-                 quotient: Tuple[PolyAST, ...], *, line: int = 0, col: int = 0):
-        self._at(line, col)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "field_char", field_char)  # 0 for the rationals
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "quotient", quotient)
+    _fields = ("line", "col", "name", "field_char", "variables", "quotient")
 
 
 class SemiringDecl(_Statement):
     _fields = ("line", "col", "name", "gens")
 
-    def __init__(self, name: str, gens: Tuple[int, ...], *,
-                 line: int = 0, col: int = 0):
-        self._at(line, col)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "gens", gens)
-
 
 class AffineDecl(_Statement):
     _fields = ("line", "col", "name", "gens")
-
-    def __init__(self, name: str, gens: Tuple[Tuple[int, int], ...], *,
-                 line: int = 0, col: int = 0):
-        self._at(line, col)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "gens", gens)
 
 
 class IdealDecl(_Statement):
     _fields = ("line", "col", "name", "gens")
 
-    def __init__(self, name: str, gens: Tuple[PolyAST, ...], *,
-                 line: int = 0, col: int = 0):
-        self._at(line, col)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "gens", gens)
-
 
 class Command(_Statement):
-    _fields = ("line", "col", "name", "args", "overrides")
+    """args are (kind, value) pairs of kind 'int', 'ident', 'poly' or 'pair'."""
 
-    def __init__(self, name: str, args: Tuple[Tuple[str, object], ...],
-                 overrides: Tuple[Tuple[str, int], ...], *,
-                 line: int = 0, col: int = 0):
-        self._at(line, col)
-        object.__setattr__(self, "name", name)
-        # (kind, value); kind in int/ident/poly
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "overrides", overrides)
+    _fields = ("line", "col", "name", "args", "overrides")
 
 
 class InputProgram(Record):
     _fields = ("statements",)
-
-    def __init__(self, statements: Tuple[object, ...]):
-        object.__setattr__(self, "statements", statements)
 
 
 # command name -> expected argument kinds ('ideal' = declared ideal name,
@@ -203,6 +170,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # parentheses and unary minus signs open
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -229,23 +197,35 @@ class _Parser:
 
     # -- polynomials --------------------------------------------------------
 
+    def nest(self, t: Token) -> None:
+        """Open one more parenthesis or unary minus sign, at t."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntacticError(
+                f"parentheses and unary minus signs nest deeper than {MAX_NESTING}",
+                t.line, t.col)
+
     def poly(self) -> PolyAST:
-        node = self.term()
+        terms = [("+", self.term())]
         while True:
-            if self.accept("sym", "+"):
-                node = ("+", node, self.term())
-            elif self.accept("sym", "-"):
-                node = ("-", node, self.term())
-            else:
-                return node
+            t = self.peek()
+            if t.kind != "sym" or t.value not in ("+", "-"):
+                break
+            self.next()
+            terms.append((t.value, self.term()))
+        return ("+", tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def term(self) -> PolyAST:
+        t = self.peek()
         if self.accept("sym", "-"):
-            return ("neg", self.term())
-        node = self.factor()
+            self.nest(t)
+            node = ("neg", self.term())
+            self.depth -= 1
+            return node
+        factors = [self.factor()]
         while self.accept("sym", "*"):
-            node = ("*", node, self.factor())
-        return node
+            factors.append(self.factor())
+        return ("*", tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> PolyAST:
         t = self.peek()
@@ -256,8 +236,10 @@ class _Parser:
             self.next()
             node = ("var", t.value)
         elif self.accept("sym", "("):
+            self.nest(t)
             node = self.poly()
             self.expect("sym", ")")
+            self.depth -= 1
         else:
             raise SyntacticError(f"expected a polynomial factor, found {t.value!r}",
                                  t.line, t.col)
@@ -401,13 +383,20 @@ class _Parser:
 
 
 def _ast_variables(ast: PolyAST):
-    """The variable names in a polynomial or exponent-pair node."""
-    if ast[0] == "var":
-        yield ast[1]
-        return
-    for child in ast[1] if ast[0] == "pair" else ast[1:]:
-        if isinstance(child, tuple):  # not an integer literal or exponent
-            yield from _ast_variables(child)
+    """The variable names in a polynomial or exponent-pair node, left to
+    right."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        op = node[0]
+        if op == "var":
+            yield node[1]
+        elif op == "+":
+            stack.extend(term for _, term in reversed(node[1]))
+        elif op in ("*", "pair"):
+            stack.extend(reversed(node[1]))
+        elif op in ("^", "neg"):
+            stack.append(node[1])
 
 
 def _check_program(prog: InputProgram) -> None:
@@ -483,12 +472,23 @@ def eval_poly(ast: PolyAST, ring: RingDescriptor) -> Polynomial:
             raise UnknownIdentifierError(f"unknown variable {ast[1]!r}", 0, 0)
     if op == "neg":
         return -eval_poly(ast[1], ring)
-    if op == "+":
-        return eval_poly(ast[1], ring) + eval_poly(ast[2], ring)
-    if op == "-":
-        return eval_poly(ast[1], ring) - eval_poly(ast[2], ring)
+    if op == "+":  # one pass over all the terms
+        out: dict = {}
+        for sign, term in ast[1]:
+            p = eval_poly(term, ring)
+            for e, c in (p if sign == "+" else -p).terms.items():
+                s = out[e] + c if e in out else c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Polynomial(ring, out)
     if op == "*":
-        return eval_poly(ast[1], ring) * eval_poly(ast[2], ring)
+        factors = iter(ast[1])
+        product = eval_poly(next(factors), ring)
+        for f in factors:
+            product = product * eval_poly(f, ring)
+        return product
     if op == "^":
         return eval_poly(ast[1], ring) ** ast[2]
     raise SyntacticError(f"bad polynomial node {op!r}", 0, 0)
@@ -529,24 +529,40 @@ def parse_polynomial(ring: RingDescriptor, text: str) -> Polynomial:
 # formatting (round-trip support)
 
 
-def format_poly_ast(ast: PolyAST) -> str:
+def format_poly_ast(ast: PolyAST, within: int = 0) -> str:
+    """The source text of a node that parses back to it.  A node binds at
+    level 0 (a sum), 1 (a product or negation), 2 (a power) or 3; it is
+    parenthesized when its level is below ``within``, the least level its
+    place in the grammar takes."""
     op = ast[0]
     if op == "int":
         return str(ast[1])
     if op == "var":
         return ast[1]
-    if op == "neg":
-        return f"-{format_poly_ast(ast[1])}"
-    if op == "^":
-        return f"{format_poly_ast(ast[1])}^{ast[2]}"
-    if op in ("+", "-"):
-        return f"{format_poly_ast(ast[1])} {op} {format_poly_ast(ast[2])}"
-    if op == "*":
-        return f"{format_poly_ast(ast[1])}*{format_poly_ast(ast[2])}"
     if op == "pair":
         a, b = ast[1]
         return f"({format_poly_ast(a)}, {format_poly_ast(b)})"
-    raise SyntacticError(f"bad polynomial node {op!r}", 0, 0)
+    if op == "+":
+        level = 0
+        text = "".join(f" {sign} {format_poly_ast(term, 1)}" if i else
+                       format_poly_ast(term, 1)
+                       for i, (sign, term) in enumerate(ast[1]))
+    elif op == "neg":
+        level, text = 1, f"-{format_poly_ast(ast[1], 1)}"
+    elif op == "*":
+        level, text = 1, "*".join(format_poly_ast(f, 2) for f in ast[1])
+    elif op == "^":
+        level, text = 2, f"{format_poly_ast(ast[1], 3)}^{ast[2]}"
+    else:
+        raise SyntacticError(f"bad polynomial node {op!r}", 0, 0)
+    return f"({text})" if level < within else text
+
+
+def _format_gen(ast: PolyAST) -> str:
+    """An ideal generator's text; one that opens with a parenthesis is
+    wrapped in another, which the parser reads as the generator's own."""
+    text = format_poly_ast(ast)
+    return f"({text})" if ast[0] != "pair" and text[0] == "(" else text
 
 
 def format_program(prog: InputProgram) -> str:
@@ -565,7 +581,7 @@ def format_program(prog: InputProgram) -> str:
             lines.append(f"affine {st.name} = <{body}>;")
         elif isinstance(st, IdealDecl):
             lines.append(f"ideal {st.name} = ("
-                         + ", ".join(map(format_poly_ast, st.gens)) + ");")
+                         + ", ".join(map(_format_gen, st.gens)) + ");")
         elif isinstance(st, Command):
             parts = [st.name]
             for kind, value in st.args:

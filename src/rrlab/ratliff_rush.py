@@ -19,7 +19,7 @@ containment test.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from .core import Monomial, Polynomial, Record, exps_mul
 from .errors import PreconditionError, UnsupportedOperationError
@@ -32,48 +32,34 @@ from .monomial import MonomialIdeal, variable_ideal
 
 class ClosureConfig(Record):
     _fields = ("k_max", "window", "n_max")
+    _defaults = {"k_max": 12, "window": 3, "n_max": 8}
 
-    def __init__(self, k_max: int = 12, window: int = 3, n_max: int = 8):
-        if not (k_max >= window >= 2):
+    def _validate(self):
+        if not (self.k_max >= self.window >= 2):
             raise PreconditionError("require k_max >= window >= 2")
-        if n_max < 1:
+        if self.n_max < 1:
             raise PreconditionError("n_max must be >= 1")
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "n_max", n_max)
 
 
 DEFAULT_CONFIG = ClosureConfig()
 
 
 class StabilizedWindow(Record):
+    """k is the step at which the stability window completed."""
+
     _fields = ("k", "window")
     _tag = ("status", "stabilized-window")
-
-    def __init__(self, k: int, window: int):
-        # k: the step at which the stability window completed
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "window", window)
 
 
 class BoundReached(Record):
     _fields = ("k_max",)
     _tag = ("status", "bound-reached")
 
-    def __init__(self, k_max: int):
-        object.__setattr__(self, "k_max", k_max)
-
 
 class ClosureResult(Record):
-    _fields = ("value", "status", "growth_steps")
+    """value: an ideal of the input's type; growth_steps: the steps k where it grew."""
 
-    def __init__(self, value: object,
-                 status: Union[StabilizedWindow, BoundReached],
-                 growth_steps: Tuple[int, ...]):
-        object.__setattr__(self, "value", value)  # an ideal of the input's type
-        object.__setattr__(self, "status", status)
-        # the chain indices k where the value grew
-        object.__setattr__(self, "growth_steps", growth_steps)
+    _fields = ("value", "status", "growth_steps")
 
     @property
     def certified(self) -> bool:
@@ -90,40 +76,30 @@ class ClosureResult(Record):
 
 
 class Member(Record):
+    """k is the smallest verified step: m * I^k is inside I^{k+1}."""
+
     _fields = ("k",)
     _tag = ("verdict", "member")
-
-    def __init__(self, k: int):
-        # the smallest verified step: m * I^k is inside I^{k+1}
-        object.__setattr__(self, "k", k)
 
 
 class NotMemberUpTo(Record):
     _fields = ("k_max",)
     _tag = ("verdict", "not-member-up-to")
 
-    def __init__(self, k_max: int):
-        object.__setattr__(self, "k_max", k_max)
-
 
 class Holds(Record):
+    """bound is the range bound the identity was checked through (or the
+    certified parameter, e.g. the offset c for superficiality)."""
+
     _fields = ("bound",)
     _tag = ("verdict", "holds")
-
-    def __init__(self, bound: int):
-        # the range bound the identity was checked through (or the
-        # certified parameter, e.g. the offset c for superficiality)
-        object.__setattr__(self, "bound", bound)
 
 
 class FailsAt(Record):
     _fields = ("n", "witness")
+    _defaults = {"witness": None}
     _tag = ("verdict", "fails-at")
     _as_text = ("witness",)  # a monomial, polynomial, integer or pair
-
-    def __init__(self, n: int, witness: object = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "witness", witness)
 
 
 # ---------------------------------------------------------------------------

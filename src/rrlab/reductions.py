@@ -71,20 +71,6 @@ class ReductionReport(Record):
     _fields = ("I", "J", "n_max", "r", "r_status", "rr_r", "rr_r_status",
                "s", "s_status")
 
-    def __init__(self, I: object, J: object, n_max: int,
-                 r: Optional[int], r_status: str,
-                 rr_r: Optional[int], rr_r_status: str,
-                 s: Optional[int], s_status: str):
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "r_status", r_status)
-        object.__setattr__(self, "rr_r", rr_r)
-        object.__setattr__(self, "rr_r_status", rr_r_status)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_status", s_status)
-
     def to_dict(self):
         return {
             "ideal": str(self.I), "reduction": str(self.J), "n_max": self.n_max,
@@ -149,14 +135,6 @@ class EquivalenceReport(Record):
     """
 
     _fields = ("t", "cond_b", "cond_de", "cokernel_trivial", "status")
-
-    def __init__(self, t: int, cond_b: bool, cond_de: bool,
-                 cokernel_trivial: bool, status: str):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "cond_b", cond_b)
-        object.__setattr__(self, "cond_de", cond_de)
-        object.__setattr__(self, "cokernel_trivial", cokernel_trivial)
-        object.__setattr__(self, "status", status)
 
     @property
     def all_agree(self) -> bool:

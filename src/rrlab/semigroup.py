@@ -105,10 +105,6 @@ class SemigroupIdeal(Ideal, Record):
 
     _fields = ("S", "v")
 
-    def __init__(self, S: NumericalSemigroup, v: Tuple[int, ...]):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "v", v)
-
     @staticmethod
     def from_gens(S: NumericalSemigroup, gens: Iterable) -> "SemigroupIdeal":
         """The ideal gens + S, for gens elements of the ring (see element)."""
@@ -339,10 +335,6 @@ class AffineIdeal(Ideal, Record):
     coset of S."""
 
     _fields = ("S", "stairs")
-
-    def __init__(self, S: AffineSemigroup2D, stairs: Tuple[MonomialIdeal, ...]):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "stairs", stairs)
 
     @staticmethod
     def from_gens(S: AffineSemigroup2D, gens: Iterable[Pair]) -> "AffineIdeal":

@@ -156,6 +156,42 @@ def test_non_utf8_program_names_file_line_and_column(tmp_path, capsys,
                    " (line 2, column 6)\n")
 
 
+@pytest.mark.parametrize("gen, code", [
+    (" + ".join(f"X^{i}*Y" for i in range(1, 5001)), EXIT_OK),
+    ("*".join(["X"] * 5000), EXIT_OK),
+    ("(" * 5000 + "X" + ")" * 5000, EXIT_USAGE),
+    ("-" * 5000 + "X", EXIT_USAGE),
+], ids=["long-sum", "long-product", "deep-parentheses", "deep-minus"])
+def test_long_and_deep_polynomials_end_without_a_traceback(tmp_path, capsys,
+                                                           gen, code):
+    path = _write(tmp_path, f"ring R = QQ[X, Y];\nideal I = ({gen});\n"
+                            "membership (X*Y) I;\n")
+    assert main(["compute", path]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == EXIT_OK:
+        assert "member: False" in captured.out
+    else:
+        assert re.fullmatch(r"rrlab: .* nest deeper than 50 "
+                            r"\(line 2, column \d+\)\n", captured.err)
+
+
+@pytest.mark.parametrize("p, code", [
+    ("2305843009213693951", EXIT_OK),  # 2^61 - 1
+    ("1000000000000000003", EXIT_OK),
+    ("3215031751", EXIT_USAGE),  # a strong pseudoprime to the bases 2, 3, 5, 7
+    ("3317044064679887385961981", EXIT_USAGE),  # where the exact test ends
+])
+def test_large_prime_fields_are_decided_at_once(tmp_path, capsys, p, code):
+    path = _write(tmp_path, f"ring R = F {p}[X];\nideal I = (X^2 + 1);\ngb I;\n")
+    assert main(["compute", path]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert "basis: ['X^2 + 1']" in captured.out
+    else:
+        assert captured.err.startswith("rrlab: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("ideal", ["(X^2, Y)", "(X^2 + Y, Y^2)"],
                          ids=["monomial", "handle"])
 @pytest.mark.parametrize("zero", ["(0)", "0", "(X - X)"])

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from rrlab.core import (Field, MonomialOrder, Packing, Polynomial, QQ,
-                        RingDescriptor, exps_divides)
+from rrlab.core import (PRIME_TEST_BOUND, Field, MonomialOrder, Packing,
+                        Polynomial, QQ, RingDescriptor, _is_prime,
+                        exps_divides)
 from rrlab.errors import PreconditionError, RingMismatchError
 from rrlab.parser import parse_polynomial
 
@@ -57,6 +58,43 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composites():
     with pytest.raises(Exception):
         Field(6)
+
+
+def test_primality_agrees_with_trial_division_below_1e5():
+    N = 10 ** 5
+    sieve = bytearray([1]) * N
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(N ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, N, d)))
+    assert [n for n in range(N) if _is_prime(n)] == \
+        [n for n in range(N) if sieve[n]]
+
+
+def test_primality_agrees_with_sympy_on_large_numbers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    ns = [rng.randrange(2, PRIME_TEST_BOUND) for _ in range(300)]
+    ns += [int(sympy.randprime(10 ** 6, 10 ** 12)) * int(sympy.randprime(10 ** 6, 10 ** 12))
+           for _ in range(50)]
+    ns += [int(sympy.randprime(10 ** 9, PRIME_TEST_BOUND)) for _ in range(50)]
+    for n in ns:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_large_prime_fields():
+    for p in (10 ** 18 + 3, 2 ** 61 - 1):
+        assert Field(p).characteristic == p
+    for pseudoprime in (561, 3215031751):
+        with pytest.raises(PreconditionError, match="is not prime"):
+            Field(pseudoprime)
+    # the bound is 1287836182261 * 2575672364521, the least strong
+    # pseudoprime to all thirteen bases: the test is fooled there, the
+    # field is refused
+    assert PRIME_TEST_BOUND == 1287836182261 * 2575672364521
+    assert _is_prime(PRIME_TEST_BOUND)
+    with pytest.raises(PreconditionError, match="too large"):
+        Field(PRIME_TEST_BOUND)
 
 
 def test_monomial_orders_disagree_where_expected():

@@ -3,10 +3,11 @@
 import pytest
 
 from rrlab.cli import Session, run_program
-from rrlab.core import Field, RingDescriptor
+from rrlab.core import Field, Polynomial, RingDescriptor
 from rrlab.errors import (ArityError, LexicalError, PreconditionError,
                           SyntacticError, UnknownIdentifierError)
-from rrlab.parser import (format_program, parse_polynomial, parse_program)
+from rrlab.parser import (format_poly_ast, format_program, parse_polynomial,
+                          parse_program)
 from rrlab.ratliff_rush import DEFAULT_CONFIG
 
 PROGRAM = """
@@ -158,3 +159,54 @@ def test_characteristic_zero_is_not_a_prime_field():
         with pytest.raises(SyntacticError, match="characteristic 0") as e:
             parse_program(f"ring R =\n  {text}[X];")
         assert (e.value.line, e.value.col) == (2, 3)
+
+
+LONG_SUM = " + ".join(f"X^{i}*Y" for i in range(1, 5001))
+
+
+def test_long_chains_parse_and_evaluate():
+    R = RingDescriptor(("X", "Y"))
+    X, Y = R.variable("X"), R.variable("Y")
+    f = parse_polynomial(R, LONG_SUM)
+    assert f == Polynomial(R, {(i, 1): R.field.one() for i in range(1, 5001)})
+    assert parse_polynomial(R, "*".join(["X"] * 5000)) == X ** 5000
+    assert parse_polynomial(R, " - ".join(["X"] * 5000)) == R.constant(-4998) * X
+    assert parse_polynomial(R, "X - X + Y + X - Y") == X
+    prog = parse_program(f"ring R = QQ[X, Y];\nideal I = ({LONG_SUM});\ngb I;")
+    assert len(prog.statements[1].gens[0][1]) == 5000
+
+
+def test_long_sum_round_trips_through_format():
+    prog = parse_program(f"ring R = QQ[X, Y];\nideal I = ({LONG_SUM});\ngb I;")
+    text = format_program(prog)
+    assert LONG_SUM in text
+    again = parse_program(text)
+    assert again == prog and format_program(again) == text
+
+
+@pytest.mark.parametrize("poly", [
+    "(X + Y)^2*(X - Y)", "-(X + Y)", "X - (Y - X)", "(X*Y)*X", "X*(-Y)",
+    "(X^2)^3", "-X + -Y - --X", "((X))", "2*(3 + X)^4 - Y"])
+def test_format_parenthesizes_what_the_grammar_needs(poly):
+    prog = parse_program(f"ring R = QQ[X, Y];\nideal I = (({poly}));")
+    again = parse_program(format_program(prog))
+    assert again.statements[1].gens == prog.statements[1].gens
+    R = RingDescriptor(("X", "Y"))
+    [ast] = prog.statements[1].gens
+    assert parse_polynomial(R, format_poly_ast(ast)) == parse_polynomial(R, poly)
+
+
+@pytest.mark.parametrize("opening", ["(", "-"])
+def test_deep_nesting_is_a_syntax_error(opening):
+    R = RingDescriptor(("X",))
+    deep = opening * 5000 + "X" + (")" * 5000 if opening == "(" else "")
+    with pytest.raises(SyntacticError, match="nest deeper than 50") as e:
+        parse_program(f"ring R = QQ[X];\nideal I = ({deep});")
+    # at the 51st opening; the generator's own parenthesis is not counted
+    assert (e.value.line, e.value.col) == (2, 62 + (opening == "("))
+    with pytest.raises(SyntacticError) as e:
+        parse_polynomial(R, deep)
+    assert (e.value.line, e.value.col) == (1, 51)
+    # fifty levels still parse
+    ok = opening * 50 + "X" + (")" * 50 if opening == "(" else "")
+    assert parse_polynomial(R, ok) == R.variable("X")

@@ -1,6 +1,7 @@
 """The value types: frozen, equal by class and compared fields, hashable,
 with dataclass-style reprs; and what importing the CLI costs."""
 
+import importlib
 import os
 import pathlib
 import re
@@ -11,11 +12,11 @@ import pytest
 
 from rrlab.cli import EXIT_USAGE, main
 from rrlab.core import (Field, Monomial, MonomialOrder, PrimeFieldElement,
-                        RingDescriptor)
+                        Record, RingDescriptor)
 from rrlab.corpus import _CASES, run_corpus
 from rrlab.errors import PreconditionError
 from rrlab.monomial import MonomialIdeal
-from rrlab.parser import RingDecl, Token, parse_program
+from rrlab.parser import RingDecl, SemiringDecl, Token, parse_program
 from rrlab.ratliff_rush import (BoundReached, ClosureConfig, ClosureResult,
                                 FailsAt, Holds, Member, NotMemberUpTo,
                                 StabilizedWindow)
@@ -180,3 +181,64 @@ def test_importing_the_cli_loads_no_dataclasses():
     users = [p.name for p in sorted((SRC / "rrlab").glob("*.py"))
              if imports.search(p.read_text(encoding="utf-8"))]
     assert users == []
+
+
+def test_binding_errors_are_type_errors():
+    for make in (lambda: Holds(depth=3),                  # unknown field
+                 lambda: Holds(3, depth=3),
+                 lambda: Holds(),                         # missing field
+                 lambda: StabilizedWindow(3),
+                 lambda: ClosureResult(None, window=3),
+                 lambda: Holds(3, bound=3),               # given twice
+                 lambda: Holds(3, 4),                     # too many positional
+                 lambda: FailsAt(3, None, 5),
+                 lambda: SemiringDecl(1, 1, "S", (3, 5)),  # positional line
+                 lambda: SemiringDecl("S", (3, 5), 1)):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_defaults_fill_missing_fields():
+    assert FailsAt(3) == FailsAt(3, None) == FailsAt(n=3)
+    assert ClosureConfig() == ClosureConfig(12, 3, 8) == ClosureConfig(window=3)
+    assert Field() == Field(0)
+    assert MonomialOrder() == MonomialOrder("grevlex", None)
+    assert MonomialOrder(priority=(1, 0)).kind == "grevlex"
+    decl = SemiringDecl("S", (3, 5))
+    assert (decl.line, decl.col) == (0, 0)
+    decl = SemiringDecl("S", gens=(3, 5), col=4)
+    assert (decl.line, decl.col, decl.gens) == (0, 4, (3, 5))
+    assert repr(decl) == "SemiringDecl(line=0, col=4, name='S', gens=(3, 5))"
+
+
+def test_validate_runs_on_construction_and_on_replace():
+    R = _ring()
+    checked = [
+        (Field(7), lambda: Field(6), {"characteristic": 6}),
+        (MonomialOrder("lex"), lambda: MonomialOrder("revlex"),
+         {"kind": "revlex"}),
+        (Monomial(R, (1, 0)), lambda: Monomial(R, (1, -1)), {"exps": (1,)}),
+        (ClosureConfig(), lambda: ClosureConfig(4, 5), {"n_max": 0}),
+    ]
+    for good, make_bad, bad in checked:
+        with pytest.raises(PreconditionError):
+            make_bad()
+        with pytest.raises(PreconditionError):
+            good.replace(**bad)
+        assert good.replace() == good
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_record_type_writes_its_own_init():
+    for path in sorted((SRC / "rrlab").glob("[!_]*.py")):
+        importlib.import_module(f"rrlab.{path.stem}")
+    ours = {cls for cls in _subclasses(Record)
+            if cls.__module__.startswith("rrlab.")}
+    assert len(ours) >= 25
+    assert sorted(cls.__qualname__ for cls in ours
+                  if "__init__" in vars(cls)) == []
