@@ -7,13 +7,21 @@ Grammar (semicolon-terminated statements)::
     field     := "QQ" | "F" INT | "F"DIGITS     -- F_p as `F 7` or `F7`
     semiring  := "semiring" NAME "=" "<" ints ">"
     affine    := "affine" NAME "=" "<" pairs ">"
-    ideal     := "ideal" NAME "=" "(" gens ")"
+    ideal     := "ideal" NAME "=" "(" gen ("," gen)* ")"
+    gen       := "(" poly "," poly ")" | poly     -- exponent pair or polynomial
     command   := OP arg* (NAME "=" INT)*          -- trailing config overrides
-    arg       := INT | NAME | "(" poly ("," poly)? ")"  -- element or pair
+    arg       := INT | NAME | gen                 -- a gen that opens with "("
 
-Polynomials use explicit infix: `X^4*Y^2 - X^2*Y^4`.  Numerical-semigroup
-generators are written `t^8` or plain integers; affine generators are
-pairs `(2,5)`.  Errors carry (line, column) and are classed as lexical,
+Polynomials use explicit infix: `X^4*Y^2 - X^2*Y^4`; a generator or
+element may open with a parenthesized factor, `(X + Y)^2*X - Y`.
+Numerical-semigroup generators are written `t^8` or plain integers; affine
+generators are pairs `(2,5)`.
+
+Every statement is checked as it is read: a polynomial after a `ring` or
+`semiring` may name only its variables (`t`), an ideal needs a ring before
+it, and a command must match its ``COMMAND_SIGNATURES`` entry and name
+declared ideals.  So the first error in reading order is reported, before
+any command runs.  Errors carry (line, column) and are classed as lexical,
 syntactic, arity, or unknown-identifier.
 """
 
@@ -167,10 +175,18 @@ COMMAND_SIGNATURES: Dict[str, Tuple[str, ...]] = {
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    """Reads and checks a token list.  ``names`` holds the variables a
+    polynomial may use, None when any name passes; ``at`` is the statement
+    being read, where its checks report, or None to report at the token."""
+
+    def __init__(self, tokens: List[Token], names: Optional[set] = None):
         self.toks = tokens
         self.pos = 0
         self.depth = 0  # parentheses and unary minus signs open
+        self.names = names
+        self.at: Optional[Token] = None
+        self.have_ring = False
+        self.ideals: set = set()
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -205,8 +221,10 @@ class _Parser:
                 f"parentheses and unary minus signs nest deeper than {MAX_NESTING}",
                 t.line, t.col)
 
-    def poly(self) -> PolyAST:
-        terms = [("+", self.term())]
+    # first: a factor already read, which opens the polynomial, term or factor
+
+    def poly(self, first: Optional[PolyAST] = None) -> PolyAST:
+        terms = [("+", self.term(first))]
         while True:
             t = self.peek()
             if t.kind != "sym" or t.value not in ("+", "-"):
@@ -215,25 +233,31 @@ class _Parser:
             terms.append((t.value, self.term()))
         return ("+", tuple(terms)) if len(terms) > 1 else terms[0][1]
 
-    def term(self) -> PolyAST:
+    def term(self, first: Optional[PolyAST] = None) -> PolyAST:
         t = self.peek()
-        if self.accept("sym", "-"):
+        if first is None and self.accept("sym", "-"):
             self.nest(t)
             node = ("neg", self.term())
             self.depth -= 1
             return node
-        factors = [self.factor()]
+        factors = [self.factor(first)]
         while self.accept("sym", "*"):
             factors.append(self.factor())
         return ("*", tuple(factors)) if len(factors) > 1 else factors[0]
 
-    def factor(self) -> PolyAST:
+    def factor(self, first: Optional[PolyAST] = None) -> PolyAST:
         t = self.peek()
-        if t.kind == "int":
+        if first is not None:
+            node: PolyAST = first
+        elif t.kind == "int":
             self.next()
-            node: PolyAST = ("int", int(t.value))
+            node = ("int", int(t.value))
         elif t.kind == "ident":
             self.next()
+            if self.names is not None and t.value not in self.names:
+                at = self.at or t
+                raise UnknownIdentifierError(f"unknown variable {t.value!r}",
+                                             at.line, at.col)
             node = ("var", t.value)
         elif self.accept("sym", "("):
             self.nest(t)
@@ -269,6 +293,7 @@ class _Parser:
         while self.accept("sym", ","):
             variables.append(self.expect("ident").value)
         self.expect("sym", "]")
+        self.names, self.have_ring = set(variables), True
         quotient: List[PolyAST] = []
         if self.accept("sym", "/"):
             self.expect("sym", "(")
@@ -289,6 +314,7 @@ class _Parser:
             gens.append(int(self.expect("int").value))
         self.expect("sym", ">")
         self.expect("sym", ";")
+        self.names, self.have_ring = {"t"}, True
         return SemiringDecl(name, tuple(gens), line=at.line, col=at.col)
 
     def pair(self) -> Tuple[int, int]:
@@ -308,21 +334,27 @@ class _Parser:
             gens.append(self.pair())
         self.expect("sym", ">")
         self.expect("sym", ";")
+        self.names, self.have_ring = None, True  # generators are pairs
         return AffineDecl(name, tuple(gens), line=at.line, col=at.col)
 
     def gen(self) -> PolyAST:
-        """One ideal generator: a polynomial or an affine exponent pair."""
-        if self.accept("sym", "("):
-            node = self.poly()
-            if self.accept("sym", ","):
-                second = self.poly()
-                self.expect("sym", ")")
-                return ("pair", (node, second))
+        """One ideal generator or command element: a polynomial or an
+        affine exponent pair.  A parenthesis that closes without a comma
+        holds the first factor of the polynomial."""
+        if not self.accept("sym", "("):
+            return self.poly()
+        node = self.poly()
+        if self.accept("sym", ","):
+            second = self.poly()
             self.expect("sym", ")")
-            return node
-        return self.poly()
+            return ("pair", (node, second))
+        self.expect("sym", ")")
+        return self.poly(node)
 
     def ideal_decl(self, at: Token) -> IdealDecl:
+        if not self.have_ring:
+            raise UnknownIdentifierError("ideal declared before any ring",
+                                         at.line, at.col)
         name = self.expect("ident").value
         self.expect("sym", "=")
         self.expect("sym", "(")
@@ -331,11 +363,16 @@ class _Parser:
             gens.append(self.gen())
         self.expect("sym", ")")
         self.expect("sym", ";")
+        self.ideals.add(name)
         return IdealDecl(name, tuple(gens), line=at.line, col=at.col)
 
     # -- commands -----------------------------------------------------------
 
     def command(self, opname: Token) -> Command:
+        name, at = opname.value, (opname.line, opname.col)
+        sig = COMMAND_SIGNATURES.get(name)
+        if sig is None:
+            raise UnknownIdentifierError(f"unknown command {name!r}", *at)
         args: List[Tuple[str, object]] = []
         overrides: List[Tuple[str, int]] = []
         while not self.accept("sym", ";"):
@@ -359,13 +396,27 @@ class _Parser:
             else:
                 raise SyntacticError(f"unexpected token {t.value!r} in command",
                                      t.line, t.col)
-        return Command(opname.value, tuple(args), tuple(overrides),
+        if len(args) != len(sig):
+            raise ArityError(
+                f"{name} takes {len(sig)} argument(s), got {len(args)}", *at)
+        for (kind, value), want in zip(args, sig):
+            if want == "ideal":
+                if kind != "ident":
+                    raise ArityError(f"{name}: expected an ideal name", *at)
+                if value not in self.ideals:
+                    raise UnknownIdentifierError(f"unknown ideal {value!r}", *at)
+            elif want == "int" and kind != "int":
+                raise ArityError(f"{name}: expected an integer", *at)
+            elif want == "elem" and kind not in ("poly", "pair", "int"):
+                raise ArityError(f"{name}: expected a parenthesized element",
+                                 *at)
+        return Command(name, tuple(args), tuple(overrides),
                        line=opname.line, col=opname.col)
 
     def program(self) -> InputProgram:
         statements: List[object] = []
         while self.peek().kind != "eof":
-            t = self.next()
+            t = self.at = self.next()
             if t.kind != "ident":
                 raise SyntacticError(f"expected a statement, found {t.value!r}",
                                      t.line, t.col)
@@ -382,79 +433,8 @@ class _Parser:
         return InputProgram(tuple(statements))
 
 
-def _ast_variables(ast: PolyAST):
-    """The variable names in a polynomial or exponent-pair node, left to
-    right."""
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        op = node[0]
-        if op == "var":
-            yield node[1]
-        elif op == "+":
-            stack.extend(term for _, term in reversed(node[1]))
-        elif op in ("*", "pair"):
-            stack.extend(reversed(node[1]))
-        elif op in ("^", "neg"):
-            stack.append(node[1])
-
-
-def _check_program(prog: InputProgram) -> None:
-    """Resolve identifiers and check command arity before execution."""
-    ideals: set = set()
-    have_ring = False
-    known_vars: Optional[set] = None
-    for st in prog.statements:
-        if isinstance(st, RingDecl):
-            have_ring = True
-            known_vars = set(st.variables)
-        elif isinstance(st, SemiringDecl):
-            have_ring = True
-            known_vars = {"t"}
-        elif isinstance(st, AffineDecl):
-            have_ring = True
-            known_vars = None  # generators are exponent pairs, no names
-        elif isinstance(st, IdealDecl):
-            if not have_ring:
-                raise UnknownIdentifierError(
-                    "ideal declared before any ring", st.line, st.col)
-            if known_vars is not None:
-                for g in st.gens:
-                    for v in _ast_variables(g):
-                        if v not in known_vars:
-                            raise UnknownIdentifierError(
-                                f"unknown variable {v!r}", st.line, st.col)
-            ideals.add(st.name)
-        elif isinstance(st, Command):
-            sig = COMMAND_SIGNATURES.get(st.name)
-            if sig is None:
-                raise UnknownIdentifierError(f"unknown command {st.name!r}",
-                                             st.line, st.col)
-            if len(st.args) != len(sig):
-                raise ArityError(
-                    f"{st.name} takes {len(sig)} argument(s), got {len(st.args)}",
-                    st.line, st.col)
-            for (kind, value), want in zip(st.args, sig):
-                if want == "ideal":
-                    if kind != "ident":
-                        raise ArityError(f"{st.name}: expected an ideal name",
-                                         st.line, st.col)
-                    if value not in ideals:
-                        raise UnknownIdentifierError(f"unknown ideal {value!r}",
-                                                     st.line, st.col)
-                elif want == "int" and kind != "int":
-                    raise ArityError(f"{st.name}: expected an integer",
-                                     st.line, st.col)
-                elif want == "elem" and kind not in ("poly", "pair", "int"):
-                    raise ArityError(
-                        f"{st.name}: expected a parenthesized element",
-                        st.line, st.col)
-
-
 def parse_program(text: str) -> InputProgram:
-    prog = _Parser(tokenize(text)).program()
-    _check_program(prog)
-    return prog
+    return _Parser(tokenize(text)).program()
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +446,7 @@ def eval_poly(ast: PolyAST, ring: RingDescriptor) -> Polynomial:
     if op == "int":
         return ring.constant(ast[1])
     if op == "var":
-        try:
-            return ring.variable(ast[1])
-        except Exception:
-            raise UnknownIdentifierError(f"unknown variable {ast[1]!r}", 0, 0)
+        return ring.variable(ast[1])
     if op == "neg":
         return -eval_poly(ast[1], ring)
     if op == "+":  # one pass over all the terms
@@ -516,8 +493,7 @@ def eval_pair(ast: PolyAST) -> Tuple[int, int]:
 
 
 def parse_polynomial(ring: RingDescriptor, text: str) -> Polynomial:
-    toks = tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(tokenize(text), set(ring.variables))
     ast = p.poly()
     if p.peek().kind != "eof":
         t = p.peek()
@@ -558,13 +534,6 @@ def format_poly_ast(ast: PolyAST, within: int = 0) -> str:
     return f"({text})" if level < within else text
 
 
-def _format_gen(ast: PolyAST) -> str:
-    """An ideal generator's text; one that opens with a parenthesis is
-    wrapped in another, which the parser reads as the generator's own."""
-    text = format_poly_ast(ast)
-    return f"({text})" if ast[0] != "pair" and text[0] == "(" else text
-
-
 def format_program(prog: InputProgram) -> str:
     lines = []
     for st in prog.statements:
@@ -581,7 +550,7 @@ def format_program(prog: InputProgram) -> str:
             lines.append(f"affine {st.name} = <{body}>;")
         elif isinstance(st, IdealDecl):
             lines.append(f"ideal {st.name} = ("
-                         + ", ".join(map(_format_gen, st.gens)) + ");")
+                         + ", ".join(map(format_poly_ast, st.gens)) + ");")
         elif isinstance(st, Command):
             parts = [st.name]
             for kind, value in st.args:

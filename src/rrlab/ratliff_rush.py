@@ -19,7 +19,7 @@ containment test.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from .core import Monomial, Polynomial, Record, exps_mul
 from .errors import PreconditionError, UnsupportedOperationError
@@ -282,20 +282,15 @@ def is_rr_closed(I, cfg: ClosureConfig = DEFAULT_CONFIG, regular_element=None):
     return Holds(cfg.k_max)
 
 
-class RRDefect:
+class RRDefect(Record):
     """Minimal representatives of (closure of I^{n+1}) cap I^n modulo I^{n+1}.
 
     Empty exactly when I^{n+1} is closed, up to the chain's status.
+    ``numerator`` is the closure's value cap I^n, ``denominator`` I^{n+1}.
     """
 
-    def __init__(self, I, n: int, closure: ClosureResult,
-                 numerator, denominator, representatives: Tuple):
-        self.ideal = I
-        self.n = n
-        self.closure = closure
-        self._numerator = numerator      # closure-value cap I^n
-        self._denominator = denominator  # I^{n+1}
-        self.representatives = representatives
+    _fields = ("ideal", "n", "closure", "numerator", "denominator",
+               "representatives")
 
     def is_empty(self) -> bool:
         return not self.representatives
@@ -303,13 +298,7 @@ class RRDefect:
     def contains(self, f) -> bool:
         """True when f represents a nonzero class of the defect module."""
         e = self.ideal.element(f)
-        return self._numerator.contains(e) and not self._denominator.contains(e)
-
-    def __iter__(self):
-        return iter(self.representatives)
-
-    def __len__(self):
-        return len(self.representatives)
+        return self.numerator.contains(e) and not self.denominator.contains(e)
 
 
 def rr_defect(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG,

@@ -46,7 +46,7 @@ from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Exponents, Ideal, Record, RingDescriptor, exps_divides
-from .errors import PreconditionError, ZeroIdealError
+from .errors import PreconditionError, RingMismatchError, ZeroIdealError
 from .monomial import MonomialIdeal, colon_single, intersect_monomial, minimalize
 
 Pair = Tuple[int, int]
@@ -125,7 +125,7 @@ class SemigroupIdeal(Ideal, Record):
 
     def _check(self, other: "SemigroupIdeal") -> None:
         if (self.S.gens, self.S.ray) != (other.S.gens, other.S.ray):
-            raise PreconditionError("ideals belong to different semigroups")
+            raise RingMismatchError("ideals belong to different semigroups")
 
     def unit(self) -> "SemigroupIdeal":
         return SemigroupIdeal(self.S, self.S.apery)
@@ -359,7 +359,7 @@ class AffineIdeal(Ideal, Record):
 
     def _check(self, other: "AffineIdeal") -> None:
         if self.S.gens != other.S.gens:
-            raise PreconditionError("ideals belong to different semigroups")
+            raise RingMismatchError("ideals belong to different semigroups")
 
     def unit(self) -> "AffineIdeal":
         return AffineIdeal(self.S, self.S.stairs)

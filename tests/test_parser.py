@@ -2,7 +2,7 @@
 
 import pytest
 
-from rrlab.cli import Session, run_program
+from rrlab.cli import EXIT_USAGE, HANDLERS, Session, main, run_program
 from rrlab.core import Field, Polynomial, RingDescriptor
 from rrlab.errors import (ArityError, LexicalError, PreconditionError,
                           SyntacticError, UnknownIdentifierError)
@@ -120,6 +120,83 @@ def test_element_errors_carry_the_command_position():
         run_program(prog, DEFAULT_CONFIG)
     assert (e.value.line, e.value.col) == (3, 5)
     assert "(line 3, column 5)" in str(e.value)
+
+
+DECLARED = "ring R = QQ[X, Y];\nideal I = (X, Y);\n"
+
+
+@pytest.mark.parametrize("text, error, message, at", [
+    (DECLARED + "ideal J = (X, Z*Y);", UnknownIdentifierError,
+     "unknown variable 'Z'", (3, 1)),
+    (DECLARED + "rr_closure I;\n  membership (X + Z) I;", UnknownIdentifierError,
+     "unknown variable 'Z'", (4, 3)),
+    ("\n ring R = QQ[X, Y] / (X^2 - Z);", UnknownIdentifierError,
+     "unknown variable 'Z'", (2, 2)),
+    ("semiring S = <2, 3>;\nideal I = (t^2);\nmembership (s^9) I;",
+     UnknownIdentifierError, "unknown variable 's'", (3, 1)),
+    ("# no ring yet\n ideal I = (X);\nring R = QQ[X];", UnknownIdentifierError,
+     "ideal declared before any ring", (2, 2)),
+    (DECLARED + "   frobnicate I;", UnknownIdentifierError,
+     "unknown command 'frobnicate'", (3, 4)),
+    (DECLARED + "rr_closure I;\nrr_power I;", ArityError,
+     "rr_power takes 2 argument(s), got 1", (4, 1)),
+    (DECLARED + "rr_power I I;", ArityError,
+     "rr_power: expected an integer", (3, 1)),
+    (DECLARED + "membership I I;", ArityError,
+     "membership: expected a parenthesized element", (3, 1)),
+    (DECLARED + "colon I\n  J;", UnknownIdentifierError,
+     "unknown ideal 'J'", (3, 1)),
+], ids=["ideal-variable", "element-variable", "quotient-variable",
+        "semiring-variable", "ideal-before-ring", "unknown-command", "arity",
+        "integer-kind", "element-kind", "unknown-ideal"])
+def test_checks_raise_while_parsing_at_the_statement(text, error, message, at):
+    with pytest.raises(error) as e:
+        parse_program(text)
+    assert e.value.message == message
+    assert (e.value.line, e.value.col) == at
+
+
+def test_a_bad_last_statement_stops_the_program_before_it_runs(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(HANDLERS, "gb", lambda cfg, I: ran.append(I) or {})
+    path = tmp_path / "prog.rr"
+    path.write_text(DECLARED + "gb I;\nrr_closure I;\nmembership (Z) I;\n")
+    assert main(["compute", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rrlab: unknown variable 'Z' (line 5, column 1)\n"
+    assert ran == []
+
+
+def test_polynomial_errors_point_at_the_variable():
+    R = RingDescriptor(("X", "Y"))
+    with pytest.raises(UnknownIdentifierError,
+                       match=r"^unknown variable 'Z' \(line 1, column 9\)$"):
+        parse_polynomial(R, "X^2 + Y*Z")
+
+
+def test_a_generator_may_open_with_a_parenthesized_factor():
+    text = "ring R = QQ[X, Y];\nideal I = ((X + Y)^2, Y);\ngb I;\n"
+    [gb] = run_program(parse_program(text), DEFAULT_CONFIG)
+    assert gb["basis"] == ["Y", "X^2"]
+    R = RingDescriptor(("X", "Y"))
+    prog = parse_program("ring R = QQ[X, Y];\n"
+                         "ideal I = ((X + Y)*X - Y^2, Y, ((X)), (X + Y)^2);\n"
+                         "membership ((X + Y)^2 - X) I;\n")
+    gens = prog.statements[1].gens
+    assert ([parse_polynomial(R, format_poly_ast(g)) for g in gens]
+            == [parse_polynomial(R, t) for t in
+                ("X^2 + X*Y - Y^2", "Y", "X", "X^2 + 2*X*Y + Y^2")])
+    text = format_program(prog)
+    assert "ideal I = ((X + Y)*X - Y^2, Y, X, (X + Y)^2);" in text
+    again = parse_program(text)
+    assert again == prog and format_program(again) == text
+    affine = parse_program("affine A = <(1,0), (0,2)>;\n"
+                           "ideal N = ((0,2), (1, 0));\nmembership (1,2) N;\n")
+    assert affine.statements[1].gens == (("pair", (("int", 0), ("int", 2))),
+                                         ("pair", (("int", 1), ("int", 0))))
+    assert parse_program(format_program(affine)) == affine
 
 
 def test_seed_is_not_a_config_key():

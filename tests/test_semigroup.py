@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from rrlab.cli import EXIT_OK, main
-from rrlab.errors import PreconditionError, ZeroIdealError
+from rrlab.errors import (PreconditionError, RingMismatchError,
+                          ZeroIdealError)
 from rrlab.ratliff_rush import (rr_closure, rr_membership_probe,
                                 rr_membership_probe_via_reduction, rr_power)
 from rrlab.semigroup import (AffineIdeal, AffineSemigroup2D,
@@ -219,6 +220,24 @@ def test_plane_semigroup_refuses_generators_on_one_ray():
     for gens in ([(1, 1), (2, 2)], [(0, 2), (0, 3)], [(3, 0)], [(2, 4), (3, 6)]):
         with pytest.raises(PreconditionError, match="one ray"):
             AffineSemigroup2D(gens)
+
+
+@pytest.mark.parametrize("I, J", [
+    (SemigroupIdeal.from_gens(NumericalSemigroup([2, 3]), [2]),
+     SemigroupIdeal.from_gens(NumericalSemigroup([2, 5]), [2])),
+    # the same semigroup <2,3> read on two rays
+    (SemigroupIdeal.from_gens(affine_ring([(0, 2), (0, 3)]), [(0, 2)]),
+     SemigroupIdeal.from_gens(affine_ring([(2, 0), (3, 0)]), [(2, 0)])),
+    (AffineIdeal.from_gens(AffineSemigroup2D([(1, 0), (0, 1)]), [(1, 0)]),
+     AffineIdeal.from_gens(AffineSemigroup2D([(1, 0), (1, 1), (0, 2)]),
+                           [(1, 0)]))], ids=["numerical", "rays", "affine"])
+def test_ideals_of_different_semigroups_do_not_combine(I, J):
+    for combine in (lambda: I + J, lambda: I * J, lambda: I.colon(J),
+                    lambda: I.intersect(J), lambda: I.contains_ideal(J),
+                    lambda: I.equals(J)):
+        with pytest.raises(RingMismatchError,
+                           match="^ideals belong to different semigroups$"):
+            combine()
 
 
 def test_one_ray_ring_is_a_numerical_semigroup_on_its_ray():
