@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from typing import List, Optional
 
 from .core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
@@ -21,7 +20,8 @@ from .monomial import (MonomialIdeal, associated_primes_monomial,
                        socle_candidates)
 from .parser import (COMMAND_SIGNATURES, AffineDecl, Command, IdealDecl,
                      InputProgram, RingDecl, SemiringDecl, eval_pair,
-                     eval_poly, eval_t_exponent, parse_program)
+                     eval_poly, eval_t_exponent, located, parse_program,
+                     semigroup_element)
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG,
                            depth_zero_witness_search, gr_nzd_probe,
                            is_rr_closed, rr_closure, rr_closure_via_reduction,
@@ -93,14 +93,8 @@ class Session:
                 return eval_poly(value, self.ring)
             if kind == "int":
                 return self.ring.constant(value)
-        elif self.kind == "ns":
-            if kind == "int":
-                return value
-            if kind == "poly":
-                return eval_t_exponent(value)
-        elif self.kind == "affine":
-            if kind == "pair":
-                return eval_pair(arg)
+        elif self.kind in ("ns", "affine"):
+            return semigroup_element(arg, self.kind == "affine")
         raise ArityError(f"element argument {arg!r} does not fit this ring")
 
     def arguments(self, cmd: Command) -> list:
@@ -219,23 +213,11 @@ def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
     return out
 
 
-@contextmanager
-def _located(st):
-    """Give an input error raised while executing st, which carries no
-    position of its own, the line and column of st."""
-    try:
-        yield
-    except InputError as exc:
-        if exc.line:
-            raise
-        raise type(exc)(exc.message, st.line, st.col) from None
-
-
 def run_program(prog: InputProgram, cfg: ClosureConfig) -> List[dict]:
     session = Session()
     fragments = []
     for st in prog.statements:
-        with _located(st):
+        with located(st):
             if isinstance(st, Command):
                 fragments.append(run_command(session, st, cfg))
             else:
@@ -366,7 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             last = None
             for st in _read_program(ns.file).statements:
                 if not isinstance(st, Command):
-                    with _located(st):
+                    with located(st):
                         session.declare(st)
                     if isinstance(st, IdealDecl):
                         last = st.name

@@ -478,9 +478,28 @@ class Packing:
                 floor: Sequence[int] = ()) -> List[int]:
         """The divisibility-minimal values outside the ideal ``floor``
         generates, ascending: a value survives when no floor generator and
-        no smaller survivor divides it."""
+        no smaller survivor divides it.
+
+        With at most two fields this is a staircase sweep over the values
+        and the floor generators together, in ascending order.  An earlier
+        value's first field is at most the current one's, so it divides the
+        current value exactly when its last field is too: a value survives
+        when its last field is below that of every earlier value.  Equal
+        values meet once, and one that is also a floor generator counts as
+        the floor's and is never output.  With more fields, each value is
+        tested against the floor and the survivors so far."""
+        if len(self.shifts) <= 2:
+            floor, low = set(floor), self.low
+            kept, least = [], low + 1
+            for c in sorted(floor.union(packed)):
+                y = c & low
+                if y < least:
+                    least = y
+                    if c not in floor:
+                        kept.append(c)
+            return kept
         G = self.guards
-        kept: List[int] = []
+        kept = []
         for c in sorted(set(packed)):
             cg = c | G
             for k in chain(floor, kept):

@@ -9,24 +9,34 @@ Every ideal that ``from_gens``, an operation or a kernel returns keeps this
 canonical form: its minimal generators, distinct, in ascending
 lexicographic order.  (``from_gens`` rejects a negative exponent, which no
 packed field can hold.)  So ``equals`` compares generator tuples, and
-``contains_ideal`` and ``gens_outside`` pack both generator sets once and
-ask, for each generator b, whether some generator a divides it by the guard
-test of ``core.Packing``, stopping at the first b outside.
+``contains_ideal`` and ``gens_outside`` ask, for each generator b, whether
+some generator a divides it by the guard test of ``core.Packing``, stopping
+at the first b outside.
 
-The generator-set kernels use integer operations instead of a Python loop
-over each pair of tuples.
+The generator-set kernels work on packed ints instead of a Python loop
+over each pair of tuples.  Each exponent vector packs into one int of a
+``core.Packing``; ascending packed order is the lexicographic order, so a
+scan in that order meets every divisor of a value before the value itself,
+and the survivors, unpacked in that order, come out ``sorted``.  A field
+width comes from a short ladder: the least power of two, at least 8 bits,
+that holds the largest exponent a kernel can form below the guard bit (the
+sum of its operands' largest exponents for a product or a colon).  So I^n
+and I^{n+1} usually share one width, and the ``Packing`` of each number of
+variables and width is shared through a small bounded table.  Each ideal
+keeps its largest exponent and its packed generators per width, as it keeps
+its PowerLadder, and an ideal a kernel returns is born with the pack it was
+computed in.  A product adds packed generators into a set, a sum merges the
+two packs, and both prune in packed form.
 
-``minimalize`` works on bitsets.  The distinct candidates are sorted and
-numbered; for each coordinate i and value v, one mask holds the candidates
-whose i-th exponent is at most v.  The AND of a candidate's masks is the set
-of candidates that divide it, so the candidate is minimal exactly when that
-AND is its own bit alone.
-
-Colon and intersection pack each exponent vector into one int, a
-``core.Packing`` made inside each call, with fields wide enough for the
-largest exponent of the operands (twice it for the colon, below).  A scan
-in ascending packed order meets every divisor of a value before the value
-itself, and the survivors, unpacked in that order, come out ``sorted``.
+Pruning has two paths.  With at most two variables, ``Packing.minimal``
+sweeps the staircase: in ascending order a value is minimal exactly when
+its last exponent is below that of every earlier value.  With more, the
+distinct candidates are sorted and numbered; for each variable i and value
+v, one mask holds the candidates whose i-th exponent is at most v.  The AND
+of a candidate's masks is the set of candidates that divide it, so the
+candidate is minimal exactly when that AND is its own bit alone.  Equal
+candidates would each hold the other's bit, so they are merged first.
+``minimalize`` packs tuples and prunes the same way.
 
 ``colon_monomial`` takes an optional floor ideal ``F`` and then returns
 ``(A : B) + F``.  Monomial ideals form a distributive lattice, so
@@ -42,8 +52,8 @@ at the first divisor, and is replaced by the e·q, q a generator of
 ``A : e·b``, otherwise.  Only a step that replaced some extra minimalizes
 again, and once no extra is left the answer is ``F`` itself, the same
 object, which the closure chain reads as a quiet step.  No extra exceeds
-the largest exponent, but e·b reaches twice it, so the colon's fields are
-sized for twice the largest exponent.
+A's largest exponent, but e·b reaches that plus B's largest exponent, so
+the colon's fields are sized for that sum.
 
 ``associated_primes_monomial`` localizes: the prime P_s of a set s of
 variables is associated to I exactly when ``I_s : P_s != I_s``, with I_s the
@@ -53,6 +63,7 @@ of the 2^d - 1 nonempty sets s at most, whatever the exponents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -64,19 +75,35 @@ from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
 
 
-def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
-    """Divisibility-pruned canonical generator tuple."""
-    cands = sorted(set(exps))
+@functools.lru_cache(maxsize=32)
+def _shared_packing(nvars: int, width: int) -> Packing:
+    return Packing(nvars, width)
+
+
+def _packing(nvars: int, top: int) -> Packing:
+    """The shared packing whose fields hold exponents up to ``top``: the
+    least power-of-two width, at least 8 bits, above top's bit length."""
+    return _shared_packing(nvars, max(8, 1 << top.bit_length().bit_length()))
+
+
+def _minimal(P: Packing, packed: Iterable[int]) -> List[int]:
+    """The divisibility-minimal values among ``packed``, ascending: the
+    staircase sweep of ``P.minimal`` with at most two fields, the bitsets of
+    the module docstring with more."""
+    if len(P.shifts) <= 2:
+        return P.minimal(packed)
+    cands = sorted(set(packed))
     if len(cands) < 2:
-        return tuple(cands)
+        return cands
+    low, (first_shift, *shifts) = P.low, P.shifts
     # divisors[j]: the mask of candidates that divide candidate j.  The
-    # candidates are in lexicographic order, so those whose first exponent
-    # is at most v form a prefix; that keeps every mask below its own bit.
-    first = [c[0] for c in cands]
+    # candidates ascend, so those whose first field is at most v form a
+    # prefix; that keeps every mask below its own bit.
+    first = [(c >> first_shift) & low for c in cands]
     ends = {v: j + 1 for j, v in enumerate(first)}
     divisors = [(1 << ends[v]) - 1 for v in first]
-    for i in range(1, len(cands[0])):
-        column = [c[i] for c in cands]
+    for s in shifts:
+        column = [(c >> s) & low for c in cands]
         at_most = {}
         for j, v in enumerate(column):
             at_most[v] = at_most.get(v, 0) | (1 << j)
@@ -86,7 +113,17 @@ def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
             at_most[v] = acc
         for j, v in enumerate(column):
             divisors[j] &= at_most[v]
-    return tuple(c for c, m in zip(cands, divisors) if not m & (m - 1))
+    return [c for c, m in zip(cands, divisors) if not m & (m - 1)]
+
+
+def minimalize(exps: Iterable[Exponents]) -> Tuple[Exponents, ...]:
+    """Divisibility-pruned canonical generator tuple."""
+    cands = list(exps)
+    if not cands:
+        return ()
+    top = max(itertools.chain.from_iterable(cands), default=0)
+    P = _packing(len(cands[0]), top)
+    return tuple(map(P.unpack, _minimal(P, map(P.pack, cands))))
 
 
 class MonomialIdeal(Ideal, Record):
@@ -111,6 +148,28 @@ class MonomialIdeal(Ideal, Record):
     def unit(self) -> "MonomialIdeal":
         return unit_ideal(self.ring)
 
+    # -- packed generators, kept on the ideal ------------------------------
+
+    def _top(self) -> int:
+        """The largest exponent of the generators."""
+        top = self.__dict__.get("_max")
+        if top is None:
+            top = max(itertools.chain.from_iterable(self.gens), default=0)
+            object.__setattr__(self, "_max", top)  # the ideal is frozen
+        return top
+
+    def _packed(self, P: Packing) -> List[int]:
+        """The generators packed by P, ascending; one list per field width
+        is kept on the ideal."""
+        packs = self.__dict__.get("_packs")
+        if packs is None:
+            packs = {}
+            object.__setattr__(self, "_packs", packs)
+        ps = packs.get(P.width)
+        if ps is None:
+            ps = packs[P.width] = list(map(P.pack, self.gens))
+        return ps
+
     # -- membership -------------------------------------------------------
 
     def contains(self, e: Exponents) -> bool:
@@ -134,11 +193,10 @@ class MonomialIdeal(Ideal, Record):
         """The generators that other does not contain, in order, by the
         packed divisibility test of ``core.Packing``."""
         self._check(other)
-        P = _packing(self.ring.nvars, self.gens, other.gens)
-        G, pack = P.guards, P.pack
-        Os = list(map(pack, other.gens))
-        for g in self.gens:
-            bG = pack(g) | G
+        P = _packing(self.ring.nvars, max(self._top(), other._top()))
+        G, Os = P.guards, other._packed(P)
+        for g, b in zip(self.gens, self._packed(P)):
+            bG = b | G
             for a in Os:
                 if (bG - a) & G == G:
                     break
@@ -160,12 +218,18 @@ class MonomialIdeal(Ideal, Record):
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.ring, minimalize(self.gens + other.gens))
+        P = _packing(self.ring.nvars, max(self._top(), other._top()))
+        return _from_packed(self.ring, P, _minimal(
+            P, self._packed(P) + other._packed(P)))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Packed generators add as exponent vectors do, while the fields
+        hold the sum of the two largest exponents."""
         self._check(other)
-        prods = [exps_mul(a, b) for a in self.gens for b in other.gens]
-        return MonomialIdeal(self.ring, minimalize(prods))
+        P = _packing(self.ring.nvars, self._top() + other._top())
+        Bs = other._packed(P)
+        return _from_packed(self.ring, P, _minimal(
+            P, {a + b for a in self._packed(P) for b in Bs}))
 
     def times(self, e: Exponents) -> "MonomialIdeal":
         """The ideal e * I.  Multiplying by e keeps the generators minimal
@@ -212,25 +276,24 @@ def unit_ideal(ring: RingDescriptor) -> MonomialIdeal:
 # colon / intersection
 
 
-def _packing(nvars: int, *gen_sets: Tuple[Exponents, ...],
-             scale: int = 1) -> Packing:
-    """The packing of one call, its fields wide enough for ``scale`` times
-    the operands' largest exponent."""
-    top = max((max(g) for gs in gen_sets for g in gs), default=0)
-    return Packing(nvars, (scale * top).bit_length() + 1)
+def _from_packed(ring: RingDescriptor, P: Packing,
+                 packed: List[int]) -> MonomialIdeal:
+    """The ideal of the ascending packed minimal generators, born with that
+    pack kept."""
+    I = MonomialIdeal(ring, tuple(map(P.unpack, packed)))
+    object.__setattr__(I, "_packs", {P.width: packed})
+    return I
 
 
 def colon_single(A: MonomialIdeal, b: Exponents) -> MonomialIdeal:
-    P = _packing(A.ring.nvars, A.gens, (b,))
-    As = list(map(P.pack, A.gens))
-    return MonomialIdeal(A.ring, tuple(map(P.unpack, P.quotients(As, P.pack(b)))))
+    P = _packing(A.ring.nvars, max(A._top(), max(b, default=0)))
+    return _from_packed(A.ring, P, P.quotients(A._packed(P), P.pack(b)))
 
 
 def intersect_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     A._check(B)
-    P = _packing(A.ring.nvars, A.gens, B.gens)
-    As, Bs = list(map(P.pack, A.gens)), list(map(P.pack, B.gens))
-    return MonomialIdeal(A.ring, tuple(map(P.unpack, P.lcms(As, Bs))))
+    P = _packing(A.ring.nvars, max(A._top(), B._top()))
+    return _from_packed(A.ring, P, P.lcms(A._packed(P), B._packed(P)))
 
 
 def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
@@ -243,15 +306,15 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
     A._check(B)
     if not B.gens:
         raise ZeroIdealError("colon by the zero ideal")
-    floor_gens: Tuple[Exponents, ...] = ()
+    top = A._top() + B._top()  # the fields must hold e + b
     if floor is not None:
         A._check(floor)
-        floor_gens = floor.gens
-    # the fields must hold e + b, up to twice the largest exponent
-    P = _packing(A.ring.nvars, A.gens, B.gens, floor_gens, scale=2)
-    G, pack = P.guards, P.pack
-    As, Fs = list(map(pack, A.gens)), list(map(pack, floor_gens))
-    first, *rest = map(pack, B.gens)
+        top = max(top, floor._top())
+    P = _packing(A.ring.nvars, top)
+    G = P.guards
+    As = A._packed(P)
+    Fs = [] if floor is None else floor._packed(P)
+    first, *rest = B._packed(P)
     extras = P.quotients(As, first, Fs)
     for b in rest:
         if not extras:
@@ -272,7 +335,7 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
         return floor
     if floor is not None:
         extras = P.minimal(Fs + extras)
-    return MonomialIdeal(A.ring, tuple(map(P.unpack, extras)))
+    return _from_packed(A.ring, P, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -248,3 +248,40 @@ def test_power_ladder_consistency():
     ladder = PowerLadder(I)
     assert ladder.power(2) == I * I
     assert ladder.power(3) == I.power(3)
+
+
+def _container_sizes(module):
+    return {name: len(value) for name, value in vars(module).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_shared_packings_and_module_state_stay_bounded():
+    """2,000 seeded operations over rings of 1 to 8 variables and exponents
+    up to 2**100, so field widths 8 to 128 and more (nvars, width) pairs
+    than the shared packing table holds: the table stays within its bound,
+    and no module-level container of monomial or core grows."""
+    from rrlab import core, monomial
+    before = {m: _container_sizes(m) for m in (core, monomial)}
+    rng = random.Random(2000)
+    tops = (5, 100, 1000, 2 ** 20, 2 ** 40, 2 ** 100)
+    for _ in range(2000):
+        ring = RingDescriptor([f"x{i}" for i in range(rng.randint(1, 8))])
+        top = rng.choice(tops)
+        A, B = (MonomialIdeal.from_gens(ring, [
+            tuple(rng.randint(0, top) for _ in range(ring.nvars))
+            for _ in range(rng.randint(1, 3))]) for _ in range(2))
+        op = rng.randrange(5)
+        if op == 0:
+            A * B
+        elif op == 1:
+            A + B
+        elif op == 2:
+            colon_monomial(A, B, floor=B)
+        elif op == 3:
+            intersect_monomial(A, B)
+        else:
+            A.contains_ideal(B)
+    info = monomial._shared_packing.cache_info()
+    assert info.misses > info.maxsize  # the bound was reached
+    assert info.currsize <= info.maxsize
+    assert {m: _container_sizes(m) for m in (core, monomial)} == before

@@ -18,7 +18,13 @@ The oracles share no code with rrlab.monomial:
 - ``contains_ideal``, ``equals``, ``gens_outside`` and
   ``first_gen_outside``, which read the canonical generators, against the
   definitions on tuples: B lies in A iff some generator of A divides each
-  generator of B, and A = B iff each lies in the other.
+  generator of B, and A = B iff each lies in the other;
+- products, sums and ``PowerLadder`` powers, which add and prune packed
+  generators, against the pairwise products and unions of tuples, with
+  exponents at the edges of the 8- and 16-bit field widths;
+- ``core.Packing.minimal`` with a floor and repeated candidates: its
+  two-field staircase sweep, its general path on the same values with a
+  third, zero field, and the definition agree.
 
 The box is the product, over the coordinates, of the values that can matter
 there: 0, every exponent of A, B, F and the result, and every positive
@@ -37,7 +43,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rrlab.core import Monomial, RingDescriptor  # noqa: E402
+from rrlab.core import Monomial, Packing, RingDescriptor  # noqa: E402
 from rrlab.monomial import (MonomialIdeal, colon_monomial, colon_single,  # noqa: E402
                             integral_closure_monomial, intersect_monomial,
                             minimalize, variable_ideal)
@@ -445,3 +451,88 @@ def test_containment_field_width_edges(A_gens, B_gens):
     for X, Y in ((A, B), (A, A + B), (A, A.intersect(B)), (A, A * B),
                  (B, colon_monomial(A, B))):
         _check_containment(X, Y)
+
+
+# ---------------------------------------------------------------------------
+# products, sums and powers on packed generators
+
+
+# Exponents on both sides of the field widths: a width-8 field holds up to
+# 127 and a width-16 one up to 32767, and products and powers add them.
+WIDTH_EDGES = (0, 1, 2, 7, 8, 15, 16, 63, 64, 127, 128, 255, 256)
+
+
+@st.composite
+def _edge_ideals(draw):
+    nvars = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.sampled_from(WIDTH_EDGES)] * nvars)
+    ring = _ring(nvars)
+    A, B = (MonomialIdeal.from_gens(ring, draw(st.lists(exps, min_size=1,
+                                                         max_size=size)))
+            for size in (4, 3))
+    return A, B
+
+
+def _products(*gen_sets):
+    """Every product of one generator from each set, on tuples."""
+    return [tuple(map(sum, zip(*gens))) for gens in product(*gen_sets)]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_edge_ideals())
+def test_products_sums_and_powers_match_pairwise_definitions(pair):
+    A, B = pair
+    assert (A * B).gens == _canonical(_products(A.gens, B.gens))
+    assert (B * A).gens == (A * B).gens
+    assert (A + B).gens == _canonical(A.gens + B.gens)
+    assert (A + A).gens == A.gens
+    for n in range(1, 5):
+        assert A.power(n).gens == _canonical(_products(*[A.gens] * n)), n
+    # a power made at one width, then summed and multiplied at a wider one
+    assert (A.power(3) + B).gens == _canonical(A.power(3).gens + B.gens)
+    assert (A.power(2) * B.power(2)).gens == _canonical(
+        _products(A.gens, A.gens, B.gens, B.gens))
+
+
+def _minimal_by_definition(values, floor):
+    """The distinct values that no floor member and no other value divides,
+    ascending, on tuples."""
+    vs = set(values)
+    return sorted(v for v in vs if not _in(floor, v)
+                  and not any(u != v and _divides(u, v) for u in vs))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=4),
+       st.sampled_from([4, 8]))
+def test_packing_minimal_sweep_general_path_and_definition_agree(
+        values, floor, width):
+    """Repeated values, and floor members equal to values, are common here:
+    the lists draw from 49 points."""
+    values = values + values[: len(values) // 2]
+    expected = _minimal_by_definition(values, floor)
+    two = Packing(2, width)
+    swept = two.minimal(map(two.pack, values), [two.pack(f) for f in floor])
+    assert [two.unpack(p) for p in swept] == expected
+    # the general path, on the same values with a third field held at 0
+    three = Packing(3, width)
+    general = three.minimal([three.pack(v + (0,)) for v in values],
+                            [three.pack(f + (0,)) for f in floor])
+    assert [three.unpack(p)[:2] for p in general] == expected
+
+
+def test_one_ideal_serves_packs_of_two_widths():
+    """A is first packed at width 8 (a product and a containment test),
+    then a colon by B needs fields for 100 + 100, so width 16; both packs
+    stay on A and both answers are right."""
+    ring = _ring(2)
+    A = MonomialIdeal.from_gens(ring, [(100, 0), (60, 30), (0, 100)])
+    B = MonomialIdeal.from_gens(ring, [(0, 100), (1, 1)])
+    small = MonomialIdeal.from_gens(ring, [(2, 1), (0, 3)])
+    assert (A * small).gens == _canonical(_products(A.gens, small.gens))
+    assert A.contains_ideal(A * small)
+    colon = colon_monomial(A, B)
+    _check_colon(A.gens, B.gens, colon.gens)
+    assert (A * small).gens == _canonical(_products(A.gens, small.gens))
+    assert sorted(A.__dict__["_packs"]) == [8, 16]

@@ -169,6 +169,32 @@ def test_a_bad_last_statement_stops_the_program_before_it_runs(
     assert ran == []
 
 
+@pytest.mark.parametrize("text, message", [
+    ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\nideal J = (t*t);\n",
+     "semigroup generators are written t^k or as integers (line 4, column 1)"),
+    ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\nideal J = (t^1);\n",
+     "generator 1 is not in the semigroup"),
+    ("affine A = <(0,2), (1,1)>;\nideal I = ((0,2));\nrr_closure I;\n"
+     "ideal J = ((1,0));\n", "generator (1, 0) is not in the semigroup"),
+    ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\n"
+     "membership (1,2) I;\n", "element argument ('pair', (('int', 1), "
+     "('int', 2))) does not fit this ring (line 4, column 1)"),
+], ids=["shape", "gap", "affine-gap", "element-shape"])
+def test_a_bad_semigroup_generator_stops_the_program_before_it_runs(
+        tmp_path, capsys, monkeypatch, text, message):
+    ran = []
+    for name in list(HANDLERS):
+        monkeypatch.setitem(HANDLERS, name,
+                            lambda *args, name=name: ran.append(name) or {})
+    path = tmp_path / "prog.rr"
+    path.write_text(text)
+    assert main(["compute", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rrlab: {message}\n"
+    assert ran == []
+
+
 def test_polynomial_errors_point_at_the_variable():
     R = RingDescriptor(("X", "Y"))
     with pytest.raises(UnknownIdentifierError,
