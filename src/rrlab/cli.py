@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
@@ -20,8 +21,7 @@ from .monomial import (MonomialIdeal, associated_primes_monomial,
                        socle_candidates)
 from .parser import (COMMAND_SIGNATURES, AffineDecl, Command, IdealDecl,
                      InputProgram, RingDecl, SemiringDecl, eval_pair,
-                     eval_poly, eval_t_exponent, located, parse_program,
-                     semigroup_element)
+                     eval_poly, eval_t_exponent, parse_program)
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG,
                            depth_zero_witness_search, gr_nzd_probe,
                            is_rr_closed, rr_closure, rr_closure_via_reduction,
@@ -72,8 +72,10 @@ class Session:
 
     def _build_ideal(self, st: IdealDecl):
         if self.kind == "poly":
-            polys = [eval_poly(g, self.ring) for g in st.gens]
-            if not self.ring.quotient and all(len(p.terms) == 1 for p in polys):
+            polys = [p for p in (eval_poly(g, self.ring) for g in st.gens)
+                     if not p.is_zero()]
+            if (polys and not self.ring.quotient
+                    and all(len(p.terms) == 1 for p in polys)):
                 return MonomialIdeal.from_gens(
                     self.ring, [next(iter(p.terms)) for p in polys])
             return IdealHandle(self.ring, polys)
@@ -87,14 +89,21 @@ class Session:
     # -- elements -----------------------------------------------------------
 
     def element(self, arg):
+        """The ring element a command element (kind, value) stands for: a
+        polynomial, a t-exponent or an exponent pair."""
         kind, value = arg
         if self.kind == "poly":
             if kind == "poly":
                 return eval_poly(value, self.ring)
             if kind == "int":
                 return self.ring.constant(value)
-        elif self.kind in ("ns", "affine"):
-            return semigroup_element(arg, self.kind == "affine")
+        elif self.kind == "ns":
+            if kind == "int":
+                return value
+            if kind == "poly":
+                return eval_t_exponent(value)
+        elif self.kind == "affine" and kind == "pair":
+            return eval_pair(arg)
         raise ArityError(f"element argument {arg!r} does not fit this ring")
 
     def arguments(self, cmd: Command) -> list:
@@ -125,8 +134,6 @@ def _as_handle(I) -> IdealHandle:
 def _as_monomial(I) -> MonomialIdeal:
     if isinstance(I, MonomialIdeal):
         return I
-    if isinstance(I, IdealHandle) and I.is_monomial() and not I.ring.quotient:
-        return I.to_monomial_ideal()
     raise UnsupportedOperationError("this command needs a monomial ideal")
 
 
@@ -203,26 +210,47 @@ HANDLERS = {
 }
 
 
-def run_command(session: Session, cmd: Command, cfg: ClosureConfig) -> dict:
-    """Execute one command against the session; returns a report fragment."""
-    if cmd.name not in HANDLERS:
-        raise ArityError(f"unknown command {cmd.name!r}", cmd.line, cmd.col)
-    cfg = cfg.replace(**dict(cmd.overrides))
+@contextmanager
+def located(st):
+    """Give an error raised within, which carries no position of its own,
+    the line and column of the statement st."""
+    try:
+        yield
+    except RRLabError as exc:
+        if exc.line:
+            raise
+        raise type(exc)(exc.message, st.line, st.col) from None
+
+
+def resolve(prog: InputProgram, cfg: ClosureConfig):
+    """Resolve every statement of prog, in reading order, before any command
+    runs: declare its rings and ideals, and give each command its config
+    (cfg with the command's overrides) and its argument values.  An error
+    is raised here, at its statement's line and column, so no command runs
+    unless the whole program resolves.  Returns the session and the
+    (command, config, arguments) calls."""
+    session = Session()
+    calls = []
+    for st in prog.statements:
+        with located(st):
+            if isinstance(st, Command):
+                calls.append((st, cfg.replace(**dict(st.overrides)),
+                              session.arguments(st)))
+            else:
+                session.declare(st)
+    return session, calls
+
+
+def run_command(cmd: Command, cfg: ClosureConfig, args: list) -> dict:
+    """Run one resolved command on its config and argument values; returns
+    a report fragment."""
     out = {"command": cmd.name, "config": cfg.to_dict()}
-    out.update(HANDLERS[cmd.name](cfg, *session.arguments(cmd)))
+    out.update(HANDLERS[cmd.name](cfg, *args))
     return out
 
 
 def run_program(prog: InputProgram, cfg: ClosureConfig) -> List[dict]:
-    session = Session()
-    fragments = []
-    for st in prog.statements:
-        with located(st):
-            if isinstance(st, Command):
-                fragments.append(run_command(session, st, cfg))
-            else:
-                session.declare(st)
-    return fragments
+    return [run_command(*call) for call in resolve(prog, cfg)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +372,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         if ns.subcommand == "gb":
-            session = Session()
-            last = None
-            for st in _read_program(ns.file).statements:
-                if not isinstance(st, Command):
-                    with located(st):
-                        session.declare(st)
-                    if isinstance(st, IdealDecl):
-                        last = st.name
-            if last is None:
+            prog = _read_program(ns.file)
+            session, _ = resolve(prog, DEFAULT_CONFIG)
+            ideals = [st.name for st in prog.statements
+                      if isinstance(st, IdealDecl)]
+            if not ideals:
                 sys.stderr.write("rrlab gb: no ideal declared in file\n")
                 return EXIT_USAGE
             if session.kind != "poly":
@@ -363,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 names = [v.strip() for v in ns.vars.split(",")]
                 priority = tuple(session.ring.var_index(v) for v in names)
             order = MonomialOrder(ns.order, priority)
-            H = _as_handle(session.ideals[last])
+            H = _as_handle(session.ideals[ideals[-1]])
             basis = H.groebner_basis(order)
             _emit({"commands": [{
                 "command": "gb",

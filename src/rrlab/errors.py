@@ -2,7 +2,15 @@
 
 
 class RRLabError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors; carries a source position, which
+    line 0 marks as absent."""
+
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        super().__init__(f"{message} (line {line}, column {col})"
+                         if line else message)
+        self.message = message
+        self.line = line
+        self.col = col
 
 
 class RingMismatchError(RRLabError):
@@ -26,15 +34,7 @@ class PreconditionError(RRLabError):
 
 
 class InputError(RRLabError):
-    """Base for input-language errors; carries a source position, which
-    line 0 marks as absent."""
-
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{message} (line {line}, column {col})"
-                         if line else message)
-        self.message = message
-        self.line = line
-        self.col = col
+    """Base for input-language errors."""
 
 
 class LexicalError(InputError):

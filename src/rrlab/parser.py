@@ -20,24 +20,19 @@ generators are pairs `(2,5)`.
 Every statement is checked as it is read: a polynomial after a `ring` or
 `semiring` may name only its variables (`t`), an ideal needs a ring before
 it, and a command must match its ``COMMAND_SIGNATURES`` entry and name
-declared ideals.  After a `semiring` every generator and element is `t^k`
-or an integer, after an `affine` a pair, and each ideal generator must lie
-in the declared semigroup.  So the first error in reading order is
-reported, before any command runs.  Errors carry (line, column) and are
-classed as lexical, syntactic, arity, or unknown-identifier.
+declared ideals.  So the first such error in reading order is reported.
+Errors carry (line, column) and are classed as lexical, syntactic, arity,
+or unknown-identifier.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from .core import Polynomial, Record, RingDescriptor
-from .errors import (ArityError, InputError, LexicalError, PreconditionError,
-                     SyntacticError, UnknownIdentifierError)
+from .errors import (ArityError, LexicalError, SyntacticError,
+                     UnknownIdentifierError)
 from .ratliff_rush import ClosureConfig
-from .semigroup import (AffineIdeal, AffineSemigroup2D, NumericalSemigroup,
-                        SemigroupIdeal, affine_ring)
 
 SYMBOLS = set(";=[](){}<>/^*+-,")
 
@@ -179,21 +174,10 @@ COMMAND_SIGNATURES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def _unit(S):
-    """The unit ideal of the semigroup ring S, which holds exactly the
-    ring's elements."""
-    if isinstance(S, AffineSemigroup2D):
-        return AffineIdeal(S, S.stairs)
-    return SemigroupIdeal(S, S.apery)
-
-
 class _Parser:
     """Reads and checks a token list.  ``names`` holds the variables a
     polynomial may use, None when any name passes; ``at`` is the statement
-    being read, where its checks report, or None to report at the token.
-    After a semigroup declaration ``read`` turns a generator into its
-    t-exponent or pair, and ``unit`` is the ring's unit ideal; both are None
-    in a polynomial ring."""
+    being read, where its checks report, or None to report at the token."""
 
     def __init__(self, tokens: List[Token], names: Optional[set] = None):
         self.toks = tokens
@@ -203,7 +187,6 @@ class _Parser:
         self.at: Optional[Token] = None
         self.have_ring = False
         self.ideals: set = set()
-        self.read = self.unit = None
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -311,7 +294,6 @@ class _Parser:
             variables.append(self.expect("ident").value)
         self.expect("sym", "]")
         self.names, self.have_ring = set(variables), True
-        self.read = self.unit = None
         quotient: List[PolyAST] = []
         if self.accept("sym", "/"):
             self.expect("sym", "(")
@@ -333,7 +315,6 @@ class _Parser:
         self.expect("sym", ">")
         self.expect("sym", ";")
         self.names, self.have_ring = {"t"}, True
-        self.read, self.unit = eval_t_exponent, _unit(NumericalSemigroup(gens))
         return SemiringDecl(name, tuple(gens), line=at.line, col=at.col)
 
     def pair(self) -> Tuple[int, int]:
@@ -354,7 +335,6 @@ class _Parser:
         self.expect("sym", ">")
         self.expect("sym", ";")
         self.names, self.have_ring = None, True  # generators are pairs
-        self.read, self.unit = eval_pair, _unit(affine_ring(gens))
         return AffineDecl(name, tuple(gens), line=at.line, col=at.col)
 
     def gen(self) -> PolyAST:
@@ -383,12 +363,6 @@ class _Parser:
             gens.append(self.gen())
         self.expect("sym", ")")
         self.expect("sym", ";")
-        if self.read is not None:
-            with located(at):
-                values = [self.read(g) for g in gens]
-            for v in values:
-                if not self.unit.contains(self.unit.element(v)):
-                    raise PreconditionError(f"generator {v} is not in the semigroup")
         self.ideals.add(name)
         return IdealDecl(name, tuple(gens), line=at.line, col=at.col)
 
@@ -434,13 +408,8 @@ class _Parser:
                     raise UnknownIdentifierError(f"unknown ideal {value!r}", *at)
             elif want == "int" and kind != "int":
                 raise ArityError(f"{name}: expected an integer", *at)
-            elif want == "elem":
-                if kind not in ("poly", "pair", "int"):
-                    raise ArityError(f"{name}: expected a parenthesized element",
-                                     *at)
-                if self.read is not None:
-                    with located(opname):
-                        semigroup_element(arg, self.read is eval_pair)
+            elif want == "elem" and kind not in ("poly", "pair", "int"):
+                raise ArityError(f"{name}: expected a parenthesized element", *at)
         return Command(name, tuple(args), tuple(overrides),
                        line=opname.line, col=opname.col)
 
@@ -521,33 +490,6 @@ def eval_pair(ast: PolyAST) -> Tuple[int, int]:
     if a[0] != "int" or b[0] != "int":
         raise SyntacticError("exponent pairs must be integers", 0, 0)
     return (a[1], b[1])
-
-
-def semigroup_element(arg: Tuple[str, object], pairs: bool):
-    """The t-exponent, or with ``pairs`` the exponent pair, that a command
-    element (kind, value) stands for in a semigroup ring; an element of
-    another kind does not fit the ring."""
-    kind, value = arg
-    if pairs:
-        if kind == "pair":
-            return eval_pair(arg)
-    elif kind == "int":
-        return value
-    elif kind == "poly":
-        return eval_t_exponent(value)
-    raise ArityError(f"element argument {arg!r} does not fit this ring")
-
-
-@contextmanager
-def located(st):
-    """Give an input error raised within, which carries no position of its
-    own, the line and column of st, a statement or its first token."""
-    try:
-        yield
-    except InputError as exc:
-        if exc.line:
-            raise
-        raise type(exc)(exc.message, st.line, st.col) from None
 
 
 def parse_polynomial(ring: RingDescriptor, text: str) -> Polynomial:

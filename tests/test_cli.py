@@ -203,6 +203,17 @@ def test_zero_is_a_member_of_every_ideal(tmp_path, capsys, ideal, zero):
     assert [c["member"] for c in cmds] == [True, False]
 
 
+def test_a_zero_generator_leaves_a_monomial_ideal_monomial(tmp_path, capsys):
+    commands = "min_gens I;\nintegral_closure I;\nrr_power I 2;\nsocle I;\n"
+    outputs = []
+    for gens in ("(X^2, 0, Y^3)", "(X^2, Y^3)"):
+        path = _write(tmp_path, f"ring R = QQ[X, Y];\nideal I = {gens};\n"
+                                + commands)
+        assert main(["compute", path]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_corpus_filter_that_matches_nothing_is_a_usage_error(capsys):
     assert main(["corpus", "run", "--filter", "NOPE"]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -251,7 +262,8 @@ def test_one_ray_generator_outside_the_ring_is_named(tmp_path, capsys,
                             f"ideal I = ({generator});\n")
     assert main(["compute", path]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"rrlab: generator {shown} is not in the semigroup\n")
+        f"rrlab: generator {shown} is not in the semigroup"
+        " (line 2, column 1)\n")
 
 
 @pytest.mark.parametrize("first", ["affine A = <(0,2), (0,3)>;\n"

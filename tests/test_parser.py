@@ -173,9 +173,10 @@ def test_a_bad_last_statement_stops_the_program_before_it_runs(
     ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\nideal J = (t*t);\n",
      "semigroup generators are written t^k or as integers (line 4, column 1)"),
     ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\nideal J = (t^1);\n",
-     "generator 1 is not in the semigroup"),
+     "generator 1 is not in the semigroup (line 4, column 1)"),
     ("affine A = <(0,2), (1,1)>;\nideal I = ((0,2));\nrr_closure I;\n"
-     "ideal J = ((1,0));\n", "generator (1, 0) is not in the semigroup"),
+     "ideal J = ((1,0));\n",
+     "generator (1, 0) is not in the semigroup (line 4, column 1)"),
     ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\n"
      "membership (1,2) I;\n", "element argument ('pair', (('int', 1), "
      "('int', 2))) does not fit this ring (line 4, column 1)"),
@@ -189,6 +190,38 @@ def test_a_bad_semigroup_generator_stops_the_program_before_it_runs(
     path = tmp_path / "prog.rr"
     path.write_text(text)
     assert main(["compute", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rrlab: {message}\n"
+    assert ran == []
+
+
+RESOLVED = "ring R = QQ[X, Y];\nideal I = (X^2, Y);\nrr_closure I;\n"
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("membership (1, 2) I;", "element argument ('pair', (('int', 1), "
+     "('int', 2))) does not fit this ring (line 4, column 1)"),
+    ("ring S = F 4[X];", "4 is not prime (line 4, column 1)"),
+    ("rr_closure I window = 1;",
+     "require k_max >= window >= 2 (line 4, column 1)"),
+    ("ring S = QQ[X, X];", "variable names must be distinct (line 4, column 1)"),
+    ("semiring S = <4, 6>;",
+     "generators must be coprime overall (line 4, column 1)"),
+    ("semiring S = <2, 3>;\nideal J = (t^2);\nsum I J;",
+     "this command needs a polynomial-ring ideal (line 6, column 1)"),
+], ids=["element-shape", "field", "config", "variables", "semigroup",
+        "mixed-ideals"])
+@pytest.mark.parametrize("subcommand", ["compute", "gb"])
+def test_every_input_error_comes_before_any_command(
+        tmp_path, capsys, monkeypatch, subcommand, tail, message):
+    ran = []
+    for name in list(HANDLERS):
+        monkeypatch.setitem(HANDLERS, name,
+                            lambda *args, name=name: ran.append(name) or {})
+    path = tmp_path / "prog.rr"
+    path.write_text(RESOLVED + tail + "\n")
+    assert main([subcommand, str(path)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"rrlab: {message}\n"

@@ -64,7 +64,7 @@ def test_api_and_cli_agree_on_every_ring_kind(kind):
     I = session.ideals["I"]
     api = [rr_closure(I, DEFAULT_CONFIG), rr_power(I, 2, DEFAULT_CONFIG)]
     for cmd, res in zip(commands, api):
-        frag = run_command(session, cmd, DEFAULT_CONFIG)
+        frag = run_command(cmd, DEFAULT_CONFIG, session.arguments(cmd))
         del frag["command"], frag["config"]
         assert frag == res.to_dict()
 
@@ -174,7 +174,8 @@ def test_cli_promotes_mixed_ideal_types(tmp_path, capsys):
     assert isinstance(session.ideals["I"], MonomialIdeal)
     assert isinstance(session.ideals["J"], IdealHandle)
     session.ideals["I"] = IdealHandle.from_monomial(session.ideals["I"])
-    as_handles = [run_command(session, cmd, DEFAULT_CONFIG) for cmd in commands]
+    as_handles = [run_command(cmd, DEFAULT_CONFIG, session.arguments(cmd))
+                  for cmd in commands]
 
     path = tmp_path / "prog.rr"
     path.write_text(MIXED)
