@@ -379,15 +379,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if not ideals:
                 sys.stderr.write("rrlab gb: no ideal declared in file\n")
                 return EXIT_USAGE
-            if session.kind != "poly":
-                sys.stderr.write("rrlab gb: needs a polynomial ring\n")
-                return EXIT_USAGE
+            H = _as_handle(session.ideals[ideals[-1]])
             priority = None
             if ns.vars:
                 names = [v.strip() for v in ns.vars.split(",")]
-                priority = tuple(session.ring.var_index(v) for v in names)
+                priority = tuple(H.ring.var_index(v) for v in names)
             order = MonomialOrder(ns.order, priority)
-            H = _as_handle(session.ideals[ideals[-1]])
             basis = H.groebner_basis(order)
             _emit({"commands": [{
                 "command": "gb",

@@ -74,6 +74,36 @@ def test_gb_orders(tmp_path, capsys):
     assert lex != swapped  # elimination order changes the basis
 
 
+# the last ideal is a polynomial one though the last ring declared is not,
+# and the other way round
+GB_POLY_LAST_IDEAL = ("ring R = QQ[X, Y];\nideal I = (X^2 - Y, Y^2);\n"
+                      "semiring S = <2, 3>;\n")
+GB_SEMIGROUP_LAST_IDEAL = ("semiring S = <2, 3>;\nideal I = (t^2, t^3);\n"
+                           "ring R = QQ[X, Y];\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--vars", "Y,X"]])
+def test_gb_takes_the_ring_of_the_last_ideal(tmp_path, capsys, flags):
+    path = _write(tmp_path, GB_POLY_LAST_IDEAL)
+    assert main(["gb", path] + flags) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "basis:" in out and "X^2 - Y" in out and "Y^2" in out
+    path = _write(tmp_path, GB_SEMIGROUP_LAST_IDEAL, "semi.rr")
+    assert main(["gb", path] + flags) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "this command needs a polynomial-ring ideal" in captured.err
+
+
+def test_probe_on_non_regular_ideal_exit_code(tmp_path, capsys):
+    path = _write(tmp_path, "ring R = QQ[X] / (X^2);\nideal I = (X);\n"
+                            "rr_membership (1) I;\n")
+    assert main(["compute", path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a declared regular element" in captured.err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "ring R = QQ[X Y];\n")
     assert main(["compute", path]) == EXIT_USAGE

@@ -249,6 +249,21 @@ def test_quotient_ring_needs_regular_element():
     assert res.value.contains(parse_polynomial(R, "X"))
 
 
+def test_probes_refuse_a_non_regular_ideal():
+    # In QQ[X]/(X^2), 1 * (X)^2 = 0 = (X)^3: the union of the chain takes in
+    # the whole ring, so the probes refuse I as the closures do.
+    base = RingDescriptor(("X",))
+    R = base.with_quotient([parse_polynomial(base, "X^2")])
+    I = IdealHandle(R, [parse_polynomial(R, "X")])
+    one = parse_polynomial(R, "1")
+    with pytest.raises(PreconditionError, match="regular element"):
+        rr_closure(I)
+    with pytest.raises(PreconditionError, match="regular element"):
+        rr_membership_probe(one, I)
+    with pytest.raises(PreconditionError, match="regular element"):
+        rr_membership_probe_via_reduction(one, I, I)
+
+
 def test_to_dict_round_trippable_shapes():
     I = _mono((4, 0), (3, 1), (1, 3), (0, 4))
     d = rr_closure(I).to_dict()
