@@ -42,6 +42,16 @@ back when the quotient is integral.  Sums and products of ints and
 ``Fraction``s stay exact.  ``_unpack`` turns the ints back into
 ``Fraction``s, so no ``Polynomial`` ever holds one.  F_p residues pass
 through unchanged.
+
+Colons.  A : b is (A cap (b)) / b, one elimination, and A : (b_1, ..., b_d)
+intersects those d parts, d - 1 more.  ``IdealHandle.colon`` eliminates only
+where a membership test cannot settle a step: when every generator g of the
+colon C found so far has g * b in A, C lies in A : b, and b costs only
+normal forms against A's basis, which a power on a chain's ``PowerLadder``
+computes once.  A colon by two or more generators returns the reduced basis
+of the colon either way: the t-free part of an intersection is that basis,
+and when no intersection ran C's own reduced basis is returned, so printed
+generators and witnesses do not depend on which steps were skipped.
 """
 
 from __future__ import annotations
@@ -515,24 +525,35 @@ class IdealHandle(Ideal):
               floor: Optional["IdealHandle"] = None) -> "IdealHandle":
         """The intersection of the colons by each generator of other.
 
-        With a floor F, the colon by the generator b of least (total degree,
-        term count) comes first.  It contains the whole colon, so when F
-        contains it F itself is returned, a step that adds nothing to F;
-        otherwise it is reused as b's part of the intersection."""
+        The colon by one generator, the probe, is the running result C: the
+        first generator, or with a floor F the one of least (total degree,
+        term count).  The colon by one generator contains the whole colon,
+        so when F contains C, F itself is returned, a step that adds nothing
+        to F.  A further generator b costs an elimination only when C is not
+        already inside A : b, that is when some generator g of C has g * b
+        outside A; otherwise C is C cap (A : b) and b is skipped.
+
+        With two or more generators the result is the reduced basis of the
+        colon (Q adjoined), whichever generators were skipped: the t-free
+        part of the last intersection is that basis, and a C that no
+        intersection made is replaced by its own reduced basis."""
         if not other.gens:
             raise ZeroIdealError("colon by the zero ideal")
         self._check(other)
-        probe = first = None
-        if floor is not None:
-            probe = min(other.gens, key=lambda g: (g.total_degree(), len(g.terms)))
-            first = self.colon_element(probe)
-            if floor.contains_ideal(first):
-                return floor
-        result: Optional[IdealHandle] = None
+        probe = other.gens[0] if floor is None else min(
+            other.gens, key=lambda g: (g.total_degree(), len(g.terms)))
+        result = self.colon_element(probe)
+        if floor is not None and floor.contains_ideal(result):
+            return floor
+        intersected = False
         for b in other.gens:
-            part = first if b is probe else self.colon_element(b)
-            result = part if result is None else result.intersect(part)
-        return result
+            if b is probe or all(self.contains(g * b) for g in result.gens):
+                continue
+            result = result.intersect(self.colon_element(b))
+            intersected = True
+        if intersected or len(other.gens) == 1:
+            return result
+        return IdealHandle(self.ring, list(result.groebner_basis().polynomials))
 
     def leading_term_ideal(self, order: Optional[MonomialOrder] = None) -> MonomialIdeal:
         if self.ring.quotient:

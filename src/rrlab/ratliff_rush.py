@@ -223,10 +223,12 @@ def _ring_element(m, I):
     return e
 
 
-def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
+def _probe(e, I, n: int, denominator, cfg: ClosureConfig,
+           regular_element=None):
     """Member(k) for the least k <= k_max with e * denominator(k) inside
     I^{n+k}, else NotMemberUpTo(k_max).  I must be regular, as for every
-    chain: otherwise the union of the chain means nothing.
+    chain: otherwise the union of the chain means nothing.  In a quotient
+    ring that takes a regular element of I, as for rr_power.
 
     This is membership in the step-k value of _chain, but the probe does
     not read the chain: it tests one product at a time, so a failing step
@@ -234,7 +236,7 @@ def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
     whole colon.  Reading _chain instead made the corpus cases EX-1.4 and
     EX-3.7, mostly probes, 2 to 6 times slower (2 cores, Python 3.11).
     """
-    I.check_regular()
+    I.check_regular(regular_element)
     principal = I.power(0).times(e)
     for k in range(1, cfg.k_max + 1):
         top = I.power(n + k)
@@ -244,16 +246,18 @@ def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
     return NotMemberUpTo(cfg.k_max)
 
 
-def rr_membership_probe(m, I, cfg: ClosureConfig = DEFAULT_CONFIG):
+def rr_membership_probe(m, I, cfg: ClosureConfig = DEFAULT_CONFIG,
+                        regular_element=None):
     """Does m multiply some I^k into I^{k+1}?  Member(k) / NotMemberUpTo."""
     e = _ring_element(m, I)
     if I.contains(e):
         raise PreconditionError("element already lies in the ideal; probe is vacuous")
-    return _probe(e, I, 1, I.power, cfg)
+    return _probe(e, I, 1, I.power, cfg, regular_element)
 
 
 def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
-                                      cfg: ClosureConfig = DEFAULT_CONFIG):
+                                      cfg: ClosureConfig = DEFAULT_CONFIG,
+                                      regular_element=None):
     """Does m multiply k-th generator powers of a reduction J into I^{n+k}?
 
     J must verify as a reduction of I within cfg.n_max.  Member(k) certifies
@@ -267,7 +271,7 @@ def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
     if I.power(n).contains(e):
         raise PreconditionError(
             "element already lies in the n-th power; probe is vacuous")
-    return _probe(e, I, n, J.gen_powers, cfg)
+    return _probe(e, I, n, J.gen_powers, cfg, regular_element)
 
 
 def is_rr_closed(I, cfg: ClosureConfig = DEFAULT_CONFIG, regular_element=None):

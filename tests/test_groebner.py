@@ -17,6 +17,8 @@ from rrlab import groebner
 from rrlab.groebner import IdealHandle
 from rrlab.monomial import MonomialIdeal
 from rrlab.parser import parse_polynomial
+from rrlab.ratliff_rush import (ClosureConfig, FailsAt, StabilizedWindow,
+                                is_rr_closed, rr_closure)
 
 
 def _ring():
@@ -160,6 +162,31 @@ def test_monomial_round_trip():
     H = IdealHandle.from_monomial(I)
     assert H.is_monomial()
     assert H.to_monomial_ideal() == I
+
+
+def test_colon_eliminates_only_where_membership_cannot_settle(monkeypatch):
+    # A colon by a further generator b skips its elimination when every
+    # generator of the running colon multiplies b into A.  On this handle
+    # the closure chain makes 3 eliminations and its first step 1, where
+    # eliminating for every generator makes 9 and 7.
+    calls = []
+    raw = IdealHandle._intersect_raw
+
+    def counted(self, b_side):
+        calls.append(b_side)
+        return raw(self, b_side)
+
+    monkeypatch.setattr(IdealHandle, "_intersect_raw", counted)
+    R = _ring()
+    gens = ("X^4", "X^3*Y", "X*Y^3", "Y^4")
+    res = rr_closure(_handle(R, *gens), ClosureConfig(k_max=4, window=2))
+    assert len(calls) == 3
+    assert (res.status, res.growth_steps) == (StabilizedWindow(3, 2), (1,))
+    assert str(res.value) == "(X^4, X^3*Y, X*Y^3, Y^4, X^2*Y^2)"
+    calls.clear()
+    verdict = is_rr_closed(_handle(R, *gens), ClosureConfig(k_max=2, window=2))
+    assert len(calls) == 1
+    assert verdict == FailsAt(1, parse_polynomial(R, "X^2*Y^2"))
 
 
 def test_pair_cap_stops_buchberger(monkeypatch):

@@ -247,6 +247,17 @@ def test_quotient_ring_needs_regular_element():
         rr_closure(H, regular_element=parse_polynomial(R, "Z"))
     res = rr_closure(H, regular_element=parse_polynomial(R, "X"))
     assert res.value.contains(parse_polynomial(R, "X"))
+    # The probes take the same element: with X both answer, and Z, in the
+    # closure of I^2 but not in I^2, is a member; with Z or none, refused.
+    one, x, z = (parse_polynomial(R, t) for t in ("1", "X", "Z"))
+    assert rr_membership_probe(one, H, regular_element=x) == NotMemberUpTo(12)
+    assert rr_membership_probe_via_reduction(
+        z, H, H, 2, regular_element=x) == Member(1)
+    for bad in (None, z):
+        with pytest.raises(PreconditionError):
+            rr_membership_probe(one, H, regular_element=bad)
+        with pytest.raises(PreconditionError):
+            rr_membership_probe_via_reduction(z, H, H, 2, regular_element=bad)
 
 
 def test_probes_refuse_a_non_regular_ideal():
