@@ -321,52 +321,40 @@ class MonomialOrder(Record):
 # ring descriptor
 
 
-class RingDescriptor:
-    """Variable names, coefficient field, optional quotient generators.
+class RingDescriptor(Record):
+    """Variable names, coefficient field, term order, optional quotient
+    generators.
 
     If quotient generators Q are present, all ideal-level operations are
     interpreted modulo Q (handled by the groebner module).
     """
 
-    def __init__(self, variables: Sequence[str], field: Field = QQ,
-                 order: MonomialOrder = MonomialOrder("grevlex"),
-                 quotient: Sequence["Polynomial"] = ()):
-        variables = tuple(variables)
+    _fields = ("variables", "field", "order", "quotient")
+    _defaults = {"field": QQ, "order": MonomialOrder("grevlex"), "quotient": ()}
+
+    def _validate(self):
+        variables = tuple(self.variables)
         if len(set(variables)) != len(variables):
             raise PreconditionError("variable names must be distinct")
-        self.variables = variables
-        self.field = field
-        self.order = order
-        self.quotient = tuple(quotient)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "quotient", tuple(self.quotient))
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
 
     def with_quotient(self, polys: Sequence["Polynomial"]) -> "RingDescriptor":
-        return RingDescriptor(self.variables, self.field, self.order, tuple(polys))
+        return self.replace(quotient=polys)
 
     def compatible(self, other: "RingDescriptor") -> bool:
-        return (self.variables == other.variables and self.field == other.field
-                and self.quotient_keys() == other.quotient_keys())
-
-    def quotient_keys(self):
-        return tuple(frozenset(q.terms.items()) for q in self.quotient)
+        """The same ring up to the term order."""
+        return self is other or (
+            self.variables == other.variables and self.field == other.field
+            and self.quotient == other.quotient)
 
     def check_compatible(self, other: "RingDescriptor") -> None:
         if not self.compatible(other):
             raise RingMismatchError("operands live in different rings")
-
-    def _key(self):
-        return (self.variables, self.field, self.order, self.quotient_keys())
-
-    def __eq__(self, other):
-        if not isinstance(other, RingDescriptor):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def var_index(self, name: str) -> int:
         try:
@@ -728,9 +716,9 @@ class Ideal:
         known (see ratliff_rush.rr_power)."""
         return None
 
-    def check_regular(self, regular_element=None) -> None:
-        """Raise unless closure chains of I are meaningful: I must be
-        regular.  Exponent-set ideals always are."""
+    def check_regular(self) -> None:
+        """Raise unless closure chains of I are meaningful: I must contain
+        a non-zerodivisor.  Exponent-set ideals always do."""
 
 
 class PowerLadder:

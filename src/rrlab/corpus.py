@@ -547,8 +547,7 @@ def _borel(rec, cfg, rng):
 @_case("EX-3.1",
        "leading terms under graded reverse-lex X > Y: the leading-term "
        "ideal of (X*Y^5, X^6-Y^6, X^4*Y^2-X^2*Y^4) is chain-fixed while "
-       "the ideal itself is not; X^3*Y^4 leads the closure value "
-       "(runs about ten seconds: high-degree eliminations)",
+       "the ideal itself is not; X^3*Y^4 leads the closure value",
        k_max=4, window=2)
 def _ex31(rec, cfg, rng):
     R = _xy()

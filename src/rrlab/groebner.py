@@ -48,10 +48,10 @@ intersects those d parts, d - 1 more.  ``IdealHandle.colon`` eliminates only
 where a membership test cannot settle a step: when every generator g of the
 colon C found so far has g * b in A, C lies in A : b, and b costs only
 normal forms against A's basis, which a power on a chain's ``PowerLadder``
-computes once.  A colon by two or more generators returns the reduced basis
-of the colon either way: the t-free part of an intersection is that basis,
-and when no intersection ran C's own reduced basis is returned, so printed
-generators and witnesses do not depend on which steps were skipped.
+computes once.  A colon returns the reduced basis of the colon either way:
+the t-free part of an intersection is that basis, and when no intersection
+ran C's own reduced basis is returned, so printed generators and witnesses
+do not depend on which steps were skipped or on the number of generators.
 """
 
 from __future__ import annotations
@@ -371,14 +371,19 @@ class GroebnerBasis:
 
 
 class IdealHandle(Ideal):
-    """Generators plus ring context; reduced GB cached per order."""
+    """Generators plus ring context; reduced GB cached per order.  In a
+    quotient ring the handle is built with the regular element that its
+    closure chains need (check_regular); handles derived from it have none."""
 
-    def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial]):
+    def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial],
+                 regular_element=None):
         gens = [g for g in gens if not g.is_zero()]
         for g in gens:
             ring.check_compatible(g.ring)
         self.ring = ring
         self.gens = tuple(gens)
+        self.regular_element = regular_element
+        self._regular = False  # check_regular has passed
         self._gb: Dict[object, GroebnerBasis] = {}
 
     # -- construction helpers ---------------------------------------------
@@ -435,24 +440,28 @@ class IdealHandle(Ideal):
             return m
         raise UnsupportedOperationError(f"cannot probe with {type(m).__name__}")
 
-    def check_regular(self, regular_element=None) -> None:
+    def check_regular(self) -> None:
         """In a domain any nonzero ideal is regular.  In a quotient ring the
-        caller must name an element of I whose annihilator is zero; that
-        claim is verified against the quotient relations."""
+        handle must have been built with a regular element: an element of I
+        whose annihilator is zero, verified here against the quotient
+        relations by one elimination.  A handle that passes is not checked
+        again."""
+        if self._regular:
+            return
         if not self.gens:
             raise ZeroIdealError("closure of the zero ideal is undefined")
-        if not self.ring.quotient:
-            return
-        if regular_element is None:
-            raise PreconditionError(
-                "quotient-ring closure needs a declared regular element of the ideal")
-        x = self.element(regular_element)
-        if not self.contains(x):
-            raise PreconditionError("declared regular element is not in the ideal")
-        ann = IdealHandle(self.ring, []).colon_element(x)
-        if not ann.is_zero():
-            raise PreconditionError(
-                "declared element is a zerodivisor: its annihilator is nonzero")
+        if self.ring.quotient:
+            if self.regular_element is None:
+                raise PreconditionError(
+                    "quotient-ring closure needs a declared regular element of the ideal")
+            x = self.element(self.regular_element)
+            if not self.contains(x):
+                raise PreconditionError("declared regular element is not in the ideal")
+            ann = IdealHandle(self.ring, []).colon_element(x)
+            if not ann.is_zero():
+                raise PreconditionError(
+                    "declared element is a zerodivisor: its annihilator is nonzero")
+        self._regular = True
 
     def is_zero(self) -> bool:
         if not self.ring.quotient:
@@ -533,10 +542,10 @@ class IdealHandle(Ideal):
         already inside A : b, that is when some generator g of C has g * b
         outside A; otherwise C is C cap (A : b) and b is skipped.
 
-        With two or more generators the result is the reduced basis of the
-        colon (Q adjoined), whichever generators were skipped: the t-free
-        part of the last intersection is that basis, and a C that no
-        intersection made is replaced by its own reduced basis."""
+        Unless F is returned, the result is the reduced basis of the colon
+        (Q adjoined), whichever generators were skipped: the t-free part of
+        the last intersection is that basis, and a C that no intersection
+        made is replaced by its own reduced basis."""
         if not other.gens:
             raise ZeroIdealError("colon by the zero ideal")
         self._check(other)
@@ -551,7 +560,7 @@ class IdealHandle(Ideal):
                 continue
             result = result.intersect(self.colon_element(b))
             intersected = True
-        if intersected or len(other.gens) == 1:
+        if intersected:
             return result
         return IdealHandle(self.ring, list(result.groebner_basis().polynomials))
 

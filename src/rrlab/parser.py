@@ -35,6 +35,9 @@ from .errors import (ArityError, LexicalError, SyntacticError,
 from .ratliff_rush import ClosureConfig
 
 SYMBOLS = set(";=[](){}<>/^*+-,")
+# ASCII only: str.isdigit also holds for '²', which int() refuses, and for
+# the digits of other scripts
+DIGITS = set("0123456789")
 
 # parentheses and unary minus signs open at once within a polynomial; each
 # costs a few frames of recursion in the parser and in eval_poly
@@ -68,9 +71,9 @@ def tokenize(text: str) -> List[Token]:
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i

@@ -1,9 +1,10 @@
 """Ascending colon-chain engine with honest labels.
 
-The closure of a regular ideal is the union of the ascending chain
-I^{k+1} : I^k.  No terminating criterion exists in general, so every result
-carries a status: StabilizedWindow or BoundReached (the step cap was hit;
-the value is only a lower bound).  StabilizedWindow covers two stops that
+The closure of a regular ideal (one that contains a non-zerodivisor, see
+Ideal.check_regular) is the union of the ascending chain I^{k+1} : I^k.
+No terminating criterion exists in general, so every result carries a
+status: StabilizedWindow or BoundReached (the step cap was hit; the value
+is only a lower bound).  StabilizedWindow covers two stops that
 print the same label: a chain that ran to a principal-reduction index (known
 for semigroup ideals), past which it is constant, is proved; a chain that
 repeated for `window` consecutive steps stopped on a heuristic, and may
@@ -152,8 +153,7 @@ def _closure(I, n: int, denominator, cfg: ClosureConfig,
 # public operations
 
 
-def rr_power(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG,
-             regular_element=None) -> ClosureResult:
+def rr_power(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
     """Closure of I^n via the chain I^{n+k} : I^k.
 
     If I^{r+1} = x * I^r for a regular x, cancelling x^{k-r} shows that the
@@ -163,14 +163,13 @@ def rr_power(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG,
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    I.check_regular(regular_element)
+    I.check_regular()
     r = I.principal_reduction_index()
     return _closure(I, n, I.power, cfg, None if r is None else max(r, 1))
 
 
-def rr_closure(I, cfg: ClosureConfig = DEFAULT_CONFIG,
-               regular_element=None) -> ClosureResult:
-    return rr_power(I, 1, cfg, regular_element)
+def rr_closure(I, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
+    return rr_power(I, 1, cfg)
 
 
 def is_reduction(I, J, n_max: int = 8):
@@ -191,15 +190,14 @@ def _require_reduction(I, J, cfg: ClosureConfig) -> None:
 
 
 def rr_closure_via_reduction(I, J, n: int,
-                             cfg: ClosureConfig = DEFAULT_CONFIG,
-                             regular_element=None) -> ClosureResult:
+                             cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
     """Closure of I^n via I^{n+k} : (a_1^k, ..., a_d^k) for J = (a_1..a_d).
 
     J must verify as a reduction of I within cfg.n_max.
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    I.check_regular(regular_element)
+    I.check_regular()
     _require_reduction(I, J, cfg)
     return _closure(I, n, J.gen_powers, cfg)
 
@@ -223,12 +221,11 @@ def _ring_element(m, I):
     return e
 
 
-def _probe(e, I, n: int, denominator, cfg: ClosureConfig,
-           regular_element=None):
+def _probe(e, I, n: int, denominator, cfg: ClosureConfig):
     """Member(k) for the least k <= k_max with e * denominator(k) inside
     I^{n+k}, else NotMemberUpTo(k_max).  I must be regular, as for every
-    chain: otherwise the union of the chain means nothing.  In a quotient
-    ring that takes a regular element of I, as for rr_power.
+    chain: otherwise the union of the chain means nothing
+    (Ideal.check_regular).
 
     This is membership in the step-k value of _chain, but the probe does
     not read the chain: it tests one product at a time, so a failing step
@@ -236,7 +233,7 @@ def _probe(e, I, n: int, denominator, cfg: ClosureConfig,
     whole colon.  Reading _chain instead made the corpus cases EX-1.4 and
     EX-3.7, mostly probes, 2 to 6 times slower (2 cores, Python 3.11).
     """
-    I.check_regular(regular_element)
+    I.check_regular()
     principal = I.power(0).times(e)
     for k in range(1, cfg.k_max + 1):
         top = I.power(n + k)
@@ -246,18 +243,16 @@ def _probe(e, I, n: int, denominator, cfg: ClosureConfig,
     return NotMemberUpTo(cfg.k_max)
 
 
-def rr_membership_probe(m, I, cfg: ClosureConfig = DEFAULT_CONFIG,
-                        regular_element=None):
+def rr_membership_probe(m, I, cfg: ClosureConfig = DEFAULT_CONFIG):
     """Does m multiply some I^k into I^{k+1}?  Member(k) / NotMemberUpTo."""
     e = _ring_element(m, I)
     if I.contains(e):
         raise PreconditionError("element already lies in the ideal; probe is vacuous")
-    return _probe(e, I, 1, I.power, cfg, regular_element)
+    return _probe(e, I, 1, I.power, cfg)
 
 
 def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
-                                      cfg: ClosureConfig = DEFAULT_CONFIG,
-                                      regular_element=None):
+                                      cfg: ClosureConfig = DEFAULT_CONFIG):
     """Does m multiply k-th generator powers of a reduction J into I^{n+k}?
 
     J must verify as a reduction of I within cfg.n_max.  Member(k) certifies
@@ -271,12 +266,12 @@ def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
     if I.power(n).contains(e):
         raise PreconditionError(
             "element already lies in the n-th power; probe is vacuous")
-    return _probe(e, I, n, J.gen_powers, cfg, regular_element)
+    return _probe(e, I, n, J.gen_powers, cfg)
 
 
-def is_rr_closed(I, cfg: ClosureConfig = DEFAULT_CONFIG, regular_element=None):
+def is_rr_closed(I, cfg: ClosureConfig = DEFAULT_CONFIG):
     """Bounded closedness: the full chain is run to k_max (no early stop)."""
-    I.check_regular(regular_element)
+    I.check_regular()
     for k, value, grew in _chain(I, 1, I.power, cfg.k_max):
         if grew:
             return FailsAt(k, value.first_gen_outside(I))
@@ -302,11 +297,10 @@ class RRDefect(Record):
         return self.numerator.contains(e) and not self.denominator.contains(e)
 
 
-def rr_defect(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG,
-              regular_element=None) -> RRDefect:
+def rr_defect(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> RRDefect:
     if n < 0:
         raise PreconditionError("defect degree must be >= 0")
-    closure = rr_power(I, n + 1, cfg, regular_element)
+    closure = rr_power(I, n + 1, cfg)
     numerator = closure.value
     if n > 0:
         numerator = numerator.intersect(I.power(n))

@@ -298,6 +298,20 @@ def test_cross_ring_operations_rejected():
         A.variable("X") + B.variable("X")
 
 
+def test_rings_compatible_up_to_the_order():
+    R = RingDescriptor(["X", "Y"])  # a list of names is read as a tuple
+    assert R == RingDescriptor(("X", "Y"), QQ, MonomialOrder("grevlex"), ())
+    assert hash(R) == hash(RingDescriptor(("X", "Y")))
+    lex = R.replace(order=MonomialOrder("lex"))
+    assert lex != R and lex.compatible(R)
+    Q = R.with_quotient([R.variable("X") ** 2])
+    assert Q == R.with_quotient([R.variable("X") ** 2])
+    assert not Q.compatible(R)
+    assert not R.compatible(RingDescriptor(("X", "Y"), Field(7)))
+    with pytest.raises(PreconditionError):
+        RingDescriptor(("X", "X"))
+
+
 def test_polynomial_string_round_trip():
     R = _ring()
     rng = random.Random(11)

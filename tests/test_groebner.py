@@ -327,3 +327,15 @@ def test_qq_results_hold_fractions_only():
                     for c in f.terms.values()]
     assert {type(c) for c in coefficients} == {Fraction}
     assert Fraction(1) in coefficients and Fraction(-2) in coefficients
+
+
+def test_principal_colon_returns_the_reduced_basis():
+    # A colon by one generator is read off the same reduced basis as one by
+    # two generators that span the same ideal, so both print alike.
+    R = _ring()
+    A = _handle(R, "X^3 + Y^2", "X*Y^2 - Y^3")
+    b = parse_polynomial(R, "X^2 + X*Y")
+    principal = A.colon(IdealHandle(R, [b]))
+    assert principal.gens == A.colon(
+        IdealHandle(R, [b, parse_polynomial(R, "X") * b])).gens
+    assert principal.gens == principal.groebner_basis().polynomials

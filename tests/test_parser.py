@@ -69,6 +69,14 @@ def test_lexical_error():
     assert e.value.line == 1 and e.value.col > 0
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # '²', Arabic-Indic 3
+def test_only_ascii_digits_read_as_integers(digit):
+    # str.isdigit holds for both, but int() refuses '²'
+    with pytest.raises(LexicalError) as e:
+        parse_program(f"ring R = QQ[X]; ideal I = (X^{digit}); gb I;")
+    assert (e.value.line, e.value.col) == (1, 30)
+
+
 def test_syntactic_error():
     with pytest.raises(SyntacticError):
         parse_program("ring R = QQ[X, Y; ideal I = (X);")

@@ -18,6 +18,7 @@ from rrlab.ratliff_rush import (BoundReached, ClosureConfig, FailsAt, Holds,
                                 rr_membership_probe,
                                 rr_membership_probe_via_reduction, rr_power,
                                 superficial_probe)
+from rrlab.reductions import EXACT, rr_reduction_number, s_invariant
 
 
 def _xy():
@@ -235,29 +236,81 @@ def test_handle_backend_matches_monomial_backend():
     assert a == b
 
 
-def test_quotient_ring_needs_regular_element():
+def _ex13_ring():
     base = RingDescriptor(("X", "Z", "U"))
-    R = base.with_quotient([parse_polynomial(base, t)
-                            for t in ("Z^2", "Z*U", "X*Z - U^3")])
-    H = IdealHandle(R, [parse_polynomial(R, v) for v in ("X", "Z", "U")])
-    with pytest.raises(PreconditionError):
-        rr_closure(H)
-    # Z is a zerodivisor, so it cannot serve as the chain element.
-    with pytest.raises(PreconditionError):
-        rr_closure(H, regular_element=parse_polynomial(R, "Z"))
-    res = rr_closure(H, regular_element=parse_polynomial(R, "X"))
-    assert res.value.contains(parse_polynomial(R, "X"))
-    # The probes take the same element: with X both answer, and Z, in the
-    # closure of I^2 but not in I^2, is a member; with Z or none, refused.
+    return base.with_quotient([parse_polynomial(base, t)
+                               for t in ("Z^2", "Z*U", "X*Z - U^3")])
+
+
+def _ex13_ideal(R, regular=None):
+    """The maximal ideal of EX-1.3's ring, built with the given regular
+    element (None: none declared)."""
+    x = None if regular is None else parse_polynomial(R, regular)
+    return IdealHandle(R, [parse_polynomial(R, v) for v in ("X", "Z", "U")],
+                       regular_element=x)
+
+
+def test_quotient_ring_needs_regular_element():
+    R = _ex13_ring()
     one, x, z = (parse_polynomial(R, t) for t in ("1", "X", "Z"))
-    assert rr_membership_probe(one, H, regular_element=x) == NotMemberUpTo(12)
-    assert rr_membership_probe_via_reduction(
-        z, H, H, 2, regular_element=x) == Member(1)
-    for bad in (None, z):
+    # None declared, Z (a zerodivisor) or X + 1 (outside I): the closure
+    # and both probes are refused.
+    for bad in (None, "Z", "X + 1"):
+        H = _ex13_ideal(R, bad)
         with pytest.raises(PreconditionError):
-            rr_membership_probe(one, H, regular_element=bad)
+            rr_closure(H)
         with pytest.raises(PreconditionError):
-            rr_membership_probe_via_reduction(z, H, H, 2, regular_element=bad)
+            rr_membership_probe(one, H)
+        with pytest.raises(PreconditionError):
+            rr_membership_probe_via_reduction(z, H, H, 2)
+    # With X declared all three answer; Z, in the closure of I^2 but not in
+    # I^2, is a member.
+    H = _ex13_ideal(R, "X")
+    assert rr_closure(H).value.contains(x)
+    assert rr_membership_probe(one, H) == NotMemberUpTo(12)
+    assert rr_membership_probe_via_reduction(z, H, H, 2) == Member(1)
+
+
+def test_quotient_ring_reduction_invariants():
+    # Checked by hand: I = (X, Z, U) and I^3 are closed, the closure of
+    # I^2 is I^2 + (Z) (Z * X = U^3 lies in I^3), I^3 = X * (I^2 + (Z)) and
+    # I^4 = X * I^3, while the closure of I^2 is not X * I.
+    R = _ex13_ring()
+    cfg = ClosureConfig(n_max=3)
+    J = IdealHandle(R, [parse_polynomial(R, "X")])
+    H = _ex13_ideal(R, "X")
+    assert s_invariant(H, cfg) == (3, EXACT)
+    assert rr_reduction_number(H, J, cfg) == (2, EXACT)
+    defect = rr_defect(H, 1, cfg)
+    assert defect.representatives == (parse_polynomial(R, "Z"),)
+    bare = _ex13_ideal(R)
+    for run in (lambda: s_invariant(bare, cfg),
+                lambda: rr_reduction_number(bare, J, cfg),
+                lambda: rr_defect(bare, 1, cfg)):
+        with pytest.raises(PreconditionError, match="regular element"):
+            run()
+
+
+def test_regularity_is_checked_once_per_handle(monkeypatch):
+    # The annihilator of the declared element is the colon of the zero
+    # handle by it: one elimination for the handle, however many chains
+    # and probes run on it.
+    calls = []
+    raw = IdealHandle.colon_element
+
+    def counted(self, b):
+        calls.append(self)
+        return raw(self, b)
+
+    monkeypatch.setattr(IdealHandle, "colon_element", counted)
+    R = _ex13_ring()
+    H = _ex13_ideal(R, "X")
+    first = rr_closure(H)
+    n_first = len(calls)
+    assert rr_closure(H).status == first.status
+    assert len(calls) == 2 * n_first - 1
+    rr_membership_probe(parse_polynomial(R, "1"), H)
+    assert sum(1 for h in calls if not h.gens) == 1
 
 
 def test_probes_refuse_a_non_regular_ideal():

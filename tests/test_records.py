@@ -51,6 +51,7 @@ def _instances():
     semiring_decl, affine_decl = parse_program(SEMIGROUP_PROGRAM).statements
     return [
         (PrimeFieldElement(1, 7), "residue"),
+        (R, "variables"),
         (Field(7), "characteristic"),
         (MonomialOrder("lex"), "kind"),
         (Monomial(R, (1, 0)), "exps"),
