@@ -1,8 +1,10 @@
 """Exact scalars, monomials, sparse polynomials, term orders, and the
 ideal protocol that every ideal type implements.
 
-Coefficients are exact: rationals (fractions.Fraction) or prime-field
-elements.  Exponent vectors are plain tuples of non-negative ints.
+Coefficients are exact: prime-field elements, or rationals held as ints
+and, where a division made one, as ``fractions.Fraction``s; equal values
+compare, hash and print alike.  Exponent vectors are plain tuples of
+non-negative ints.
 Everything here is immutable and safe to share, except that a PowerLadder
 adds each power of its ideal once it is first asked for.  The value types
 of the whole package derive from Record.
@@ -10,6 +12,7 @@ of the whole package derive from Record.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from fractions import Fraction
 from itertools import chain
@@ -169,7 +172,7 @@ class PrimeFieldElement(Record):
         return str(self.residue)
 
 
-FieldScalar = Union[Fraction, PrimeFieldElement]
+FieldScalar = Union[int, Fraction, PrimeFieldElement]
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -223,11 +226,8 @@ class Field(Record):
 
     def from_int(self, n: int) -> FieldScalar:
         if self.is_rational:
-            return Fraction(n)
+            return n
         return PrimeFieldElement(n % self.characteristic, self.characteristic)
-
-    def zero(self) -> FieldScalar:
-        return self.from_int(0)
 
     def one(self) -> FieldScalar:
         return self.from_int(1)
@@ -524,6 +524,18 @@ class Packing:
         return self.minimal(out, floor)
 
 
+@functools.lru_cache(maxsize=32)
+def shared_packing(nvars: int, width: int, order: Optional[MonomialOrder] = None,
+                   eliminate: bool = False) -> Packing:
+    """The packing of ``nvars`` fields of ``width`` bits from the one bounded
+    table that the monomial kernels and the Buchberger engine share.  With
+    an order, the packing carries its ``int_weights`` key for digits of
+    ``width - 1`` bits; with eliminate, it packs one more variable last,
+    ordered first."""
+    key = () if order is None else order.int_weights(nvars, width - 1, eliminate)
+    return Packing(nvars + eliminate, width, key)
+
+
 class Monomial(Record):
     _fields = ("ring", "exps")
 
@@ -626,9 +638,6 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and bool(next(iter(self.terms.values())) == self.ring.field.one())
-
     def sorted_terms(self, order: Optional[MonomialOrder] = None):
         order = order or self.ring.order
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
@@ -647,13 +656,8 @@ class Polynomial:
         pieces = []
         for i, (e, c) in enumerate(self.sorted_terms()):
             mono = self.ring.format_exponents(e)
-            if isinstance(c, Fraction):
-                neg = c < 0
-                mag = -c if neg else c
-            else:
-                neg = False
-                mag = c
-            coef = str(mag)
+            neg = type(c) is not PrimeFieldElement and c < 0
+            coef = str(-c if neg else c)
             if mono == "1":
                 body = coef
             elif coef == "1":

@@ -34,14 +34,15 @@ either.  So a raw basis of monic elements is the classic one with each
 element scaled by a nonzero constant: the pair criteria read only leading
 monomials, and the reduced basis, which is unique, is the same.
 
-Coefficients.  Inside one engine call a QQ coefficient is a native ``int``
-while it is integral, and a ``Fraction`` only when it is not: ``_pack``
-turns an integral ``Fraction`` into its numerator, and every division goes
-through ``_quo``, which divides two ints as a ``Fraction`` and gives an int
-back when the quotient is integral.  Sums and products of ints and
-``Fraction``s stay exact.  ``_unpack`` turns the ints back into
-``Fraction``s, so no ``Polynomial`` ever holds one.  F_p residues pass
-through unchanged.
+Coefficients.  A QQ coefficient is an ``int`` while it is integral and a
+``Fraction`` only when it is not, as in ``Polynomial``, so ``_pack`` and
+``_unpack`` convert none.  A non-integral rational arises only in ``_quo``,
+which divides two ints as a ``Fraction``.  A sum or product of
+``Fraction``s can be integral, so ``_quo`` and each remainder term of
+``_normal_form`` go through ``_int``, the one normalizer, and ``_monic``
+divides by every leading coefficient but the int 1: no basis, normal form
+or quotient the engine returns holds an integral ``Fraction``.  F_p
+residues pass through unchanged.
 
 Colons.  A : b is (A cap (b)) / b, one elimination, and A : (b_1, ..., b_d)
 intersects those d parts, d - 1 more.  ``IdealHandle.colon`` eliminates only
@@ -64,7 +65,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, MonomialOrder, Packing,
-                   Polynomial, RingDescriptor)
+                   Polynomial, RingDescriptor, shared_packing)
 from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
@@ -93,14 +94,13 @@ def _quo(c, d):
 
 def _pack(pk: Packing, terms: dict) -> dict:
     """The packed polynomial, its terms in descending order."""
-    packed = [(pk.pack(e), _int(c)) for e, c in terms.items()]
+    packed = [(pk.pack(e), c) for e, c in terms.items()]
     packed.sort(key=itemgetter(0), reverse=True)
     return dict(packed)
 
 
 def _unpack(pk: Packing, packed: dict) -> dict:
-    return {pk.unpack(m): Fraction(c) if type(c) is int else c
-            for m, c in packed.items()}
+    return {pk.unpack(m): c for m, c in packed.items()}
 
 
 def _width(polys: Iterable[dict]) -> int:
@@ -119,8 +119,7 @@ def _packed(order: MonomialOrder, nvars: int, polys: Sequence[dict],
     field, and ordered first."""
     width = max(width, _width(polys))
     while True:
-        pk = Packing(nvars + eliminate, width,
-                     order.int_weights(nvars, width - 1, eliminate))
+        pk = shared_packing(nvars, width, order, eliminate)
         try:
             return run(pk)
         except _Overflow:
@@ -128,10 +127,10 @@ def _packed(order: MonomialOrder, nvars: int, polys: Sequence[dict],
 
 
 def _monic(g: dict) -> dict:
-    """g divided by its leading coefficient, g itself when that is 1; g's
-    terms are in descending order."""
+    """g divided by its leading coefficient, g itself when that is the int
+    1; g's terms are in descending order."""
     lc = next(iter(g.values()))
-    if lc == 1:
+    if type(lc) is int and lc == 1:
         return g
     return {m: _quo(c, lc) for m, c in g.items()}
 
@@ -175,7 +174,7 @@ def _normal_form(f: dict, reducers: Sequence[tuple], pk: Packing,
             if (mg - ltl) & G == G:
                 break
         else:
-            rem[m] = c
+            rem[m] = _int(c)
             continue
         s = m - lt
         if (hull + s) & G:
@@ -351,6 +350,8 @@ class GroebnerBasis:
         return tuple(next(iter(g)) for g in self._polys)
 
     def _reduce(self, f: Polynomial) -> dict:
+        self.ring.check_compatible(f.ring)
+
         def run(pk: Packing) -> dict:
             if pk.width != self._packing.width:
                 self._packing = pk
@@ -360,7 +361,6 @@ class GroebnerBasis:
                        width=self._packing.width)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        self.ring.check_compatible(f.ring)
         return Polynomial(self.ring, self._reduce(f))
 
     def reduces_to_zero(self, f: Polynomial) -> bool:

@@ -22,11 +22,12 @@ width comes from a short ladder: the least power of two, at least 8 bits,
 that holds the largest exponent a kernel can form below the guard bit (the
 sum of its operands' largest exponents for a product or a colon).  So I^n
 and I^{n+1} usually share one width, and the ``Packing`` of each number of
-variables and width is shared through a small bounded table.  Each ideal
-keeps its largest exponent and its packed generators per width, as it keeps
-its PowerLadder, and an ideal a kernel returns is born with the pack it was
-computed in.  A product adds packed generators into a set, a sum merges the
-two packs, and both prune in packed form.
+variables and width comes from ``core.shared_packing``, the bounded table
+the Buchberger engine shares.  Each ideal keeps its largest exponent and
+its packed generators per width, as it keeps its PowerLadder, and an ideal
+a kernel returns is born with the pack it was computed in.  A product adds
+packed generators into a set, a sum merges the two packs, and both prune in
+packed form.
 
 Pruning has two paths.  With at most two variables, ``Packing.minimal``
 sweeps the staircase: in ascending order a value is minimal exactly when
@@ -63,27 +64,21 @@ of the 2^d - 1 nonempty sets s at most, whatever the exponents.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
                    PowerLadder, Record, RingDescriptor, exps_divides,
-                   exps_mul)
+                   exps_mul, shared_packing)
 from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
-
-
-@functools.lru_cache(maxsize=32)
-def _shared_packing(nvars: int, width: int) -> Packing:
-    return Packing(nvars, width)
 
 
 def _packing(nvars: int, top: int) -> Packing:
     """The shared packing whose fields hold exponents up to ``top``: the
     least power-of-two width, at least 8 bits, above top's bit length."""
-    return _shared_packing(nvars, max(8, 1 << top.bit_length().bit_length()))
+    return shared_packing(nvars, max(8, 1 << top.bit_length().bit_length()))
 
 
 def _minimal(P: Packing, packed: Iterable[int]) -> List[int]:

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from rrlab.core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
-from rrlab.errors import ResourceLimitError
+from rrlab.core import (Field, MonomialOrder, Polynomial, PrimeFieldElement,
+                        QQ, RingDescriptor)
+from rrlab.errors import ResourceLimitError, RingMismatchError
 from rrlab import groebner
 from rrlab.groebner import IdealHandle
 from rrlab.monomial import MonomialIdeal
@@ -306,17 +307,20 @@ def test_lex_intersection_over_qq_in_term_order(first, second):
 
 # -- coefficients -------------------------------------------------------------
 #
-# Inside an engine call integral QQ coefficients are ints; every value the
-# engine hands back is a Fraction again, the integral ones included.
+# A QQ coefficient is an int while it is integral and a Fraction only when it
+# is not; an F_p coefficient is a PrimeFieldElement.  Equal values print
+# alike whatever their type.
 
-def test_qq_results_hold_fractions_only():
+def test_coefficients_hold_one_format_per_field():
     R = _ring()
     H = _handle(R, "2*X - Y", "3*Y^2 - X")
+    assert {type(c) for g in H.gens for c in g.terms.values()} == {int}
     basis = H.groebner_basis().polynomials
     assert [str(g) for g in basis] == ["X - 1/2*Y", "Y^2 - 1/6*Y"]
     lex = H.groebner_basis(MonomialOrder("lex", (1, 0))).polynomials
     assert [g.terms for g in lex] == [
         {(2, 0): 1, (1, 0): Fraction(-1, 12)}, {(0, 1): 1, (1, 0): -2}]
+    assert [str(g) for g in lex] == ["X^2 - 1/12*X", "-2*X + Y"]
     nf = H.groebner_basis().normal_form(parse_polynomial(R, "2*X"))
     assert nf.terms == {(0, 1): 1}
     colon = H.colon_element(parse_polynomial(R, "Y"))
@@ -325,8 +329,50 @@ def test_qq_results_hold_fractions_only():
     assert [str(g) for g in cap.gens] == ["X*Y - 1/6*X", "X^2 - 1/12*X"]
     coefficients = [c for f in (*basis, *lex, nf, *colon.gens, *cap.gens)
                     for c in f.terms.values()]
-    assert {type(c) for c in coefficients} == {Fraction}
-    assert Fraction(1) in coefficients and Fraction(-2) in coefficients
+    integral = [c for c in coefficients if c == int(c)]
+    assert {type(c) for c in integral} == {int}
+    assert 1 in integral and -2 in integral
+    fractional = [c for c in coefficients if c != int(c)]
+    assert {type(c) for c in fractional} == {Fraction}
+    assert Fraction(-1, 12) in fractional and Fraction(-1, 2) in fractional
+    assert type(QQ.from_int(3)) is int
+    # a Polynomial built from integral Fractions gives an int basis
+    given = Polynomial(R, {(1, 0): Fraction(1), (0, 0): Fraction(-2)})
+    (g,) = IdealHandle(R, [given]).groebner_basis().polynomials
+    assert str(g) == "X - 2" and {type(c) for c in g.terms.values()} == {int}
+    F7 = RingDescriptor(("X", "Y"), Field(7))
+    basis = _handle(F7, "2*X - Y", "3*Y^2 - X").groebner_basis().polynomials
+    assert [str(g) for g in basis] == ["X + 3*Y", "Y^2 + Y"]
+    assert {type(c) for g in basis for c in g.terms.values()} \
+        == {PrimeFieldElement}
+
+
+def test_product_of_equal_values_of_both_types_is_one_generator():
+    # 2 and Fraction(2) are one coefficient: the product X * (2*Y) made
+    # from either is one generator, and it prints as 2*X*Y.
+    R = _ring()
+    X, Y = R.variable("X"), R.variable("Y")
+    with_int = Polynomial(R, {(0, 1): 2})
+    with_fraction = Polynomial(R, {(0, 1): Fraction(2)})
+    P = IdealHandle(R, [X]) * IdealHandle(R, [with_int, with_fraction])
+    assert [str(g) for g in P.gens] == ["2*X*Y"]
+    assert P.gens[0] == X * (Y + Y)
+
+
+def test_handle_membership_checks_the_ring():
+    # The handle (X, Z, U) of QQ[X, Z, U] / (Z^2, Z*U, X*Z - U^3) does not
+    # contain a variable of another ring: membership refuses it, as the
+    # normal form does.
+    base = RingDescriptor(("X", "Z", "U"))
+    R = base.with_quotient([parse_polynomial(base, t)
+                            for t in ("Z^2", "Z*U", "X*Z - U^3")])
+    H = _handle(R, "X", "Z", "U")
+    A = RingDescriptor(("A", "B", "C")).variable("A")
+    for probe in (H.contains, H.groebner_basis().normal_form,
+                  H.groebner_basis().reduces_to_zero):
+        with pytest.raises(RingMismatchError):
+            probe(A)
+    assert H.contains(parse_polynomial(R, "X"))
 
 
 def test_principal_colon_returns_the_reduced_basis():

@@ -281,7 +281,7 @@ def test_shared_packings_and_module_state_stay_bounded():
             intersect_monomial(A, B)
         else:
             A.contains_ideal(B)
-    info = monomial._shared_packing.cache_info()
+    info = core.shared_packing.cache_info()
     assert info.misses > info.maxsize  # the bound was reached
     assert info.currsize <= info.maxsize
     assert {m: _container_sizes(m) for m in (core, monomial)} == before
