@@ -195,9 +195,8 @@ HANDLERS = {
         for p in associated_primes_monomial(_as_monomial(I))]},
     "socle": _socle,
     "is_borel": _is_borel,
-    "is_reduction": lambda cfg, I, J: is_reduction(I, J, cfg.n_max).to_dict(),
-    "reduction_number":
-        lambda cfg, I, J: {"value": reduction_number(I, J, cfg.n_max)},
+    "is_reduction": lambda cfg, I, J: is_reduction(I, J, cfg).to_dict(),
+    "reduction_number": lambda cfg, I, J: {"value": reduction_number(I, J, cfg)},
     "rr_reduction_number":
         lambda cfg, I, J: _value_status(rr_reduction_number(I, J, cfg)),
     "s_invariant": lambda cfg, I: _value_status(s_invariant(I, cfg)),

@@ -509,10 +509,8 @@ class Packing:
             out.append(d & (m - (m >> s)))
         return self.minimal(out, floor)
 
-    def lcms(self, As: Sequence[int], Bs: Sequence[int],
-             floor: Sequence[int] = ()) -> List[int]:
-        """Minimal generators of A ∩ B outside floor: the minimal
-        b + max(a - b, 0)."""
+    def lcms(self, As: Sequence[int], Bs: Sequence[int]) -> List[int]:
+        """Minimal generators of A ∩ B: the minimal b + max(a - b, 0)."""
         G, s = self.guards, self.width - 1
         out = []
         for a in As:
@@ -521,7 +519,7 @@ class Packing:
                 d = aG - b
                 m = d & G
                 out.append(b + (d & (m - (m >> s))))
-        return self.minimal(out, floor)
+        return self.minimal(out)
 
 
 @functools.lru_cache(maxsize=32)
@@ -587,12 +585,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = -c if s is None else s - c
-        return Polynomial(self.ring, out)
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
@@ -621,26 +614,13 @@ class Polynomial:
                 base = base * base
         return result
 
-    def leading_term(self, order: Optional[MonomialOrder] = None):
-        """(exponents, coefficient) of the leading term; None for zero."""
-        if not self.terms:
-            return None
-        order = order or self.ring.order
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
-    def leading_monomial(self, order: Optional[MonomialOrder] = None) -> Monomial:
-        lt = self.leading_term(order)
-        if lt is None:
-            raise PreconditionError("zero polynomial has no leading monomial")
-        return Monomial(self.ring, lt[0])
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def sorted_terms(self, order: Optional[MonomialOrder] = None):
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self):
+        """The terms, leading term first in the ring's order."""
+        key = self.ring.order.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
@@ -693,8 +673,10 @@ class Ideal:
     - ``element(m)``: a probe argument in the ideal's own representation;
     - ``times(e)``, the ideal e * I; ``gen_powers(k)``, (g_1^k, ..., g_d^k).
 
-    This class derives the rest the same way for all of them; a type
-    overrides a method only where it knows more.
+    This class derives the rest the same way for all of them: ``power``,
+    ``contains_ideal``, ``equals``, ``gens_outside``, ``first_gen_outside``
+    and ``reduction_index``.  A type overrides a method only where it knows
+    more.
     """
 
     def power(self, n: int) -> "Ideal":
@@ -714,6 +696,19 @@ class Ideal:
 
     def first_gen_outside(self, other: "Ideal"):
         return next(self.gens_outside(other), None)
+
+    def reduction_index(self, J: "Ideal", bound: int) -> Optional[int]:
+        """The least n <= bound with J * I^n = I^{n+1}, or None.  A
+        principal J = (g) is multiplied in as g * I^n, which is cheaper
+        than a product of two ideals."""
+        self._check(J)
+        principal = len(J.gens) == 1
+        for n in range(bound + 1):
+            In = self.power(n)
+            JIn = In.times(J.gens[0]) if principal else J * In
+            if JIn.equals(self.power(n + 1)):
+                return n
+        return None
 
     def principal_reduction_index(self) -> Optional[int]:
         """An r with I^{r+1} = x * I^r for a regular x, or None when none is

@@ -64,17 +64,21 @@ class _Recorder:
 
 
 class CorpusCase(Record):
-    _fields = ("id", "note", "config", "fn")
+    """fn(rec, cfg, rng, *args) runs the case."""
+
+    _fields = ("id", "note", "config", "fn", "args")
 
 
 _CASES: Dict[str, CorpusCase] = {}
 
 
-def _case(case_id: str, note: str, **cfg_kwargs):
+def _case(case_id: str, note: str, *args, **cfg_kwargs):
+    """Register the decorated function as the case case_id, run with args
+    after (rec, cfg, rng): a family of cases stacks one _case per member."""
     config = ClosureConfig(**cfg_kwargs) if cfg_kwargs else DEFAULT_CONFIG
 
     def deco(fn):
-        _CASES[case_id] = CorpusCase(case_id, note, config, fn)
+        _CASES[case_id] = CorpusCase(case_id, note, config, fn, args)
         return fn
     return deco
 
@@ -105,7 +109,7 @@ def run_corpus(pattern: str = "", seed: int = 0,
         rng = random.Random(f"{seed}:{cid}")
         capped = False
         try:
-            case.fn(rec, cfg, rng)
+            case.fn(rec, cfg, rng, *case.args)
         except ResourceLimitError as exc:
             capped = True
             rec.rows.append({
@@ -277,7 +281,13 @@ def _ex14(rec, cfg, rng):
               closed == Holds(cfg.k_max), bounded=True)
 
 
-def _ex15(rec, cfg, n: int):
+@_case("EX-1.5-N3",
+       "a non-closed third power detected through its reduction chain (four "
+       "generators of degree about 3n, n = 3)", 3)
+@_case("EX-1.5-N5",
+       "a non-closed fifth power detected through its reduction chain (four "
+       "generators of degree about 3n, n = 5)", 5, n_max=10)
+def _ex15(rec, cfg, rng, n: int):
     m = (n - 1) // 2
     R = _xy()
     I = _mono(R, (3 * n - 1, 0), (3 * n - 4, 3), (3, 3 * n - 4), (0, 3 * n - 1))
@@ -288,25 +298,11 @@ def _ex15(rec, cfg, n: int):
               not member_of_power(w, ladder, n))
     J = _mono(R, (3 * n - 1, 0), (0, 3 * n - 1))
     rec.check("the two extreme generators form a verified reduction",
-              isinstance(is_reduction(I, J, cfg.n_max), Holds))
+              isinstance(is_reduction(I, J, cfg), Holds))
     k = 2 * m - 1
     v = rr_membership_probe_via_reduction(w, I, J, n, cfg)
     rec.check(f"reduction-chain probe certifies membership for the power-{n} "
               f"chain at step k = {k}", v == Member(k), witness=v.to_dict())
-
-
-@_case("EX-1.5-N3",
-       "a non-closed third power detected through its reduction chain (four "
-       "generators of degree about 3n, n = 3)")
-def _ex15_n3(rec, cfg, rng):
-    _ex15(rec, cfg, 3)
-
-
-@_case("EX-1.5-N5",
-       "a non-closed fifth power detected through its reduction chain (four "
-       "generators of degree about 3n, n = 5)", n_max=10)
-def _ex15_n5(rec, cfg, rng):
-    _ex15(rec, cfg, 5)
 
 
 def _raghavan_setup():
@@ -395,7 +391,13 @@ def _ex110(rec, cfg, rng):
               witness=v.to_dict())
 
 
-def _prop111(rec, cfg, l: int):
+@_case("PROP-1.11-L3",
+       "(X^3, X*Y^2, Y^3): graded ring of depth exactly one — X^3 is a "
+       "non-zerodivisor while X^2*Y witnesses the socle bound", 3)
+@_case("PROP-1.11-L4",
+       "(X^4, X*Y^3, Y^4): graded ring of depth exactly one — X^4 is a "
+       "non-zerodivisor while X^3*Y witnesses the socle bound", 4)
+def _prop111(rec, cfg, rng, l: int):
     R = _xy()
     I = _mono(R, (l, 0), (1, l - 1), (0, l))
     v = gr_nzd_probe((l, 0), I, 1, cfg)
@@ -435,20 +437,6 @@ def _prop111(rec, cfg, l: int):
               and member_of_power(exps_mul(w, (1, l - 1)), ladder, n + 1))
         rec.check(f"witness family for X*Y^{l - 1} checks at n = {n}", ok,
                   witness=R.format_exponents(w))
-
-
-@_case("PROP-1.11-L3",
-       "(X^3, X*Y^2, Y^3): graded ring of depth exactly one — X^3 is a "
-       "non-zerodivisor while X^2*Y witnesses the socle bound")
-def _prop111_l3(rec, cfg, rng):
-    _prop111(rec, cfg, 3)
-
-
-@_case("PROP-1.11-L4",
-       "(X^4, X*Y^3, Y^4): graded ring of depth exactly one — X^4 is a "
-       "non-zerodivisor while X^3*Y witnesses the socle bound")
-def _prop111_l4(rec, cfg, rng):
-    _prop111(rec, cfg, 4)
 
 
 @_case("PROP-2.3",
@@ -585,7 +573,13 @@ def _ex32(rec, cfg, rng):
     rec.check("X^4*Y^4 lies outside lt I", not L.contains((4, 4)))
 
 
-def _ex33(rec, cfg, n: int):
+@_case("EX-3.3-N2",
+       "intersection ideal in three variables whose closure acquires the "
+       "maximal ideal as an associated prime (n = 2)", 2)
+@_case("EX-3.3-N3",
+       "intersection ideal in three variables whose closure acquires the "
+       "maximal ideal as an associated prime (n = 3)", 3)
+def _ex33(rec, cfg, rng, n: int):
     R = RingDescriptor(("X", "Y", "Z"))
     J = _mono(R, *[(i, 2 * n - i, 0) for i in range(2 * n + 1) if i != n])
     A = _mono(R, (n, 0, 0), (0, 0, 1))
@@ -613,20 +607,6 @@ def _ex33(rec, cfg, n: int):
               "ideal — (X,Y,Z) becomes associated",
               colon_single(C, (n, n, 0)).gens == variable_ideal(R).gens,
               bounded=not res.certified)
-
-
-@_case("EX-3.3-N2",
-       "intersection ideal in three variables whose closure acquires the "
-       "maximal ideal as an associated prime (n = 2)")
-def _ex33_n2(rec, cfg, rng):
-    _ex33(rec, cfg, 2)
-
-
-@_case("EX-3.3-N3",
-       "intersection ideal in three variables whose closure acquires the "
-       "maximal ideal as an associated prime (n = 3)")
-def _ex33_n3(rec, cfg, rng):
-    _ex33(rec, cfg, 3)
 
 
 @_case("EX-3.4",
@@ -658,7 +638,11 @@ def _ex35(rec, cfg, rng):
               v == Holds(cfg.k_max), bounded=True)
 
 
-def _ex36(rec, cfg, n: int):
+@_case("EX-3.6-N2",
+       "a 6-generated ideal whose closure needs only 5 generators (n = 2)", 2)
+@_case("EX-3.6-N3",
+       "a 7-generated ideal whose closure needs only 5 generators (n = 3)", 3)
+def _ex36(rec, cfg, rng, n: int):
     names = ("X", "Y") + tuple(f"Z{i + 1}" for i in range(n))
     R = RingDescriptor(names)
     d = len(names)
@@ -670,25 +654,13 @@ def _ex36(rec, cfg, n: int):
         gens.append(tuple(e))
     I = MonomialIdeal.from_gens(R, gens)
     rec.check(f"n={n}: the ideal has {4 + n} minimal generators",
-              I.num_min_gens() == 4 + n)
+              len(I.gens) == 4 + n)
     res = rr_closure(I, cfg)
     xy4 = {pad((4, 0)), pad((3, 1)), pad((2, 2)), pad((1, 3)), pad((0, 4))}
     rec.check(f"n={n}: closure value equals (X,Y)^4 with 5 minimal "
               "generators — fewer than the ideal itself",
-              set(res.value.gens) == xy4 and res.value.num_min_gens() == 5,
+              set(res.value.gens) == xy4 and len(res.value.gens) == 5,
               bounded=not res.certified)
-
-
-@_case("EX-3.6-N2",
-       "a 6-generated ideal whose closure needs only 5 generators (n = 2)")
-def _ex36_n2(rec, cfg, rng):
-    _ex36(rec, cfg, 2)
-
-
-@_case("EX-3.6-N3",
-       "a 7-generated ideal whose closure needs only 5 generators (n = 3)")
-def _ex36_n3(rec, cfg, rng):
-    _ex36(rec, cfg, 3)
 
 
 _EX37_CLOSURE = ((4, 0, 0, 0), (3, 1, 0, 0), (2, 2, 0, 0), (1, 3, 0, 0),
@@ -705,7 +677,7 @@ def _ex37(rec, cfg, rng):
     I = _mono(R, (4, 0, 0, 0), (3, 1, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0),
               (2, 2, 1, 0), (2, 2, 0, 1), (0, 0, 4, 0), (0, 0, 0, 4),
               (1, 1, 2, 0), (1, 1, 0, 2))
-    rec.check("the ideal has 10 minimal generators", I.num_min_gens() == 10)
+    rec.check("the ideal has 10 minimal generators", len(I.gens) == 10)
     res = rr_closure(I, cfg)
     rec.check("closure value has exactly the 9 listed generators",
               set(res.value.gens) == set(_EX37_CLOSURE),
@@ -733,7 +705,7 @@ def _ex43(rec, cfg, rng):
     I = SemigroupIdeal.from_gens(S, [4, 5, 11])
     x4 = SemigroupIdeal.from_gens(S, [4])
     rec.check("reduction number against the principal reduction (t^4) is 3",
-              reduction_number(I, x4, cfg.n_max) == 3)
+              reduction_number(I, x4, cfg) == 3)
     res1 = rr_power(I, 1, cfg)
     rec.check("the ideal itself is chain-fixed", res1.value.gens == I.gens)
     res2 = rr_power(I, 2, cfg)
@@ -769,7 +741,7 @@ def _ex43(rec, cfg, rng):
 def _ex44(rec, cfg, rng):
     S, I = _raghavan_setup()
     rec.check("reduction number of the ideal against itself is 0",
-              reduction_number(I, I, cfg.n_max) == 0)
+              reduction_number(I, I, cfg) == 0)
     res = rr_closure(I, cfg)
     rec.check("the closure value gains X^2*Y^5",
               res.value.contains((2, 5)) and res.value.gens != I.gens,

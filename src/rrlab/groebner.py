@@ -42,7 +42,8 @@ which divides two ints as a ``Fraction``.  A sum or product of
 ``_normal_form`` go through ``_int``, the one normalizer, and ``_monic``
 divides by every leading coefficient but the int 1: no basis, normal form
 or quotient the engine returns holds an integral ``Fraction``.  F_p
-residues pass through unchanged.
+residues pass through unchanged, and ``_monic`` leaves an element whose
+leading residue is 1 as it is.
 
 Colons.  A : b is (A cap (b)) / b, one elimination, and A : (b_1, ..., b_d)
 intersects those d parts, d - 1 more.  ``IdealHandle.colon`` eliminates only
@@ -65,7 +66,8 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, MonomialOrder, Packing,
-                   Polynomial, RingDescriptor, shared_packing)
+                   Polynomial, PrimeFieldElement, RingDescriptor,
+                   shared_packing)
 from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
@@ -128,9 +130,10 @@ def _packed(order: MonomialOrder, nvars: int, polys: Sequence[dict],
 
 def _monic(g: dict) -> dict:
     """g divided by its leading coefficient, g itself when that is the int
-    1; g's terms are in descending order."""
+    1 or an F_p residue 1; g's terms are in descending order."""
     lc = next(iter(g.values()))
-    if type(lc) is int and lc == 1:
+    if (lc.residue == 1 if type(lc) is PrimeFieldElement
+            else type(lc) is int and lc == 1):
         return g
     return {m: _quo(c, lc) for m, c in g.items()}
 
@@ -298,15 +301,12 @@ def _autoreduce(G: List[dict], pk: Packing) -> List[dict]:
     divides none of the terms its reduction meets.  Reducing the tail by
     the whole minimal basis is therefore the reduction by the others, and
     one reducer list serves every element."""
-    guards, mask = pk.guards, pk.mask
-    minimal: List[dict] = []
-    lows: List[int] = []
-    # a divisor's key is at most its multiple's, so it is met first
+    # the first element of each leading term, ascending by leading term
+    first: Dict[int, dict] = {}
     for g in sorted(G, key=lambda g: next(iter(g))):
-        low = next(iter(g)) & mask
-        if not any(((low | guards) - k) & guards == guards for k in lows):
-            minimal.append(g)
-            lows.append(low)
+        first.setdefault(next(iter(g)) & pk.mask, g)
+    keep = set(pk.minimal(first))
+    minimal = [g for low, g in first.items() if low in keep]
     reducers = [_reducer(g, pk) for g in minimal]
     reduced = []
     for g, (lt, *_) in zip(minimal, reducers):
@@ -535,8 +535,7 @@ class IdealHandle(Ideal):
         """The intersection of the colons by each generator of other.
 
         The colon by one generator, the probe, is the running result C: the
-        first generator, or with a floor F the one of least (total degree,
-        term count).  The colon by one generator contains the whole colon,
+        generator of least (total degree, term count).  The colon by one generator contains the whole colon,
         so when F contains C, F itself is returned, a step that adds nothing
         to F.  A further generator b costs an elimination only when C is not
         already inside A : b, that is when some generator g of C has g * b
@@ -549,8 +548,7 @@ class IdealHandle(Ideal):
         if not other.gens:
             raise ZeroIdealError("colon by the zero ideal")
         self._check(other)
-        probe = other.gens[0] if floor is None else min(
-            other.gens, key=lambda g: (g.total_degree(), len(g.terms)))
+        probe = min(other.gens, key=lambda g: (g.total_degree(), len(g.terms)))
         result = self.colon_element(probe)
         if floor is not None and floor.contains_ideal(result):
             return floor

@@ -242,9 +242,6 @@ class MonomialIdeal(Ideal, Record):
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return intersect_monomial(self, other)
 
-    def num_min_gens(self) -> int:
-        return len(self.gens)
-
     def is_unit(self) -> bool:
         return self.gens == ((0,) * self.ring.nvars,)
 

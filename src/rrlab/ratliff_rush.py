@@ -8,8 +8,9 @@ is only a lower bound).  StabilizedWindow covers two stops that
 print the same label: a chain that ran to a principal-reduction index (known
 for semigroup ideals), past which it is constant, is proved; a chain that
 repeated for `window` consecutive steps stopped on a heuristic, and may
-still grow later.  Probes likewise return bounded verdicts, never
-certificates.
+still grow later.  A membership probe's Member(k) is a certificate: the
+product it checks at step k lies in the power exactly, so m lies in the
+closure.  Only NotMemberUpTo is bounded, by the step cap.
 
 Every ideal type (MonomialIdeal, IdealHandle, SemigroupIdeal, AffineIdeal)
 implements the protocol of core.Ideal, which lists the methods this module
@@ -172,21 +173,23 @@ def rr_closure(I, cfg: ClosureConfig = DEFAULT_CONFIG) -> ClosureResult:
     return rr_power(I, 1, cfg)
 
 
-def is_reduction(I, J, n_max: int = 8):
-    """Holds(n) at the least n <= n_max with J * I^n = I^{n+1}."""
+def is_reduction(I, J, cfg: ClosureConfig = DEFAULT_CONFIG):
+    """Holds(n) at the least n <= cfg.n_max with J * I^n = I^{n+1}, else
+    FailsAt(cfg.n_max)."""
     if not I.contains_ideal(J):
         raise PreconditionError("J must be contained in I")
-    for n in range(n_max + 1):
-        if (J * I.power(n)).equals(I.power(n + 1)):
-            return Holds(n)
-    return FailsAt(n_max)
+    n = I.reduction_index(J, cfg.n_max)
+    return FailsAt(cfg.n_max) if n is None else Holds(n)
 
 
-def _require_reduction(I, J, cfg: ClosureConfig) -> None:
-    """Raise unless J verifies as a reduction of I within cfg.n_max."""
-    if not isinstance(is_reduction(I, J, cfg.n_max), Holds):
+def reduction_number(I, J, cfg: ClosureConfig = DEFAULT_CONFIG) -> int:
+    """The least n <= cfg.n_max with J * I^n = I^{n+1}; every operation
+    that needs J to be a reduction of I refuses through this one check."""
+    verdict = is_reduction(I, J, cfg)
+    if not isinstance(verdict, Holds):
         raise PreconditionError(
             f"J did not verify as a reduction of I within n_max={cfg.n_max}")
+    return verdict.bound
 
 
 def rr_closure_via_reduction(I, J, n: int,
@@ -198,7 +201,7 @@ def rr_closure_via_reduction(I, J, n: int,
     if n < 1:
         raise PreconditionError("power must be >= 1")
     I.check_regular()
-    _require_reduction(I, J, cfg)
+    reduction_number(I, J, cfg)
     return _closure(I, n, J.gen_powers, cfg)
 
 
@@ -261,7 +264,7 @@ def rr_membership_probe_via_reduction(m, I, J, n: int = 1,
     """
     if n < 1:
         raise PreconditionError("power must be >= 1")
-    _require_reduction(I, J, cfg)
+    reduction_number(I, J, cfg)
     e = _ring_element(m, I)
     if I.power(n).contains(e):
         raise PreconditionError(

@@ -3,7 +3,10 @@
 Works uniformly over monomial ideals, Groebner handles and semigroup
 exponent-set ideals.  Every invariant is a bounded computation; reports
 carry an explicit exact-within-bound / bound-reached status so downstream
-claims are never stronger than what was computed.
+claims are never stronger than what was computed.  is_reduction and
+reduction_number, the one refusal of a J that is not a reduction, live in
+ratliff_rush beside the chain operations that call them; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from typing import Optional
 from .core import Record
 from .errors import PreconditionError
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG, Holds, _ring_element,
-                           is_reduction, rr_power, superficial_probe)
+                           is_reduction, reduction_number, rr_power,
+                           superficial_probe)
 
 EXACT = "exact-within-bound"
 BOUNDED = "bound-reached"
@@ -84,13 +88,6 @@ class ReductionReport(Record):
 # operations
 
 
-def reduction_number(I, J, n_max: int = 8) -> int:
-    verdict = is_reduction(I, J, n_max)
-    if not isinstance(verdict, Holds):
-        raise PreconditionError(f"J is not a verified reduction of I within {n_max}")
-    return verdict.bound
-
-
 def rr_reduction_number(I, J, cfg: ClosureConfig = DEFAULT_CONFIG):
     """(least n with closure(I^{m+1}) = J * closure(I^m) for n <= m <= n_max,
     status).  None when even n = n_max fails within the bound."""
@@ -111,7 +108,7 @@ def reduction_report(I, J, cfg: ClosureConfig = DEFAULT_CONFIG) -> ReductionRepo
     """r, rr_r and s of I, from one closure of each of I^1..I^{n_max+1}.
 
     Each status covers only the powers its invariant reads."""
-    verdict = is_reduction(I, J, cfg.n_max)
+    verdict = is_reduction(I, J, cfg)
     if isinstance(verdict, Holds):
         r, r_status = verdict.bound, EXACT
     else:
@@ -154,8 +151,7 @@ def prop41_equivalence_check(I, x, t: int,
     if t < 0:
         raise PreconditionError("level t must be >= 0")
     X = I.power(0).times(_ring_element(x, I))
-    if not isinstance(is_reduction(I, X, cfg.n_max), Holds):
-        raise PreconditionError("(x) did not verify as a reduction of I")
+    reduction_number(I, X, cfg)
     sup = superficial_probe(x, I, cfg)
     if not isinstance(sup, Holds):
         raise PreconditionError("x did not probe as a superficial element")

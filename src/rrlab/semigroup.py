@@ -210,11 +210,7 @@ class SemigroupIdeal(Ideal, Record):
 
         E^n - n*x ascends from S inside N and grows at each n < r, each time
         by a gap of S, so r <= genus."""
-        x = min(self.v)
-        for r in range(self.S.genus):
-            if self.power(r + 1).v == self.power(r).times(x).v:
-                return r
-        return self.S.genus
+        return self.reduction_index(self.unit().times(min(self.v)), self.S.genus)
 
 
 def _plane_gens(gens: Sequence[Pair]) -> Tuple[Pair, ...]:

@@ -134,7 +134,7 @@ def test_ac06_powers_via_reduction_chain():
         w = (half, half)
         ok = ok and not member_of_power(w, PowerLadder(I), n)
         J = _mono((3 * n - 1, 0), (0, 3 * n - 1))
-        ok = ok and isinstance(is_reduction(I, J, cfg.n_max), Holds)
+        ok = ok and isinstance(is_reduction(I, J, cfg), Holds)
         ok = ok and (rr_membership_probe_via_reduction(w, I, J, n, cfg)
                      == Member(2 * m - 1))
     _line("AC-06", ok, "(X*Y)^{(3n-1)n/2} missed by I^n but certified into "

@@ -143,7 +143,7 @@ def test_leading_term_ideal_is_monomial_ideal():
     L = H.leading_term_ideal()
     assert isinstance(L, MonomialIdeal)
     for g in H.groebner_basis().polynomials:
-        assert L.contains(g.leading_monomial(R.order).exps)
+        assert L.contains(g.sorted_terms()[0][0])
 
 
 def test_quotient_ring_relations_vanish():
@@ -345,6 +345,14 @@ def test_coefficients_hold_one_format_per_field():
     assert [str(g) for g in basis] == ["X + 3*Y", "Y^2 + Y"]
     assert {type(c) for g in basis for c in g.terms.values()} \
         == {PrimeFieldElement}
+
+
+def test_monic_keeps_an_element_whose_leading_residue_is_one():
+    one, three = PrimeFieldElement(1, 7), PrimeFieldElement(3, 7)
+    g = {9: one, 4: three}
+    assert groebner._monic(g) is g
+    h = groebner._monic({9: three, 4: one})
+    assert h == {9: one, 4: PrimeFieldElement(5, 7)}
 
 
 def test_product_of_equal_values_of_both_types_is_one_generator():

@@ -316,7 +316,7 @@ def test_chains_match_plain_colon_reference(I, n, window):
     # I, else I itself, which always does
     pure = [g for g in I.gens if sum(map(bool, g)) == 1]
     J = MonomialIdeal.from_gens(I.ring, pure) if pure else I
-    if not isinstance(is_reduction(I, J, cfg.n_max), Holds):
+    if not isinstance(is_reduction(I, J, cfg), Holds):
         J = I
 
     def reduction_colons(k):

@@ -5,7 +5,9 @@ import pytest
 from rrlab.core import RingDescriptor
 from rrlab.errors import PreconditionError
 from rrlab.monomial import MonomialIdeal
-from rrlab.ratliff_rush import ClosureConfig, FailsAt, Holds
+from rrlab.ratliff_rush import (ClosureConfig, FailsAt, Holds,
+                                rr_closure_via_reduction,
+                                rr_membership_probe_via_reduction)
 from rrlab.reductions import (BOUNDED, EXACT, is_reduction,
                               prop41_equivalence_check, reduction_number,
                               reduction_report, rr_reduction_number,
@@ -35,6 +37,31 @@ def test_reduction_number_values():
     assert reduction_number(I4, I4) == 0
     with pytest.raises(PreconditionError):
         reduction_number(I4, _mono((4, 0)))
+
+
+def test_bounded_search_reads_n_max_from_the_config():
+    # r = 2 for J4, so a bound of 1 finds nothing and the refusal says so
+    cfg = ClosureConfig(n_max=1)
+    assert I4.reduction_index(J4, 1) is None
+    assert I4.reduction_index(J4, 2) == 2
+    assert is_reduction(I4, J4, cfg) == FailsAt(1)
+    with pytest.raises(PreconditionError,
+                       match="J did not verify as a reduction of I within n_max=1"):
+        reduction_number(I4, J4, cfg)
+
+
+def test_non_reduction_refused_once_with_one_message():
+    bad = _mono((4, 0))  # (X^4) is not a reduction of I4
+    refusals = [lambda: reduction_number(I4, bad),
+                lambda: rr_closure_via_reduction(I4, bad, 1),
+                lambda: rr_membership_probe_via_reduction((2, 2), I4, bad),
+                lambda: prop41_equivalence_check(I4, (4, 0), 0)]
+    messages = set()
+    for refuse in refusals:
+        with pytest.raises(PreconditionError) as exc:
+            refuse()
+        messages.add(str(exc.value))
+    assert messages == {"J did not verify as a reduction of I within n_max=8"}
 
 
 def test_reduction_defining_identity():
