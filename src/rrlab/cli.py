@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
+from .core import ORDER_KINDS, Field, MonomialOrder, Polynomial, QQ, RingDescriptor
 from .errors import (ArityError, InputError, RRLabError, ResourceLimitError,
                      UnsupportedOperationError)
 from .groebner import IdealHandle
@@ -242,9 +242,10 @@ def resolve(prog: InputProgram, cfg: ClosureConfig):
 
 def run_command(cmd: Command, cfg: ClosureConfig, args: list) -> dict:
     """Run one resolved command on its config and argument values; returns
-    a report fragment."""
+    a report fragment.  An error it raises names cmd's line and column."""
     out = {"command": cmd.name, "config": cfg.to_dict()}
-    out.update(HANDLERS[cmd.name](cfg, *args))
+    with located(cmd):
+        out.update(HANDLERS[cmd.name](cfg, *args))
     return out
 
 
@@ -317,8 +318,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     gb = sub.add_parser("gb", help="reduced basis of the last declared ideal")
     gb.add_argument("file")
-    gb.add_argument("--order", choices=("lex", "grlex", "grevlex"),
-                    default="grevlex")
+    gb.add_argument("--order", choices=ORDER_KINDS, default="grevlex")
     gb.add_argument("--vars", default=None,
                     help="comma-separated variable names, largest first")
     gb.add_argument("--format", choices=("text", "json"), default="text")

@@ -5,15 +5,14 @@ Coefficients are exact: prime-field elements, or rationals held as ints
 and, where a division made one, as ``fractions.Fraction``s; equal values
 compare, hash and print alike.  Exponent vectors are plain tuples of
 non-negative ints.
-Everything here is immutable and safe to share, except that a PowerLadder
-adds each power of its ideal once it is first asked for.  The value types
-of the whole package derive from Record.
+Everything here is immutable and safe to share, except that an ideal keeps
+each of its powers on itself once it is first asked for (``PowerLadder``).
+The value types of the whole package derive from Record.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, le, mul
@@ -680,7 +679,7 @@ class Ideal:
     """
 
     def power(self, n: int) -> "Ideal":
-        """I^n, with I^0 the unit ideal, built once on I's PowerLadder."""
+        """I^n, with I^0 the unit ideal, built once and kept on I."""
         return PowerLadder(self).power(n)
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -721,30 +720,22 @@ class Ideal:
 
 
 class PowerLadder:
-    """The powers I^2, I^3, ... of one ideal I, each made once as I^n * I.
+    """A view of the powers I^2, I^3, ... of one ideal I, each made once as
+    I^{n-1} * I and kept on I itself, so they go away with I.  No power
+    refers back to I."""
 
-    PowerLadder(I) returns the ladder kept on I itself, so it lives exactly
-    as long as I does.  It refers to I weakly, so no reference cycle keeps
-    it alive."""
+    __slots__ = ("_base",)
 
-    __slots__ = ("_base", "_powers", "__weakref__")
-
-    def __new__(cls, base: Ideal):
-        inst = base.__dict__.get("_ladder")
-        if inst is None:
-            inst = super().__new__(cls)
-            inst._base = weakref.ref(base)
-            inst._powers = []  # I^2, I^3, ...
-            object.__setattr__(base, "_ladder", inst)  # some ideals are frozen
-        return inst
+    def __init__(self, base: Ideal):
+        self._base = base
 
     def power(self, n: int) -> Ideal:
         if n < 0:
             raise PreconditionError("negative power")
-        I = self._base()
+        I = self._base
         if n < 2:
             return I if n else I.unit()
-        powers = self._powers
+        powers = I.__dict__.setdefault("_powers", [])  # I^2, I^3, ...
         while len(powers) < n - 1:
             powers.append((powers[-1] if powers else I) * I)
         return powers[n - 2]

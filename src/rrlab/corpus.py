@@ -465,9 +465,8 @@ def _prop24(rec, cfg, rng):
     for d in (2, 3):
         names = tuple(f"X{i + 1}" for i in range(d))
         base = RingDescriptor(names)
-        degl = [e for e in _compositions(l, d)]
         skip = (l - 1, 1) + (0,) * (d - 2)
-        gens = [e for e in degl if e != skip]
+        gens = [e for e in variable_ideal(base).power(l).gens if e != skip]
         M = MonomialIdeal.from_gens(base, gens)
         units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
         rec.check(f"d={d}: every variable multiplies X1^2*X2 into I",
@@ -485,15 +484,6 @@ def _prop24(rec, cfg, rng):
         I2 = I.power(2)
         rec.check(f"d={d}: image of X1^2*X2 multiplies I into I^2 modulo "
                   "X1^3", all(I2.contains(g * h) for h in I.gens))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 @_case("EX-2.6",

@@ -464,12 +464,9 @@ class IdealHandle(Ideal):
         self._regular = True
 
     def is_zero(self) -> bool:
-        if not self.ring.quotient:
-            return len(self.groebner_basis()) == 0
-        # Zero in the quotient ring: every generator lies in the quotient
-        # ideal.
-        Q = IdealHandle(self.ring, [])
-        gb = Q.groebner_basis()
+        """Every generator lies in the quotient ideal, whose basis is empty
+        in a polynomial ring."""
+        gb = IdealHandle(self.ring, []).groebner_basis()
         return all(gb.reduces_to_zero(g) for g in self.gens)
 
     # -- arithmetic -----------------------------------------------------------
@@ -534,12 +531,13 @@ class IdealHandle(Ideal):
               floor: Optional["IdealHandle"] = None) -> "IdealHandle":
         """The intersection of the colons by each generator of other.
 
-        The colon by one generator, the probe, is the running result C: the
-        generator of least (total degree, term count).  The colon by one generator contains the whole colon,
-        so when F contains C, F itself is returned, a step that adds nothing
-        to F.  A further generator b costs an elimination only when C is not
-        already inside A : b, that is when some generator g of C has g * b
-        outside A; otherwise C is C cap (A : b) and b is skipped.
+        The running result C starts as the colon by one generator, the
+        probe: the generator of least (total degree, term count).  That
+        colon contains the whole colon, so when F contains C, F itself is
+        returned, a step that adds nothing to F.  A further generator b
+        costs an elimination only when C is not already inside A : b, that
+        is when some generator g of C has g * b outside A; otherwise C is
+        C cap (A : b) and b is skipped.
 
         Unless F is returned, the result is the reduced basis of the colon
         (Q adjoined), whichever generators were skipped: the t-free part of

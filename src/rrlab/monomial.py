@@ -2,8 +2,8 @@
 
 A monomial ideal is stored by its (unique) minimal generator set of
 exponent vectors, in ascending order, so structural equality is ideal
-equality.  All ops are pure; each ideal keeps a PowerLadder that memoizes
-its powers and goes away with it.
+equality.  All ops are pure; each ideal keeps its powers on itself, made
+once by ``PowerLadder``, and they go away with it.
 
 Every ideal that ``from_gens``, an operation or a kernel returns keeps this
 canonical form: its minimal generators, distinct, in ascending
@@ -23,11 +23,11 @@ that holds the largest exponent a kernel can form below the guard bit (the
 sum of its operands' largest exponents for a product or a colon).  So I^n
 and I^{n+1} usually share one width, and the ``Packing`` of each number of
 variables and width comes from ``core.shared_packing``, the bounded table
-the Buchberger engine shares.  Each ideal keeps its largest exponent and
-its packed generators per width, as it keeps its PowerLadder, and an ideal
-a kernel returns is born with the pack it was computed in.  A product adds
-packed generators into a set, a sum merges the two packs, and both prune in
-packed form.
+the Buchberger engine shares.  Each ideal keeps on itself, as it keeps
+its powers, its largest exponent and its packed generators per width
+(``cached_property``s), and an ideal a kernel returns is born with the pack
+it was computed in.  A product adds packed generators into a set, a sum
+merges the two packs, and both prune in packed form.
 
 Pruning has two paths.  With at most two variables, ``Packing.minimal``
 sweeps the staircase: in ascending order a value is minimal exactly when
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
@@ -141,25 +142,24 @@ class MonomialIdeal(Ideal, Record):
             raise RingMismatchError("monomial ideals live in different rings")
 
     def unit(self) -> "MonomialIdeal":
-        return unit_ideal(self.ring)
+        return MonomialIdeal(self.ring, ((0,) * self.ring.nvars,))
 
     # -- packed generators, kept on the ideal ------------------------------
 
+    @cached_property
     def _top(self) -> int:
         """The largest exponent of the generators."""
-        top = self.__dict__.get("_max")
-        if top is None:
-            top = max(itertools.chain.from_iterable(self.gens), default=0)
-            object.__setattr__(self, "_max", top)  # the ideal is frozen
-        return top
+        return max(itertools.chain.from_iterable(self.gens), default=0)
+
+    @cached_property
+    def _packs(self) -> dict:
+        """Field width -> the generators packed at that width."""
+        return {}
 
     def _packed(self, P: Packing) -> List[int]:
         """The generators packed by P, ascending; one list per field width
         is kept on the ideal."""
-        packs = self.__dict__.get("_packs")
-        if packs is None:
-            packs = {}
-            object.__setattr__(self, "_packs", packs)
+        packs = self._packs
         ps = packs.get(P.width)
         if ps is None:
             ps = packs[P.width] = list(map(P.pack, self.gens))
@@ -188,7 +188,7 @@ class MonomialIdeal(Ideal, Record):
         """The generators that other does not contain, in order, by the
         packed divisibility test of ``core.Packing``."""
         self._check(other)
-        P = _packing(self.ring.nvars, max(self._top(), other._top()))
+        P = _packing(self.ring.nvars, max(self._top, other._top))
         G, Os = P.guards, other._packed(P)
         for g, b in zip(self.gens, self._packed(P)):
             bG = b | G
@@ -213,7 +213,7 @@ class MonomialIdeal(Ideal, Record):
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        P = _packing(self.ring.nvars, max(self._top(), other._top()))
+        P = _packing(self.ring.nvars, max(self._top, other._top))
         return _from_packed(self.ring, P, _minimal(
             P, self._packed(P) + other._packed(P)))
 
@@ -221,7 +221,7 @@ class MonomialIdeal(Ideal, Record):
         """Packed generators add as exponent vectors do, while the fields
         hold the sum of the two largest exponents."""
         self._check(other)
-        P = _packing(self.ring.nvars, self._top() + other._top())
+        P = _packing(self.ring.nvars, self._top + other._top)
         Bs = other._packed(P)
         return _from_packed(self.ring, P, _minimal(
             P, {a + b for a in self._packed(P) for b in Bs}))
@@ -260,10 +260,6 @@ class MonomialIdeal(Ideal, Record):
         return "(" + ", ".join(self.ring.format_exponents(g) for g in self.gens) + ")"
 
 
-def unit_ideal(ring: RingDescriptor) -> MonomialIdeal:
-    return MonomialIdeal(ring, ((0,) * ring.nvars,))
-
-
 # ---------------------------------------------------------------------------
 # colon / intersection
 
@@ -273,18 +269,18 @@ def _from_packed(ring: RingDescriptor, P: Packing,
     """The ideal of the ascending packed minimal generators, born with that
     pack kept."""
     I = MonomialIdeal(ring, tuple(map(P.unpack, packed)))
-    object.__setattr__(I, "_packs", {P.width: packed})
+    I.__dict__["_packs"] = {P.width: packed}
     return I
 
 
 def colon_single(A: MonomialIdeal, b: Exponents) -> MonomialIdeal:
-    P = _packing(A.ring.nvars, max(A._top(), max(b, default=0)))
+    P = _packing(A.ring.nvars, max(A._top, max(b, default=0)))
     return _from_packed(A.ring, P, P.quotients(A._packed(P), P.pack(b)))
 
 
 def intersect_monomial(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     A._check(B)
-    P = _packing(A.ring.nvars, max(A._top(), B._top()))
+    P = _packing(A.ring.nvars, max(A._top, B._top))
     return _from_packed(A.ring, P, P.lcms(A._packed(P), B._packed(P)))
 
 
@@ -298,10 +294,10 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
     A._check(B)
     if not B.gens:
         raise ZeroIdealError("colon by the zero ideal")
-    top = A._top() + B._top()  # the fields must hold e + b
+    top = A._top + B._top  # the fields must hold e + b
     if floor is not None:
         A._check(floor)
-        top = max(top, floor._top())
+        top = max(top, floor._top)
     P = _packing(A.ring.nvars, top)
     G = P.guards
     As = A._packed(P)

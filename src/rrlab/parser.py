@@ -214,6 +214,15 @@ class _Parser:
                                  got.line, got.col)
         return t
 
+    def items(self, open_: str, item, close: str) -> tuple:
+        """open_ item ("," item)* close: the items read, in order."""
+        self.expect("sym", open_)
+        out = [item()]
+        while self.accept("sym", ","):
+            out.append(item())
+        self.expect("sym", close)
+        return tuple(out)
+
     # -- polynomials --------------------------------------------------------
 
     def nest(self, t: Token) -> None:
@@ -291,54 +300,32 @@ class _Parser:
             raise SyntacticError(f"unknown field {ft.value!r}", ft.line, ft.col)
         if ft.value != "QQ" and char == 0:
             raise SyntacticError("characteristic 0 is written QQ", ft.line, ft.col)
-        self.expect("sym", "[")
-        variables = [self.expect("ident").value]
-        while self.accept("sym", ","):
-            variables.append(self.expect("ident").value)
-        self.expect("sym", "]")
+        variables = self.items("[", lambda: self.expect("ident").value, "]")
         self.names, self.have_ring = set(variables), True
-        quotient: List[PolyAST] = []
-        if self.accept("sym", "/"):
-            self.expect("sym", "(")
-            quotient.append(self.poly())
-            while self.accept("sym", ","):
-                quotient.append(self.poly())
-            self.expect("sym", ")")
+        quotient = self.items("(", self.poly, ")") if self.accept("sym", "/") else ()
         self.expect("sym", ";")
-        return RingDecl(name, char, tuple(variables), tuple(quotient),
-                        line=at.line, col=at.col)
+        return RingDecl(name, char, variables, quotient, line=at.line, col=at.col)
 
-    def semiring_decl(self, at: Token) -> SemiringDecl:
-        name = self.expect("ident").value
-        self.expect("sym", "=")
-        self.expect("sym", "<")
-        gens = [int(self.expect("int").value)]
-        while self.accept("sym", ","):
-            gens.append(int(self.expect("int").value))
-        self.expect("sym", ">")
-        self.expect("sym", ";")
-        self.names, self.have_ring = {"t"}, True
-        return SemiringDecl(name, tuple(gens), line=at.line, col=at.col)
+    def integer(self) -> int:
+        return int(self.expect("int").value)
 
     def pair(self) -> Tuple[int, int]:
         self.expect("sym", "(")
-        a = int(self.expect("int").value)
+        a = self.integer()
         self.expect("sym", ",")
-        b = int(self.expect("int").value)
+        b = self.integer()
         self.expect("sym", ")")
         return (a, b)
 
-    def affine_decl(self, at: Token) -> AffineDecl:
+    def semigroup_decl(self, at: Token, decl, item, names: Optional[set]):
+        """A `semiring` (decl SemiringDecl, item an integer, names {"t"})
+        or an `affine` ring (AffineDecl, pairs, None: any name passes)."""
         name = self.expect("ident").value
         self.expect("sym", "=")
-        self.expect("sym", "<")
-        gens = [self.pair()]
-        while self.accept("sym", ","):
-            gens.append(self.pair())
-        self.expect("sym", ">")
+        gens = self.items("<", item, ">")
         self.expect("sym", ";")
-        self.names, self.have_ring = None, True  # generators are pairs
-        return AffineDecl(name, tuple(gens), line=at.line, col=at.col)
+        self.names, self.have_ring = names, True
+        return decl(name, gens, line=at.line, col=at.col)
 
     def gen(self) -> PolyAST:
         """One ideal generator or command element: a polynomial or an
@@ -360,14 +347,10 @@ class _Parser:
                                          at.line, at.col)
         name = self.expect("ident").value
         self.expect("sym", "=")
-        self.expect("sym", "(")
-        gens = [self.gen()]
-        while self.accept("sym", ","):
-            gens.append(self.gen())
-        self.expect("sym", ")")
+        gens = self.items("(", self.gen, ")")
         self.expect("sym", ";")
         self.ideals.add(name)
-        return IdealDecl(name, tuple(gens), line=at.line, col=at.col)
+        return IdealDecl(name, gens, line=at.line, col=at.col)
 
     # -- commands -----------------------------------------------------------
 
@@ -426,9 +409,11 @@ class _Parser:
             if t.value == "ring":
                 statements.append(self.ring_decl(t))
             elif t.value == "semiring":
-                statements.append(self.semiring_decl(t))
+                statements.append(
+                    self.semigroup_decl(t, SemiringDecl, self.integer, {"t"}))
             elif t.value == "affine":
-                statements.append(self.affine_decl(t))
+                statements.append(
+                    self.semigroup_decl(t, AffineDecl, self.pair, None))
             elif t.value == "ideal":
                 statements.append(self.ideal_decl(t))
             else:

@@ -104,6 +104,21 @@ def test_probe_on_non_regular_ideal_exit_code(tmp_path, capsys):
     assert "needs a declared regular element" in captured.err
 
 
+def test_run_time_refusal_names_its_command(tmp_path, capsys):
+    """The first command runs and the second is refused as it runs: exit 2,
+    nothing on stdout, and the refusal names the second command's line and
+    column."""
+    path = _write(tmp_path, "ring R = QQ[X, Y];\n"
+                            "ideal I = (X^4, X^3*Y, X*Y^3, Y^4);\n"
+                            "ideal J = (X^3);\nrr_closure I;\n"
+                            "  rr_via_reduction I J 1;\n")
+    assert main(["compute", path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "rrlab: J must be contained in I (line 5, column 3)\n")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "ring R = QQ[X Y];\n")
     assert main(["compute", path]) == EXIT_USAGE
@@ -280,7 +295,8 @@ def test_membership_probes_refuse_elements_outside_the_ring(
     for probe in (f"rr_membership {element} I", f"prop41 I {element} 1"):
         path = _write(tmp_path, text + f"{probe};\n")
         assert main(["compute", path]) == EXIT_USAGE
-        assert capsys.readouterr().err == "rrlab: element is not in the ring\n"
+        assert capsys.readouterr().err == (
+            "rrlab: element is not in the ring (line 4, column 1)\n")
 
 
 @pytest.mark.parametrize("generator, shown", [("(1,2)", "(1, 2)"),
@@ -308,7 +324,7 @@ def test_one_ray_ideals_of_different_rings_do_not_combine(tmp_path, capsys,
                             "ideal J = ((2,0));\nsum I J;\n")
     assert main(["compute", path]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "rrlab: ideals belong to different semigroups\n")
+        "rrlab: ideals belong to different semigroups (line 5, column 1)\n")
 
 
 @pytest.mark.parametrize("command", ["rr_membership (0) I",
@@ -322,7 +338,8 @@ def test_zero_probe_is_refused_alike_on_every_ideal_type(tmp_path, capsys,
                             f"{command};\n")
     assert main(["compute", path]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "rrlab: the zero element lies in every ideal; probe is vacuous\n")
+        "rrlab: the zero element lies in every ideal; probe is vacuous"
+        " (line 3, column 1)\n")
 
 
 def test_readme_lists_every_command():

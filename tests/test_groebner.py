@@ -157,6 +157,13 @@ def test_quotient_ring_relations_vanish():
     assert zero_h.is_zero()
 
 
+def test_polynomial_ring_handle_is_zero_only_without_generators():
+    R = _ring()
+    assert IdealHandle(R, []).is_zero()
+    assert _handle(R, "X - X").is_zero()
+    assert not _handle(R, "X").is_zero()
+
+
 def test_monomial_round_trip():
     R = _ring()
     I = MonomialIdeal.from_gens(R, [(4, 0), (3, 1), (1, 3), (0, 4)])

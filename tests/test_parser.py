@@ -164,6 +164,30 @@ def test_checks_raise_while_parsing_at_the_statement(text, error, message, at):
     assert (e.value.line, e.value.col) == at
 
 
+@pytest.mark.parametrize("text, message, at", [
+    ("ring R = QQ[X, Y,];", "expected 'ident', found ']'", (1, 18)),
+    ("ring R = QQ[X, Y;", "expected ']', found ';'", (1, 17)),
+    ("ring R = QQ[X, Y] / (X^2,);",
+     "expected a polynomial factor, found ')'", (1, 26)),
+    ("ring R = QQ[X, Y] / (X^2, Y;", "expected ')', found ';'", (1, 28)),
+    ("semiring S = <2, 3,>;", "expected 'int', found '>'", (1, 20)),
+    ("semiring S = <2, 3;", "expected '>', found ';'", (1, 19)),
+    ("affine A = <(2,0), (0,3),>;", "expected '(', found '>'", (1, 26)),
+    ("affine A = <(2,0), (0,3);", "expected '>', found ';'", (1, 25)),
+    ("ring R = QQ[X, Y];\nideal I = (X, Y,);",
+     "expected a polynomial factor, found ')'", (2, 17)),
+    ("ring R = QQ[X, Y];\nideal I = (X, Y;", "expected ')', found ';'", (2, 16)),
+], ids=[f"{where}-{how}" for where in ("variables", "quotient", "semiring",
+                                       "affine", "ideal")
+        for how in ("trailing-comma", "no-closer")])
+def test_comma_lists_refuse_a_trailing_comma_and_a_missing_closer(
+        text, message, at):
+    with pytest.raises(SyntacticError) as e:
+        parse_program(text)
+    assert e.value.message == message
+    assert (e.value.line, e.value.col) == at
+
+
 def test_a_bad_last_statement_stops_the_program_before_it_runs(
         tmp_path, capsys, monkeypatch):
     ran = []
