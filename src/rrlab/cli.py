@@ -139,7 +139,7 @@ def _as_monomial(I) -> MonomialIdeal:
 
 def _defect(cfg, I, n):
     D = rr_defect(I, n, cfg)
-    return {"empty": D.is_empty(),
+    return {**D.closure.status.to_dict(), "empty": D.is_empty(),
             "representatives": [str(r) for r in D.representatives]}
 
 

@@ -14,7 +14,7 @@ class RRLabError(Exception):
 
 
 class RingMismatchError(RRLabError):
-    """Operands live in different rings (or use different term orders)."""
+    """Operands live in different rings; the term order does not count."""
 
 
 class ZeroIdealError(RRLabError):

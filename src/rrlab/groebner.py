@@ -393,9 +393,6 @@ class IdealHandle(Ideal):
         one = I.ring.field.one()
         return IdealHandle(I.ring, [Polynomial(I.ring, {g: one}) for g in I.gens])
 
-    def is_monomial(self) -> bool:
-        return all(len(g.terms) == 1 for g in self.gens) and not self.ring.quotient
-
     def to_monomial_ideal(self) -> MonomialIdeal:
         if self.ring.quotient:
             raise UnsupportedOperationError("not a plain monomial ideal")

@@ -330,8 +330,10 @@ def colon_monomial(A: MonomialIdeal, B: MonomialIdeal,
 # powers
 
 
-def member_of_power(m: Exponents, ladder: PowerLadder, n: int) -> bool:
-    """m in I^n, read off the power the ladder keeps."""
+def member_of_power(m: Exponents, ladder: "MonomialIdeal | PowerLadder",
+                    n: int) -> bool:
+    """m in I^n, read off the power that I keeps; ladder is I or a
+    ``PowerLadder`` view of it."""
     if n < 1:
         raise PreconditionError("power must be >= 1")
     return ladder.power(n).contains(m)

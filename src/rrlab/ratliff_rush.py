@@ -131,20 +131,18 @@ def _closure(I, n: int, denominator, cfg: ClosureConfig,
 
     When the chain is known to be constant from step proved_at on, it runs
     exactly that far; otherwise it stops after cfg.window quiet steps in a
-    row, or at cfg.k_max, where the value is only a lower bound.
+    row, or at cfg.k_max, where the value is only a lower bound.  The quiet
+    run at step k is k less the last growth step.
     """
     growth: List[int] = []
-    quiet = 0
     for k, value, grew in _chain(I, n, denominator,
                                  cfg.k_max if proved_at is None else proved_at):
         if grew:
             growth.append(k)
-            quiet = 0
-        else:
-            quiet += 1
-            if proved_at is None and quiet >= cfg.window:
-                return ClosureResult(value, StabilizedWindow(k, cfg.window),
-                                     tuple(growth))
+        elif (proved_at is None
+              and k - (growth[-1] if growth else 0) >= cfg.window):
+            return ClosureResult(value, StabilizedWindow(k, cfg.window),
+                                 tuple(growth))
     status = (BoundReached(cfg.k_max) if proved_at is None
               else StabilizedWindow(proved_at, cfg.window))
     return ClosureResult(value, status, tuple(growth))

@@ -1,12 +1,12 @@
 """Reduction verification and the filtration invariants r, rr_r, s.
 
-Works uniformly over monomial ideals, Groebner handles and semigroup
-exponent-set ideals.  Every invariant is a bounded computation; reports
-carry an explicit exact-within-bound / bound-reached status so downstream
-claims are never stronger than what was computed.  is_reduction and
-reduction_number, the one refusal of a J that is not a reduction, live in
-ratliff_rush beside the chain operations that call them; they are
-re-exported here.
+Works uniformly over every ideal type: monomial ideals, Groebner handles,
+and the numerical and affine semigroup ideals.  Every invariant is a
+bounded computation; reports carry an explicit exact-within-bound /
+bound-reached status so downstream claims are never stronger than what was
+computed.  is_reduction and reduction_number, the one refusal of a J that
+is not a reduction, live in ratliff_rush beside the chain operations that
+call them; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -72,16 +72,9 @@ def _s_invariant(I, tilde, n_max: int):
 
 
 class ReductionReport(Record):
-    _fields = ("I", "J", "n_max", "r", "r_status", "rr_r", "rr_r_status",
-               "s", "s_status")
-
-    def to_dict(self):
-        return {
-            "ideal": str(self.I), "reduction": str(self.J), "n_max": self.n_max,
-            "r": self.r, "r_status": self.r_status,
-            "rr_r": self.rr_r, "rr_r_status": self.rr_r_status,
-            "s": self.s, "s_status": self.s_status,
-        }
+    _fields = ("ideal", "reduction", "n_max", "r", "r_status", "rr_r",
+               "rr_r_status", "s", "s_status")
+    _as_text = ("ideal", "reduction")
 
 
 # ---------------------------------------------------------------------------

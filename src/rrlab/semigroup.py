@@ -216,10 +216,8 @@ class SemigroupIdeal(Ideal, Record):
 def _plane_gens(gens: Sequence[Pair]) -> Tuple[Pair, ...]:
     """The distinct generators, sorted, checked to be pairs of naturals."""
     gens = tuple(sorted(set(map(tuple, gens))))
-    if not gens or any(len(g) != 2 or g < (0, 0) or g == (0, 0) for g in gens):
+    if not gens or any(len(g) != 2 or min(g) < 0 or g == (0, 0) for g in gens):
         raise PreconditionError("generators must be nonzero pairs of naturals")
-    if any(a < 0 or b < 0 for a, b in gens):
-        raise PreconditionError("generators must be non-negative")
     return gens
 
 

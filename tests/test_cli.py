@@ -47,6 +47,17 @@ def test_compute_json(tmp_path, capsys):
     assert cmds[2]["verdict"] == "member" and cmds[2]["k"] == 1
 
 
+def test_defect_prints_the_status_of_its_chain(tmp_path, capsys):
+    # A capped chain is labelled bound-reached, not read as a closed power.
+    prog = ("ring R = QQ[X, Y];\nideal I = (X^4, X^3*Y, X*Y^3, Y^4);\n"
+            "rr_defect I 0 k_max = 2 window = 2;\n")
+    code = main(["compute", _write(tmp_path, prog)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.splitlines()[:3] == ["rr_defect:", "  status: bound-reached",
+                                    "  k_max: 2"]
+
+
 def test_compute_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["compute", _write(tmp_path, PROGRAM),

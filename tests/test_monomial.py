@@ -129,6 +129,7 @@ def test_member_of_power_matches_explicit_expansion():
                 explicit = explicit * I
             for e in product(range(10), repeat=2):
                 assert member_of_power(e, ladder, n) == explicit.contains(e)
+                assert member_of_power(e, I, n) == explicit.contains(e)
 
 
 def test_integral_closure_known_values():

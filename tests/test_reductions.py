@@ -97,6 +97,14 @@ def test_report_on_monomial_pair():
         assert rep.rr_r <= rep.r
 
 
+def test_report_json_shape_is_pinned():
+    d = reduction_report(I4, J4).to_dict()
+    assert list(d.items()) == [
+        ("ideal", "(Y^4, X*Y^3, X^3*Y, X^4)"), ("reduction", "(Y^4, X^4)"),
+        ("n_max", 8), ("r", 2), ("r_status", EXACT), ("rr_r", 1),
+        ("rr_r_status", EXACT), ("s", 2), ("s_status", EXACT)]
+
+
 def test_prop41_equivalence_known_levels():
     S = NumericalSemigroup([4, 5, 11])
     I = SemigroupIdeal.from_gens(S, [4, 5, 11])

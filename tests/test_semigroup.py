@@ -222,6 +222,15 @@ def test_plane_semigroup_refuses_generators_on_one_ray():
             AffineSemigroup2D(gens)
 
 
+def test_plane_semigroup_refuses_a_negative_coordinate_with_one_message():
+    # The parser reads only naturals; the library check names the same rule.
+    for gens in ([(1, 0), (1, -1)], [(-1, 2), (0, 1)]):
+        with pytest.raises(PreconditionError,
+                           match="^generators must be nonzero pairs of "
+                                 "naturals$"):
+            AffineSemigroup2D(gens)
+
+
 @pytest.mark.parametrize("I, J", [
     (SemigroupIdeal.from_gens(NumericalSemigroup([2, 3]), [2]),
      SemigroupIdeal.from_gens(NumericalSemigroup([2, 5]), [2])),
