@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 assertion failure, 2 usage or input error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
@@ -295,50 +294,109 @@ def _emit(payload, fmt: str, out_path: Optional[str],
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line
+
+def _choices(values) -> tuple:
+    return "|".join(values), tuple(values)
 
 
-def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="rrlab",
-        description="Exact closure, reduction and semigroup ideal calculator")
-    sub = top.add_subparsers(dest="subcommand", required=True)
+# An option maps its flag to the name of its value in the usage text and to
+# its reader: int, str, or the tuple of the values it may take.
+_CONFIG_FLAGS = {field.replace("_", ""): field  # --kmax sets k_max
+                 for field in ClosureConfig._fields}
+_CONFIG = {flag: (flag.upper(), int) for flag in _CONFIG_FLAGS}
+_OUTPUT = {"format": _choices(("text", "json")), "out": ("FILE", str)}
 
-    def add_cfg(p):
-        for field in ClosureConfig._fields:  # k_max -> --kmax KMAX
-            flag = field.replace("_", "")
-            p.add_argument("--" + flag, dest=field, metavar=flag.upper(),
-                           type=int, default=None)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None)
-
-    comp = sub.add_parser("compute", help="run an input-language file")
-    comp.add_argument("file")
-    add_cfg(comp)
-
-    gb = sub.add_parser("gb", help="reduced basis of the last declared ideal")
-    gb.add_argument("file")
-    gb.add_argument("--order", choices=ORDER_KINDS, default="grevlex")
-    gb.add_argument("--vars", default=None,
-                    help="comma-separated variable names, largest first")
-    gb.add_argument("--format", choices=("text", "json"), default="text")
-    gb.add_argument("--out", default=None)
-
-    corp = sub.add_parser("corpus", help="built-in verification corpus")
-    corp_sub = corp.add_subparsers(dest="corpus_command", required=True)
-    run_p = corp_sub.add_parser("run", help="run corpus cases")
-    run_p.add_argument("--filter", default="", help="case id glob")
-    run_p.add_argument("--seed", type=int, default=0)
-    add_cfg(run_p)
-    corp_sub.add_parser("list", help="list corpus case ids")
-
-    return top
+# The words of each command -> the name of its one positional argument (or
+# None) and its options.
+COMMANDS = {
+    ("compute",): ("file", {**_CONFIG, **_OUTPUT}),
+    ("gb",): ("file", {"order": _choices(ORDER_KINDS), "vars": ("Y,X", str),
+                       **_OUTPUT}),
+    ("corpus", "list"): (None, {}),
+    ("corpus", "run"): (None, {"filter": ("GLOB", str), "seed": ("S", int),
+                               **_CONFIG, **_OUTPUT}),
+}
 
 
-def _config_from(ns) -> dict:
+def _usage_line(words, positional, options) -> str:
+    parts = ["rrlab", *words] + ([positional.upper()] if positional else [])
+    parts += [f"[--{flag} {name}]" for flag, (name, _) in options.items()]
+    return " ".join(parts)
+
+
+USAGE = "".join(_usage_line(words, *spec) + "\n"
+                for words, spec in COMMANDS.items())
+
+
+class UsageError(Exception):
+    """A command line that names no command, or that a command does not
+    take."""
+
+
+HELP = ("-h", "--help")
+
+
+def _is_option(arg: str) -> bool:
+    """Whether arg reads as an option, as argparse reads one: a leading
+    dash, unless arg is a lone dash or a negative integer."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdigit()
+
+
+def parse_args(argv: List[str]):
+    """The words of the command that argv names and the values it gives:
+    the positional argument under its name and each option under its flag,
+    read by the option's reader.  An option is given as ``--flag value`` or
+    ``--flag=value``; the last one given wins.  ``-h`` or ``--help`` where
+    a command word or an option may stand gives None for the values."""
+    for i, arg in enumerate(argv[:2]):
+        if arg in HELP and any(w[:i] == tuple(argv[:i]) for w in COMMANDS):
+            return tuple(argv[:i]), None
+    for words, (positional, options) in COMMANDS.items():
+        if tuple(argv[:len(words)]) == words:
+            break
+    else:
+        raise UsageError(f"unknown command {' '.join(argv[:2])!r}" if argv
+                         else "no command given")
+    values = {}
+    args = iter(argv[len(words):])
+    for arg in args:
+        if arg in HELP:
+            return words, None
+        if not _is_option(arg):
+            if positional is None or positional in values:
+                raise UsageError(f"unexpected argument {arg!r}")
+            values[positional] = arg
+            continue
+        flag, eq, value = arg[2:].partition("=")
+        if arg[1] != "-" or flag not in options:
+            raise UsageError(f"{' '.join(words)} takes no option "
+                             f"{arg.partition('=')[0]}")
+        if not eq:
+            value = next(args, None)
+            if value is None or _is_option(value):
+                raise UsageError(f"--{flag} needs a value")
+        read = options[flag][1]
+        if isinstance(read, tuple):
+            if value not in read:
+                raise UsageError(f"--{flag} takes {'|'.join(read)}, "
+                                 f"not {value!r}")
+        elif read is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"--{flag} takes an integer, "
+                                 f"not {value!r}") from None
+        values[flag] = value
+    if positional is not None and positional not in values:
+        raise UsageError(f"{' '.join(words)} needs {positional.upper()}")
+    return words, values
+
+
+def _config_from(values: dict) -> dict:
     """The ClosureConfig fields the command line sets."""
-    flags = {f: getattr(ns, f) for f in ClosureConfig._fields}
-    return {f: v for f, v in flags.items() if v is not None}
+    return {field: values[flag] for flag, field in _CONFIG_FLAGS.items()
+            if flag in values}
 
 
 def _read_program(path: str) -> InputProgram:
@@ -356,22 +414,27 @@ def _read_program(path: str) -> InputProgram:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_argparser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+        words, values = parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"rrlab: {exc}\n{USAGE}")
+        return EXIT_USAGE
+    if values is None:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
+    fmt, out_path = values.get("format", "text"), values.get("out")
 
     try:
-        if ns.subcommand == "compute":
-            cfg = DEFAULT_CONFIG.replace(**_config_from(ns))
-            fragments = run_program(_read_program(ns.file), cfg)
+        if words == ("compute",):
+            cfg = DEFAULT_CONFIG.replace(**_config_from(values))
+            fragments = run_program(_read_program(values["file"]), cfg)
             _emit({"schema": corpus_mod.SCHEMA_VERSION,
-                   "commands": fragments}, ns.format, ns.out)
+                   "commands": fragments}, fmt, out_path)
             return EXIT_OK
 
-        if ns.subcommand == "gb":
-            prog = _read_program(ns.file)
+        if words == ("gb",):
+            prog = _read_program(values["file"])
             session, _ = resolve(prog, DEFAULT_CONFIG)
             ideals = [st.name for st in prog.statements
                       if isinstance(st, IdealDecl)]
@@ -380,29 +443,30 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return EXIT_USAGE
             H = _as_handle(session.ideals[ideals[-1]])
             priority = None
-            if ns.vars:
-                names = [v.strip() for v in ns.vars.split(",")]
+            if values.get("vars"):
+                names = [v.strip() for v in values["vars"].split(",")]
                 priority = tuple(H.ring.var_index(v) for v in names)
-            order = MonomialOrder(ns.order, priority)
-            basis = H.groebner_basis(order)
+            order = values.get("order", "grevlex")
+            basis = H.groebner_basis(MonomialOrder(order, priority))
             _emit({"commands": [{
                 "command": "gb",
-                "order": ns.order,
+                "order": order,
                 "basis": [str(p) for p in basis.polynomials],
-            }]}, ns.format, ns.out)
+            }]}, fmt, out_path)
             return EXIT_OK
 
-        if ns.subcommand == "corpus":
-            if ns.corpus_command == "list":
-                for cid, note in corpus_mod.list_cases():
-                    sys.stdout.write(f"{cid}: {note}\n")
-                return EXIT_OK
-            report = corpus_mod.run_corpus(ns.filter, seed=ns.seed,
-                                           overrides=_config_from(ns))
-            _emit(report, ns.format, ns.out, _corpus_lines)
-            if report["resource_cap"]:
-                return EXIT_RESOURCE
-            return EXIT_OK if report["passed"] else EXIT_ASSERTION
+        if words == ("corpus", "list"):
+            for cid, note in corpus_mod.list_cases():
+                sys.stdout.write(f"{cid}: {note}\n")
+            return EXIT_OK
+
+        report = corpus_mod.run_corpus(values.get("filter", ""),
+                                       seed=values.get("seed", 0),
+                                       overrides=_config_from(values))
+        _emit(report, fmt, out_path, _corpus_lines)
+        if report["resource_cap"]:
+            return EXIT_RESOURCE
+        return EXIT_OK if report["passed"] else EXIT_ASSERTION
 
     except ResourceLimitError as exc:
         sys.stderr.write(f"rrlab: resource cap: {exc}\n")
@@ -410,8 +474,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, RRLabError) as exc:
         sys.stderr.write(f"rrlab: {exc}\n")
         return EXIT_USAGE
-    return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -60,12 +60,26 @@ the colon's fields are sized for that sum.
 variables is associated to I exactly when ``I_s : P_s != I_s``, with I_s the
 ideal I with the variables outside s set to 1.  That is one colon for each
 of the 2^d - 1 nonempty sets s at most, whatever the exponents.
+
+``integral_closure_monomial`` and ``in_newton_polyhedron`` read the Newton
+polyhedron conv(gens) + R_{>=0}^d through its facets a·x >= b, each a
+primitive integer pair with a >= 0 and b > 0, so membership is a few
+integer dot products.  Each ideal computes its facets once and keeps them
+(``_facets``), from the vertices of {a >= 0 : a·g >= 1 for every generator
+g}, each found by integer Cramer on d tight constraints.  The closure is
+the set of lattice points of the polyhedron, and its minimal generators lie
+in the box of I's largest exponents (lowering an entry above that bound
+only lowers a slack).  So for each prefix (e_1, ..., e_{d-1}) in the box,
+the least e_d that meets every facet is a ceiling division per facet, and
+those points, minimalized, generate the closure; a larger e_d is a
+multiple of that point.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,6 +88,10 @@ from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
                    exps_mul, shared_packing)
 from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
+
+
+# a facet a·x >= b of a Newton polyhedron: a >= 0, b > 0, no common divisor
+Facet = Tuple[Tuple[int, ...], int]
 
 
 def _packing(nvars: int, top: int) -> Packing:
@@ -150,6 +168,11 @@ class MonomialIdeal(Ideal, Record):
     def _top(self) -> int:
         """The largest exponent of the generators."""
         return max(itertools.chain.from_iterable(self.gens), default=0)
+
+    @cached_property
+    def _facets(self) -> List[Facet]:
+        """The facets of the Newton polyhedron, from ``newton_facets``."""
+        return newton_facets(self.gens)
 
     @cached_property
     def _packs(self) -> dict:
@@ -422,86 +445,89 @@ def associated_primes_monomial(I: MonomialIdeal) -> Tuple[Tuple[str, ...], ...]:
 # integral closure via the Newton polyhedron
 
 
-def _lp_feasible(rows: List[List[Fraction]], rhs: List[Fraction]) -> bool:
-    """Exact phase-1 simplex feasibility for rows * x = rhs, x >= 0."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    # make rhs non-negative
-    T = []
-    b = []
-    for row, r in zip(rows, rhs):
-        if r < 0:
-            T.append([-v for v in row])
-            b.append(-r)
-        else:
-            T.append(list(row))
-            b.append(r)
-    # tableau with artificial variables; minimize their sum
-    total = n + m
-    basis = list(range(n, total))
-    tab = [T[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]]
-           for i in range(m)]
-    # phase-1 reduced costs: sum of rows over the original columns,
-    # zero over the (basic) artificial columns
-    cost = [sum((tab[i][j] for i in range(m)), Fraction(0)) if j < n else Fraction(0)
-            for j in range(total)]
-    cost.append(sum(b, Fraction(0)))
-    while True:
-        # Bland's rule: first column with positive reduced cost
-        pivot_col = next((j for j in range(total) if cost[j] > 0), None)
-        if pivot_col is None:
-            break
-        ratios = [(tab[i][total] / tab[i][pivot_col], basis[i], i)
-                  for i in range(m) if tab[i][pivot_col] > 0]
-        if not ratios:
-            break  # unbounded (cannot happen in phase 1)
-        _, _, pivot_row = min(ratios)
-        pv = tab[pivot_row][pivot_col]
-        tab[pivot_row] = [v / pv for v in tab[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tab[i][pivot_col]:
-                f = tab[i][pivot_col]
-                tab[i] = [a - f * b_ for a, b_ in zip(tab[i], tab[pivot_row])]
-        if cost[pivot_col]:
-            f = cost[pivot_col]
-            cost = [a - f * b_ for a, b_ in zip(cost, tab[pivot_row] + [])]
-        basis[pivot_row] = pivot_col
-    return cost[total] == 0
+def _dot(a: Sequence[int], e: Sequence[int]) -> int:
+    return sum(map(operator.mul, a, e))
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix, by Bareiss's
+    fraction-free elimination: every division is exact."""
+    A = [list(r) for r in rows]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            p = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if p is None:
+                return 0
+            A[k], A[p], sign = A[p], A[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1]
+
+
+def _facet(a: Sequence[int], b: int) -> Facet:
+    """The facet a·x >= b with its entries divided by their gcd."""
+    g = math.gcd(b, *a)
+    return tuple(x // g for x in a), b // g
+
+
+def newton_facets(gens: Sequence[Exponents]) -> List[Facet]:
+    """The facets (a, b) of the Newton polyhedron conv(gens) + R_{>=0}^d
+    that miss the origin, sorted: a point e >= 0 lies in it exactly when
+    a·e >= b for each of them.
+
+    For e >= 0 outside it, some a >= 0 (the polyhedron is closed upwards)
+    has a·e below the least a·x over the polyhedron, and that least value is
+    positive: scaled to 1, a lies in Q = {a >= 0 : a·g >= 1 for every g}.
+    Such an a is a convex combination of vertices of Q plus a point >= 0, so
+    some vertex v has v·e <= a·e < 1.  The facets are those vertices, with
+    denominators cleared; the unit ideal has none.  Each vertex a of Q
+    solves d linearly independent tight constraints, a·g = 1 or a_i = 0,
+    and is found by integer Cramer on them; a/det is a vertex when it meets
+    every constraint."""
+    gens = minimalize(gens)
+    d = len(gens[0]) if gens else 0
+    rows = [(tuple(g), 1) for g in gens]
+    rows += [(tuple(int(i == j) for j in range(d)), 0) for i in range(d)]
+    facets = set()
+    for chosen in itertools.combinations(rows, d):
+        M = [r for r, _ in chosen]
+        den = _det(M)
+        if not den:
+            continue
+        a = [_det([r[:j] + (v,) + r[j + 1:] for r, v in chosen])
+             for j in range(d)]
+        if den < 0:
+            den, a = -den, [-x for x in a]
+        if min(a) >= 0 and all(_dot(a, g) >= den for g in gens):
+            facets.add(_facet(a, den))
+    return sorted(facets)
 
 
 def in_newton_polyhedron(e: Exponents, gens: Sequence[Exponents]) -> bool:
-    """e in conv(gens) + R_{>=0}^d, by exact rational feasibility.
-
-    Feasibility of: lambda >= 0, slack >= 0, sum lambda = 1,
-    sum lambda * g + slack = e.
-    """
-    d = len(e)
-    n = len(gens)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    rows.append([Fraction(1)] * n + [Fraction(0)] * d)
-    rhs.append(Fraction(1))
-    for i in range(d):
-        row = [Fraction(g[i]) for g in gens] + \
-              [Fraction(1 if j == i else 0) for j in range(d)]
-        rows.append(row)
-        rhs.append(Fraction(e[i]))
-    return _lp_feasible(rows, rhs)
+    """e in conv(gens) + R_{>=0}^d, by integer dot products with the
+    facets of ``newton_facets``."""
+    return (bool(gens) and min(e, default=0) >= 0
+            and all(_dot(a, e) >= b for a, b in newton_facets(gens)))
 
 
 def integral_closure_monomial(I: MonomialIdeal) -> MonomialIdeal:
-    """The members of the Newton polyhedron in the box of I's largest
-    exponents, minimalized.
-
-    The closure is an ideal, so a point that a member found so far divides
-    is a member without a simplex run; the box is scanned in lexicographic
-    order, which meets divisors before their multiples."""
-    box = [max(g[i] for g in I.gens) for i in range(I.ring.nvars)]
-    found = list(I.gens)
-    for e in itertools.product(*(range(b + 1) for b in box)):
-        if any(exps_divides(g, e) for g in found):
-            continue
-        if in_newton_polyhedron(e, I.gens):
-            found.append(e)
-    return MonomialIdeal(I.ring, minimalize(found))
-
+    """The lattice points of the Newton polyhedron, minimalized: for each
+    prefix (e_1, ..., e_{d-1}) in the box of I's largest exponents, the
+    least e_d that meets every facet of ``I._facets`` (see the module
+    docstring)."""
+    *box, _ = (max(g[i] for g in I.gens) for i in range(I.ring.nvars))
+    points = []
+    for prefix in itertools.product(*(range(b + 1) for b in box)):
+        least = 0
+        for (*head, last), b in I._facets:
+            need = b - _dot(head, prefix)
+            if need > 0:
+                if not last:
+                    break  # no e_d meets this facet
+                least = max(least, -(-need // last))
+        else:
+            points.append(prefix + (least,))
+    return MonomialIdeal(I.ring, minimalize(points))

@@ -302,10 +302,14 @@ def rr_defect(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> RRDefect:
     if n < 0:
         raise PreconditionError("defect degree must be >= 0")
     closure = rr_power(I, n + 1, cfg)
+    denominator = I.power(n + 1)
+    if not closure.growth_steps:
+        # the chain never left I^{n+1}, which lies in I^n: nothing to
+        # represent
+        return RRDefect(I, n, closure, denominator, denominator, ())
     numerator = closure.value
     if n > 0:
         numerator = numerator.intersect(I.power(n))
-    denominator = I.power(n + 1)
     reps = tuple(numerator.gens_outside(denominator))
     return RRDefect(I, n, closure, numerator, denominator, reps)
 
@@ -381,10 +385,13 @@ def superficial_probe(a, I, cfg: ClosureConfig = DEFAULT_CONFIG):
     if cfg.n_max <= cfg.window:
         raise PreconditionError("superficiality needs n_max > window steps")
     principal = I.power(0).times(e)
+    colons = {}  # n -> I^n : (a), shared by every offset
     first_failure = None
     for c in range(1, cfg.n_max - cfg.window + 1):
         for n in range(c + 1, cfg.n_max + 1):
-            lhs = I.power(n).colon(principal).intersect(I.power(c))
+            if n not in colons:
+                colons[n] = I.power(n).colon(principal)
+            lhs = colons[n].intersect(I.power(c))
             # a lies in I and c <= n - 1, so I^{n-1} lies in lhs: the two
             # are equal exactly when no generator of lhs lies outside it.
             witness = lhs.first_gen_outside(I.power(n - 1))

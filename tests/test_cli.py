@@ -2,16 +2,20 @@
 
 import inspect
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 from rrlab.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       HANDLERS, main)
+                       HANDLERS, USAGE, main)
 from rrlab.parser import COMMAND_SIGNATURES
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PROGRAM = """
 ring R = QQ[X, Y];
@@ -142,6 +146,85 @@ def test_missing_file_exit_code(capsys):
 
 def test_bad_usage_exit_code(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("before", [[], ["compute"], ["corpus"],
+                                    ["corpus", "run"], ["compute", "f.rr"]])
+def test_help_prints_the_usage_on_stdout(capsys, before, flag):
+    assert main(before + [flag]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert (out, err) == (USAGE, "")
+
+
+def test_options_read_alike_with_and_without_an_equals_sign(tmp_path,
+                                                            capsys):
+    path = _write(tmp_path, PROGRAM)
+    assert main(["compute", path, "--kmax", "6", "--window", "2",
+                 "--format", "json"]) == EXIT_OK
+    spaced = capsys.readouterr().out
+    assert main(["compute", path, "--kmax=6", "--window=2",
+                 "--format=json"]) == EXIT_OK
+    assert capsys.readouterr().out == spaced
+    assert json.loads(spaced)["commands"][0]["config"]["k_max"] == 6
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "no command given"),
+    (["frobnicate"], "unknown command 'frobnicate'"),
+    (["corpus"], "unknown command 'corpus'"),
+    (["compute", "{path}", "--form", "json"], "compute takes no option --form"),
+    (["gb", "{path}", "--kmax", "4"], "gb takes no option --kmax"),
+    (["compute", "{path}", "--out"], "--out needs a value"),
+    (["compute", "{path}", "--kmax", "--format", "json"],
+     "--kmax needs a value"),
+    (["compute", "{path}", "--kmax", "x"], "--kmax takes an integer, not 'x'"),
+    (["corpus", "run", "--seed=x"], "--seed takes an integer, not 'x'"),
+    (["compute", "{path}", "--format", "xml"],
+     "--format takes text|json, not 'xml'"),
+    (["gb", "{path}", "--order", "revlex"],
+     "--order takes lex|grlex|grevlex, not 'revlex'"),
+    (["frobnicate", "-h"], "unknown command 'frobnicate -h'"),
+    (["compute", "-x"], "compute takes no option -x"),
+    (["compute", "{path}", "-h=1"], "compute takes no option -h"),
+    (["compute", "{path}", "---kmax", "6"], "compute takes no option ---kmax"),
+    (["compute", "{path}", "--out", "-h"], "--out needs a value"),
+    (["compute", "{path}", "--kmax=6=7"], "--kmax takes an integer, not '6=7'"),
+    (["compute"], "compute needs FILE"),
+    (["compute", "{path}", "{path}"], "unexpected argument '{path}'"),
+    (["corpus", "list", "extra"], "unexpected argument 'extra'"),
+])
+def test_usage_errors_print_the_usage_on_stderr(tmp_path, capsys, argv,
+                                                message):
+    path = _write(tmp_path, PROGRAM)
+    argv = [a.format(path=path) for a in argv]
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"rrlab: {message.format(path=path)}\n{USAGE}"
+
+
+def test_config_flags_pass_through_the_config_checks(tmp_path, capsys):
+    assert main(["compute", _write(tmp_path, PROGRAM),
+                 "--kmax=1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "rrlab: require k_max >= window >= 2\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, rrlab.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_a_usage_error_ends_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "rrlab.cli", "corpus", "run", "--seed", "x"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == f"rrlab: --seed takes an integer, not 'x'\n{USAGE}"
 
 
 def test_corpus_list(capsys):
@@ -359,3 +442,8 @@ def test_readme_lists_every_command():
                    text.index("## The corpus")]
     listed = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
     assert listed == set(COMMAND_SIGNATURES)
+
+
+def test_readme_usage_block_is_the_printed_usage():
+    text = README.read_text(encoding="utf-8")
+    assert f"```sh\n{USAGE}```\n" in text

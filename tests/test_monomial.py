@@ -19,7 +19,7 @@ from rrlab.monomial import (MonomialIdeal, PowerLadder,
                             associated_primes_monomial, colon_monomial,
                             colon_single, in_newton_polyhedron,
                             integral_closure_monomial, intersect_monomial,
-                            is_borel_fixed, member_of_power,
+                            is_borel_fixed, member_of_power, newton_facets,
                             socle_candidates, variable_ideal)
 
 
@@ -159,6 +159,17 @@ def test_newton_polyhedron_membership():
     gens = ((4, 0), (0, 4))
     assert in_newton_polyhedron((2, 2), gens)
     assert not in_newton_polyhedron((1, 2), gens)
+
+
+def test_newton_facets_known_values():
+    assert newton_facets([(4, 0), (3, 1), (1, 3), (0, 4)]) == [((1, 1), 4)]
+    assert newton_facets([(3, 0), (1, 1), (0, 3)]) == [((1, 2), 3),
+                                                       ((2, 1), 3)]
+    assert newton_facets([(2, 3)]) == [((0, 1), 3), ((1, 0), 2)]
+    assert newton_facets([(2, 0, 0), (0, 3, 0), (0, 0, 6)]) == [((3, 2, 1), 6)]
+    assert newton_facets([(0, 0, 0)]) == []
+    I = MonomialIdeal.from_gens(_ring(), [(4, 0), (0, 4)])
+    assert I._facets is I._facets
 
 
 def test_borel_fixed_examples():

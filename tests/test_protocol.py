@@ -6,7 +6,6 @@ for through the API and through `rrlab compute` must agree on every ring
 kind.
 """
 
-import itertools
 import json
 import random
 import weakref
@@ -18,8 +17,9 @@ from rrlab import (DEFAULT_CONFIG, AffineIdeal, AffineSemigroup2D,
                    PowerLadder, RingDescriptor, SemigroupIdeal,
                    parse_polynomial, parse_program, rr_closure, rr_power)
 from rrlab.cli import Session, main, run_command
-from rrlab.monomial import in_newton_polyhedron, integral_closure_monomial
+from rrlab.monomial import integral_closure_monomial
 from rrlab.parser import Command
+from test_newton_oracle import closure_by_simplex
 
 
 def _session_and_commands(text):
@@ -180,17 +180,6 @@ def test_cli_promotes_mixed_ideal_types(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["commands"] == as_handles
 
 
-def _closure_by_full_box(I):
-    """Reference: every point of the box outside I is tested against the
-    Newton polyhedron, with no point skipped."""
-    box = [max(g[i] for g in I.gens) for i in range(I.ring.nvars)]
-    found = list(I.gens)
-    for e in itertools.product(*(range(b + 1) for b in box)):
-        if not I.contains(e) and in_newton_polyhedron(e, I.gens):
-            found.append(e)
-    return MonomialIdeal.from_gens(I.ring, found)
-
-
 def test_integral_closure_matches_full_box_scan():
     rng = random.Random(7)
     for _ in range(40):
@@ -206,4 +195,4 @@ def test_integral_closure_matches_full_box_scan():
                  for _ in range(rng.randint(1, 2))]
         gens = [g for g in gens if any(g)] or [(1,) + (0,) * (nvars - 1)]
         I = MonomialIdeal.from_gens(R, gens)
-        assert integral_closure_monomial(I).gens == _closure_by_full_box(I).gens
+        assert integral_closure_monomial(I).gens == closure_by_simplex(I).gens
