@@ -20,7 +20,7 @@ from .monomial import (MonomialIdeal, associated_primes_monomial,
                        socle_candidates)
 from .parser import (COMMAND_SIGNATURES, AffineDecl, Command, IdealDecl,
                      InputProgram, RingDecl, SemiringDecl, eval_pair,
-                     eval_poly, eval_t_exponent, parse_program)
+                     eval_poly, eval_t_exponent, format_arg, parse_program)
 from .ratliff_rush import (ClosureConfig, DEFAULT_CONFIG,
                            depth_zero_witness_search, gr_nzd_probe,
                            is_rr_closed, rr_closure, rr_closure_via_reduction,
@@ -103,18 +103,18 @@ class Session:
                 return eval_t_exponent(value)
         elif self.kind == "affine" and kind == "pair":
             return eval_pair(arg)
-        raise ArityError(f"element argument {arg!r} does not fit this ring")
+        raise ArityError(f"element {format_arg(arg)} does not fit this ring")
 
     def arguments(self, cmd: Command) -> list:
         """The values of cmd's arguments, each read as its signature's kind
-        says: a declared ideal, an integer or an element of the ring.  Two
-        ideals of different types (a monomial ideal beside a polynomial
-        one) both become handles."""
+        says: a declared ideal as IDEAL_KINDS reads it, an integer or an
+        element of the ring.  Two ideals of different types (a monomial
+        ideal beside a polynomial one) both become handles."""
         kinds = COMMAND_SIGNATURES[cmd.name]
-        values = [self.ideals[arg[1]] if kind == "ideal"
+        values = [IDEAL_KINDS[kind](self.ideals[arg[1]]) if kind in IDEAL_KINDS
                   else arg[1] if kind == "int" else self.element(arg)
                   for kind, arg in zip(kinds, cmd.args)]
-        ideals = [i for i, kind in enumerate(kinds) if kind == "ideal"]
+        ideals = [i for i, kind in enumerate(kinds) if kind in IDEAL_KINDS]
         if len({type(values[i]) for i in ideals}) > 1:
             for i in ideals:
                 values[i] = _as_handle(values[i])
@@ -136,6 +136,13 @@ def _as_monomial(I) -> MonomialIdeal:
     raise UnsupportedOperationError("this command needs a monomial ideal")
 
 
+# ideal argument kind -> the ideal a command takes for a declared one, or a
+# refusal, before any command runs (check_regular returns None)
+IDEAL_KINDS = {"ideal": lambda I: I, "monomial": _as_monomial,
+               "polynomial": _as_handle,
+               "regular": lambda I: I.check_regular() or I}
+
+
 def _defect(cfg, I, n):
     D = rr_defect(I, n, cfg)
     return {**D.closure.status.to_dict(), "empty": D.is_empty(),
@@ -147,18 +154,6 @@ def _membership(cfg, m, I):
     # to probe it with
     return {"member": ((isinstance(m, Polynomial) and m.is_zero())
                        or I.contains(I.element(m)))}
-
-
-def _is_borel(cfg, I):
-    I = _as_monomial(I)
-    prio = tuple(range(I.ring.nvars))
-    return {d: is_borel_fixed(I, prio, d) for d in ("to-larger", "to-smaller")}
-
-
-def _socle(cfg, I):
-    I = _as_monomial(I)
-    return {"candidates": [I.ring.format_exponents(e)
-                           for e in socle_candidates(I)]}
 
 
 def _value_status(pair):
@@ -176,10 +171,10 @@ HANDLERS = {
     "is_rr_closed": lambda cfg, I: is_rr_closed(I, cfg).to_dict(),
     "rr_defect": _defect,
     "gb": lambda cfg, I: {"basis": [
-        str(p) for p in _as_handle(I).groebner_basis().polynomials]},
-    "lt": lambda cfg, I: {"value": str(_as_handle(I).leading_term_ideal())},
+        str(p) for p in I.groebner_basis().polynomials]},
+    "lt": lambda cfg, I: {"value": str(I.leading_term_ideal())},
     "normal_form": lambda cfg, f, I: {
-        "value": str(_as_handle(I).groebner_basis().normal_form(f))},
+        "value": str(I.groebner_basis().normal_form(f))},
     "membership": _membership,
     "colon": lambda cfg, A, B: {"value": str(A.colon(B))},
     "intersect": lambda cfg, A, B: {"value": str(A.intersect(B))},
@@ -188,12 +183,14 @@ HANDLERS = {
     "power": lambda cfg, I, n: {"value": str(I.power(n))},
     "min_gens": lambda cfg, I: {"count": len(I.gens), "generators": str(I)},
     "integral_closure": lambda cfg, I: {
-        "value": str(integral_closure_monomial(_as_monomial(I)))},
+        "value": str(integral_closure_monomial(I))},
     "ass_primes": lambda cfg, I: {"primes": [
-        "(" + ", ".join(p) + ")"
-        for p in associated_primes_monomial(_as_monomial(I))]},
-    "socle": _socle,
-    "is_borel": _is_borel,
+        "(" + ", ".join(p) + ")" for p in associated_primes_monomial(I)]},
+    "socle": lambda cfg, I: {"candidates": [
+        I.ring.format_exponents(e) for e in socle_candidates(I)]},
+    "is_borel": lambda cfg, I: {
+        d: is_borel_fixed(I, tuple(range(I.ring.nvars)), d)
+        for d in ("to-larger", "to-smaller")},
     "is_reduction": lambda cfg, I, J: is_reduction(I, J, cfg).to_dict(),
     "reduction_number": lambda cfg, I, J: {"value": reduction_number(I, J, cfg)},
     "rr_reduction_number":
@@ -201,8 +198,7 @@ HANDLERS = {
     "s_invariant": lambda cfg, I: _value_status(s_invariant(I, cfg)),
     "superficial": lambda cfg, a, I: superficial_probe(a, I, cfg).to_dict(),
     "gr_nzd": lambda cfg, x, I, w: gr_nzd_probe(x, I, w, cfg).to_dict(),
-    "depth_zero": lambda cfg, I:
-        depth_zero_witness_search(_as_monomial(I), cfg).to_dict(),
+    "depth_zero": lambda cfg, I: depth_zero_witness_search(I, cfg).to_dict(),
     "prop41":
         lambda cfg, I, x, t: prop41_equivalence_check(I, x, t, cfg).to_dict(),
 }

@@ -257,7 +257,7 @@ _EX14_SOCLE = ((3, 21), (6, 17), (7, 14), (10, 13),
 @_case("EX-1.4",
        "a chain-fixed monomial ideal in two variables whose square is not "
        "closed: X^20*Y^24 multiplies I into I^3 without lying in I^2",
-       k_max=6, window=3, n_max=8)
+       k_max=6)
 def _ex14(rec, cfg, rng):
     R = _xy()
     I = _mono(R, *_EX14_GENS)
@@ -614,7 +614,7 @@ def _ex34(rec, cfg, rng):
 
 @_case("EX-3.5",
        "the height-two prime (X^3-Y*Z, Y^2-X*Z, Z^2-X^2*Y): colon chain "
-       "stays at I through the configured bound", k_max=6, window=3, n_max=6)
+       "stays at I through the configured bound", k_max=6, n_max=6)
 def _ex35(rec, cfg, rng):
     R = RingDescriptor(("X", "Y", "Z"))
     I = _handle(R, "X^3 - Y*Z", "Y^2 - X*Z", "Z^2 - X^2*Y")
@@ -656,7 +656,7 @@ _EX37_SOCLE = ((1, 2, 1, 1), (2, 1, 1, 1), (3, 0, 3, 3), (0, 3, 3, 3))
 
 @_case("EX-3.7",
        "a zero-dimensional 10-generated ideal in four variables whose "
-       "closure needs only 9 generators", k_max=8, window=3, n_max=8)
+       "closure needs only 9 generators", k_max=8)
 def _ex37(rec, cfg, rng):
     R = RingDescriptor(("X", "Y", "U", "V"))
     I = _mono(R, (4, 0, 0, 0), (3, 1, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0),

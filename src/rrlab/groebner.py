@@ -373,7 +373,9 @@ class GroebnerBasis:
 class IdealHandle(Ideal):
     """Generators plus ring context; reduced GB cached per order.  In a
     quotient ring the handle is built with the regular element that its
-    closure chains need (check_regular); handles derived from it have none."""
+    closure chains need (check_regular).  A + B and A : B, which contain A,
+    carry x_A; A * B (so I^n) and A cap B carry x_A * x_B, since a product
+    of non-zerodivisors is one; times and gen_powers carry none."""
 
     def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial],
                  regular_element=None):
@@ -474,13 +476,21 @@ class IdealHandle(Ideal):
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
         """The generators of both, each one once."""
         self._check(other)
-        return IdealHandle(self.ring, list(dict.fromkeys(self.gens + other.gens)))
+        return IdealHandle(self.ring, list(dict.fromkeys(self.gens + other.gens)),
+                           self.regular_element)
 
     def __mul__(self, other: "IdealHandle") -> "IdealHandle":
         """The products of the generators, each one once."""
         self._check(other)
         prods = dict.fromkeys(a * b for a in self.gens for b in other.gens)
-        return IdealHandle(self.ring, list(prods))
+        return IdealHandle(self.ring, list(prods), self._regular_times(other))
+
+    def _regular_times(self, other: "IdealHandle"):
+        """x_A * x_B, or None unless both are declared."""
+        if self.regular_element is None or other.regular_element is None:
+            return None
+        return (self.element(self.regular_element)
+                * other.element(other.regular_element))
 
     def times(self, f: Polynomial) -> "IdealHandle":
         """The ideal f * I."""
@@ -493,9 +503,10 @@ class IdealHandle(Ideal):
         """Elimination: t*A + (1-t)*B in R[t], keep the t-free basis elements."""
         self._check(other)
         b_side = [g.terms for g in other.gens] + [q.terms for q in self.ring.quotient]
-        return self._intersect_raw(b_side)
+        return self._intersect_raw(b_side, self._regular_times(other))
 
-    def _intersect_raw(self, b_side: List[dict]) -> "IdealHandle":
+    def _intersect_raw(self, b_side: List[dict],
+                       regular_element=None) -> "IdealHandle":
         """Intersection of (self + quotient) with the plain ideal gen'd by b_side."""
         ring = self.ring
 
@@ -510,7 +521,7 @@ class IdealHandle(Ideal):
         # comes first in the order: g is t-free when its leading term is
         kept = [Polynomial(ring, {e[:-1]: c for e, c in _unpack(pk, g).items()})
                 for g in basis if not next(iter(g)) & pk.low]
-        return IdealHandle(ring, kept)
+        return IdealHandle(ring, kept, regular_element)
 
     def colon_element(self, b: Polynomial) -> "IdealHandle":
         """(A(+Q) : b) via (A cap (b)) scaled by 1/b."""
@@ -553,9 +564,10 @@ class IdealHandle(Ideal):
                 continue
             result = result.intersect(self.colon_element(b))
             intersected = True
-        if intersected:
-            return result
-        return IdealHandle(self.ring, list(result.groebner_basis().polynomials))
+        if not intersected:
+            result = IdealHandle(self.ring, list(result.groebner_basis().polynomials))
+        result.regular_element = self.regular_element
+        return result
 
     def leading_term_ideal(self, order: Optional[MonomialOrder] = None) -> MonomialIdeal:
         if self.ring.quotient:

@@ -143,18 +143,18 @@ class InputProgram(Record):
     _fields = ("statements",)
 
 
-# command name -> expected argument kinds ('ideal' = declared ideal name,
-# 'int' = integer literal, 'elem' = parenthesized polynomial/element)
+# command name -> expected argument kinds: 'int' (an integer literal),
+# 'elem' (a parenthesized element) or an ideal kind of cli.IDEAL_KINDS
 COMMAND_SIGNATURES: Dict[str, Tuple[str, ...]] = {
-    "rr_closure": ("ideal",),
-    "rr_power": ("ideal", "int"),
-    "rr_via_reduction": ("ideal", "ideal", "int"),
-    "rr_membership": ("elem", "ideal"),
-    "is_rr_closed": ("ideal",),
-    "rr_defect": ("ideal", "int"),
-    "gb": ("ideal",),
-    "lt": ("ideal",),
-    "normal_form": ("elem", "ideal"),
+    "rr_closure": ("regular",),
+    "rr_power": ("regular", "int"),
+    "rr_via_reduction": ("regular", "ideal", "int"),
+    "rr_membership": ("elem", "regular"),
+    "is_rr_closed": ("regular",),
+    "rr_defect": ("regular", "int"),
+    "gb": ("polynomial",),
+    "lt": ("polynomial",),
+    "normal_form": ("elem", "polynomial"),
     "membership": ("elem", "ideal"),
     "colon": ("ideal", "ideal"),
     "intersect": ("ideal", "ideal"),
@@ -162,18 +162,18 @@ COMMAND_SIGNATURES: Dict[str, Tuple[str, ...]] = {
     "product": ("ideal", "ideal"),
     "power": ("ideal", "int"),
     "min_gens": ("ideal",),
-    "integral_closure": ("ideal",),
-    "ass_primes": ("ideal",),
-    "socle": ("ideal",),
-    "is_borel": ("ideal",),
+    "integral_closure": ("monomial",),
+    "ass_primes": ("monomial",),
+    "socle": ("monomial",),
+    "is_borel": ("monomial",),
     "is_reduction": ("ideal", "ideal"),
     "reduction_number": ("ideal", "ideal"),
-    "rr_reduction_number": ("ideal", "ideal"),
-    "s_invariant": ("ideal",),
+    "rr_reduction_number": ("regular", "ideal"),
+    "s_invariant": ("regular",),
     "superficial": ("elem", "ideal"),
     "gr_nzd": ("elem", "ideal", "int"),
-    "depth_zero": ("ideal",),
-    "prop41": ("ideal", "elem", "int"),
+    "depth_zero": ("monomial",),
+    "prop41": ("regular", "elem", "int"),
 }
 
 
@@ -387,7 +387,7 @@ class _Parser:
                 f"{name} takes {len(sig)} argument(s), got {len(args)}", *at)
         for arg, want in zip(args, sig):
             kind, value = arg
-            if want == "ideal":
+            if want not in ("int", "elem"):  # an ideal kind
                 if kind != "ident":
                     raise ArityError(f"{name}: expected an ideal name", *at)
                 if value not in self.ideals:
@@ -456,7 +456,9 @@ def eval_poly(ast: PolyAST, ring: RingDescriptor) -> Polynomial:
         return product
     if op == "^":
         return eval_poly(ast[1], ring) ** ast[2]
-    raise SyntacticError(f"bad polynomial node {op!r}", 0, 0)
+    # the parser makes one other node, a pair; format_poly_ast refuses any
+    raise SyntacticError(
+        f"exponent pair {format_poly_ast(ast)} is not a polynomial", 0, 0)
 
 
 def eval_t_exponent(ast: PolyAST) -> int:
@@ -522,6 +524,14 @@ def format_poly_ast(ast: PolyAST, within: int = 0) -> str:
     return f"({text})" if level < within else text
 
 
+def format_arg(arg) -> str:
+    """The source text of a command argument (kind, value)."""
+    kind, value = arg
+    if kind == "poly":
+        return f"({format_poly_ast(value)})"
+    return format_poly_ast(arg) if kind == "pair" else str(value)
+
+
 def format_program(prog: InputProgram) -> str:
     lines = []
     for st in prog.statements:
@@ -540,14 +550,7 @@ def format_program(prog: InputProgram) -> str:
             lines.append(f"ideal {st.name} = ("
                          + ", ".join(map(format_poly_ast, st.gens)) + ");")
         elif isinstance(st, Command):
-            parts = [st.name]
-            for kind, value in st.args:
-                if kind == "poly":
-                    parts.append(f"({format_poly_ast(value)})")
-                elif kind == "pair":
-                    parts.append(format_poly_ast((kind, value)))
-                else:  # an integer or an ideal name
-                    parts.append(str(value))
+            parts = [st.name, *map(format_arg, st.args)]
             for k, v in st.overrides:
                 parts.append(f"{k}={v}")
             lines.append(" ".join(parts) + ";")

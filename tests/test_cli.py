@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from rrlab.cli import (EXIT_ASSERTION, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       HANDLERS, USAGE, main)
+                       HANDLERS, IDEAL_KINDS, USAGE, main)
 from rrlab.parser import COMMAND_SIGNATURES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,6 +117,33 @@ def test_probe_on_non_regular_ideal_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs a declared regular element" in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ring R = QQ[X, Y];\nideal I = (X^2 + Y, Y^2);\nrr_closure I;\n"
+     "socle I;\n", "this command needs a monomial ideal"),
+    ("semiring S = <4, 5, 11>;\nideal I = (t^4, t^5, t^11);\nrr_closure I;\n"
+     "gb I;\n", "this command needs a polynomial-ring ideal"),
+    ("semiring S = <4, 5, 11>;\nideal I = (t^4, t^5, t^11);\nrr_closure I;\n"
+     "depth_zero I;\n", "this command needs a monomial ideal"),
+    ("ring R = QQ[X] / (X^2);\nideal I = (X);\ngb I;\nrr_closure I;\n",
+     "quotient-ring closure needs a declared regular element of the ideal"),
+], ids=["socle-handle", "gb-semigroup", "depth-zero-semigroup",
+        "closure-non-regular"])
+def test_a_wrong_ideal_kind_stops_the_program_before_it_runs(
+        tmp_path, capsys, monkeypatch, text, message):
+    """A command's ideal that is not of its kind (monomial, polynomial-ring
+    or regular) is refused while the program resolves: no handler runs,
+    even for the commands before it."""
+    ran = []
+    for name in list(HANDLERS):
+        monkeypatch.setitem(HANDLERS, name,
+                            lambda *args, name=name: ran.append(name) or {})
+    assert main(["compute", _write(tmp_path, text)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rrlab: {message} (line 4, column 1)\n"
+    assert ran == []
 
 
 def test_run_time_refusal_names_its_command(tmp_path, capsys):
@@ -366,6 +393,7 @@ def test_handler_table_matches_the_signatures():
         # the chain settings, then one value per argument
         params = inspect.signature(HANDLERS[name]).parameters
         assert len(params) == 1 + len(kinds), name
+        assert set(kinds) <= {"int", "elem", *IDEAL_KINDS}, name
 
 
 @pytest.mark.parametrize("ring, ideal, element", [

@@ -20,7 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from rrlab.cli import main  # noqa: E402
+from rrlab.cli import IDEAL_KINDS, main  # noqa: E402
 from rrlab.parser import COMMAND_SIGNATURES  # noqa: E402
 
 VARIABLES = ("X", "Y", "Z")
@@ -98,7 +98,7 @@ def programs(draw, command):
         lines.append(f"ideal {name} = ({', '.join(f'({g})' for g in gens)});")
     args = []
     for want in COMMAND_SIGNATURES[command]:
-        if want == "ideal":
+        if want in IDEAL_KINDS:
             args.append("K" if _rarely(draw) else draw(st.sampled_from("IJ")))
         elif want == "int":
             args.append(str(draw(st.sampled_from((1, 2, 3, 0)))))

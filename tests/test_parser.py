@@ -210,8 +210,8 @@ def test_a_bad_last_statement_stops_the_program_before_it_runs(
      "ideal J = ((1,0));\n",
      "generator (1, 0) is not in the semigroup (line 4, column 1)"),
     ("semiring S = <2, 3>;\nideal I = (t^2);\nrr_closure I;\n"
-     "membership (1,2) I;\n", "element argument ('pair', (('int', 1), "
-     "('int', 2))) does not fit this ring (line 4, column 1)"),
+     "membership (1,2) I;\n",
+     "element (1, 2) does not fit this ring (line 4, column 1)"),
 ], ids=["shape", "gap", "affine-gap", "element-shape"])
 def test_a_bad_semigroup_generator_stops_the_program_before_it_runs(
         tmp_path, capsys, monkeypatch, text, message):
@@ -232,8 +232,10 @@ RESOLVED = "ring R = QQ[X, Y];\nideal I = (X^2, Y);\nrr_closure I;\n"
 
 
 @pytest.mark.parametrize("tail, message", [
-    ("membership (1, 2) I;", "element argument ('pair', (('int', 1), "
-     "('int', 2))) does not fit this ring (line 4, column 1)"),
+    ("membership (1, 2) I;",
+     "element (1, 2) does not fit this ring (line 4, column 1)"),
+    ("ideal J = ((1, 2));",
+     "exponent pair (1, 2) is not a polynomial (line 4, column 1)"),
     ("ring S = F 4[X];", "4 is not prime (line 4, column 1)"),
     ("rr_closure I window = 1;",
      "require k_max >= window >= 2 (line 4, column 1)"),
@@ -242,8 +244,8 @@ RESOLVED = "ring R = QQ[X, Y];\nideal I = (X^2, Y);\nrr_closure I;\n"
      "generators must be coprime overall (line 4, column 1)"),
     ("semiring S = <2, 3>;\nideal J = (t^2);\nsum I J;",
      "this command needs a polynomial-ring ideal (line 6, column 1)"),
-], ids=["element-shape", "field", "config", "variables", "semigroup",
-        "mixed-ideals"])
+], ids=["element-shape", "pair-generator", "field", "config", "variables",
+        "semigroup", "mixed-ideals"])
 @pytest.mark.parametrize("subcommand", ["compute", "gb"])
 def test_every_input_error_comes_before_any_command(
         tmp_path, capsys, monkeypatch, subcommand, tail, message):

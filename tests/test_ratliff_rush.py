@@ -271,6 +271,26 @@ def test_quotient_ring_needs_regular_element():
     assert rr_membership_probe_via_reduction(z, H, H, 2) == Member(1)
 
 
+def test_derived_handles_keep_a_regular_element():
+    # x for A + B and A : B, which contain A; x_A * x_B for A * B (so x^n
+    # for I^n) and A cap B.  Each closure runs, and the closure of I^2
+    # agrees with rr_power(I, 2).
+    R = _ex13_ring()
+    H = _ex13_ideal(R, "X")
+    x = parse_polynomial(R, "X")
+    derived = {"power": (H.power(2), x * x), "sum": (H + H, x),
+               "product": (H * H, x * x), "colon": (H.colon(H), x),
+               "intersect": (H.intersect(H), x * x)}
+    for name, (D, element) in derived.items():
+        assert D.regular_element == element, name
+        rr_closure(D)
+    assert rr_closure(H.power(2)).value.equals(rr_power(H, 2).value)
+    # times and gen_powers carry none
+    for D in (H.times(x), H.gen_powers(2)):
+        with pytest.raises(PreconditionError, match="regular element"):
+            rr_closure(D)
+
+
 def test_quotient_ring_reduction_invariants():
     # Checked by hand: I = (X, Z, U) and I^3 are closed, the closure of
     # I^2 is I^2 + (Z) (Z * X = U^3 lies in I^3), I^3 = X * (I^2 + (Z)) and
