@@ -5,8 +5,7 @@ primes, reduction numbers and related probes over polynomial, quotient and
 semigroup rings, with a CLI and a machine-checked claims corpus.
 """
 
-from .core import (Field, Monomial, MonomialOrder, Polynomial, QQ,
-                   RingDescriptor)
+from .core import Field, MonomialOrder, Polynomial, QQ, RingDescriptor
 from .monomial import (MonomialIdeal, PowerLadder, associated_primes_monomial,
                        colon_monomial, integral_closure_monomial,
                        intersect_monomial, is_borel_fixed, member_of_power,
@@ -34,8 +33,7 @@ from .errors import (ArityError, InputError, LexicalError, PreconditionError,
                      UnsupportedOperationError, ZeroIdealError)
 
 __all__ = [
-    "Field", "Monomial", "MonomialOrder", "Polynomial", "QQ",
-    "RingDescriptor",
+    "Field", "MonomialOrder", "Polynomial", "QQ", "RingDescriptor",
     "MonomialIdeal", "PowerLadder", "associated_primes_monomial",
     "colon_monomial", "integral_closure_monomial", "intersect_monomial",
     "is_borel_fixed", "member_of_power", "socle_candidates",

@@ -443,7 +443,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 names = [v.strip() for v in values["vars"].split(",")]
                 priority = tuple(H.ring.var_index(v) for v in names)
             order = values.get("order", "grevlex")
-            basis = H.groebner_basis(MonomialOrder(order, priority))
+            # the basis is computed, and prints, in the requested order
+            ring = H.ring.replace(order=MonomialOrder(order, priority))
+            basis = IdealHandle(ring, H.gens).groebner_basis()
             _emit({"commands": [{
                 "command": "gb",
                 "order": order,

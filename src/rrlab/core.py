@@ -1,10 +1,11 @@
-"""Exact scalars, monomials, sparse polynomials, term orders, and the
-ideal protocol that every ideal type implements.
+"""Exact scalars, term orders, rings, sparse polynomials, and the ideal
+protocol that every ideal type implements.
 
 Coefficients are exact: prime-field elements, or rationals held as ints
 and, where a division made one, as ``fractions.Fraction``s; equal values
 compare, hash and print alike.  Exponent vectors are plain tuples of
-non-negative ints.
+non-negative ints.  A ring element is a ``Polynomial``, a monomial one of
+one term; the ring's order sorts its terms and the ring prints them.
 Everything here is immutable and safe to share, except that an ideal keeps
 each of its powers on itself once it is first asked for (``PowerLadder``).
 The value types of the whole package derive from Record.
@@ -29,7 +30,7 @@ Exponents = Tuple[int, ...]
 
 
 class Record:
-    """Base of the immutable value types: scalars, orders, monomials, the
+    """Base of the immutable value types: scalars, orders, rings, the
     exponent-set ideals, tokens and statements, configs, verdicts, reports
     and corpus cases.
 
@@ -245,11 +246,14 @@ ORDER_KINDS = ("lex", "grlex", "grevlex")
 
 
 class MonomialOrder(Record):
-    """Total multiplicative order on exponent vectors.
+    """Total multiplicative order on exponent vectors, written once, as the
+    int key of ``int_weights``.
 
-    priority lists variable indices, largest variable first.  key() maps an
-    exponent vector to a tuple whose natural ascending order matches the
-    monomial order.
+    priority lists variable indices, largest variable first.  With the
+    exponents e read in that order: lex compares e, first entry first;
+    grlex compares the degree, then e; grevlex compares the degree, and
+    among equal degrees the vector whose last differing entry is smaller
+    is the larger.
     """
 
     _fields = ("kind", "priority")
@@ -274,11 +278,11 @@ class MonomialOrder(Record):
         this order on the others (the elimination order of an
         intersection).
 
-        The key reads the key() tuples as numerals in base B = 2**bits.
+        The key reads exponent vectors as numerals in base B = 2**bits.
         With every exponent below B, ``lex = sum(e[prio[p]] * B**(n-1-p))``
-        is the base-B numeral of the lex tuple, so it is injective and
-        sorts like it.  grlex puts the degree above that numeral,
-        ``deg * B**n + lex``; grevlex subtracts the numeral of the
+        is the base-B numeral of the exponents in priority order, so it is
+        injective and sorts like lex.  grlex puts the degree above that
+        numeral, ``deg * B**n + lex``; grevlex subtracts the numeral of the
         reversed-priority exponents, ``deg * B**n - sum(e[prio[p]] * B**p)``,
         which lies in ``((deg - 1) * B**n, deg * B**n]``.  Both recover
         (deg, numeral) from the key, so they are injective and compare the
@@ -300,20 +304,6 @@ class MonomialOrder(Record):
         if eliminate:
             weights.append((nvars * (B - 1) + 1) * top)
         return tuple(weights)
-
-    def key(self, exps: Exponents) -> tuple:
-        prio = self.resolved_priority(len(exps))
-        if self.kind == "lex":
-            return tuple(exps[i] for i in prio)
-        if self.kind == "grlex":
-            return (sum(exps), *(exps[i] for i in prio))
-        # grevlex: among equal degrees, the monomial whose reversed-priority
-        # exponents are larger compares smaller.
-        return (sum(exps), *(-exps[i] for i in reversed(prio)))
-
-    def compare(self, a: Exponents, b: Exponents) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +351,14 @@ class RingDescriptor(Record):
         except ValueError:
             raise PreconditionError(f"unknown variable {name!r}") from None
 
+    def monomial(self, exps: Exponents) -> "Polynomial":
+        """The one-term polynomial with exponents exps and coefficient 1."""
+        return Polynomial(self, {tuple(exps): self.field.one()})
+
     def variable(self, name: str) -> "Polynomial":
         exps = [0] * self.nvars
         exps[self.var_index(name)] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()})
+        return self.monomial(exps)
 
     def constant(self, n: int) -> "Polynomial":
         c = self.field.from_int(n)
@@ -391,7 +385,7 @@ class RingDescriptor(Record):
 
 
 # ---------------------------------------------------------------------------
-# monomials
+# exponent vectors
 
 
 def exps_divides(a: Exponents, b: Exponents) -> bool:
@@ -533,29 +527,6 @@ def shared_packing(nvars: int, width: int, order: Optional[MonomialOrder] = None
     return Packing(nvars + eliminate, width, key)
 
 
-class Monomial(Record):
-    _fields = ("ring", "exps")
-
-    def _validate(self):
-        if len(self.exps) != self.ring.nvars:
-            raise PreconditionError("exponent vector length != number of variables")
-        if any(e < 0 for e in self.exps):
-            raise PreconditionError("negative exponent")
-
-    def as_polynomial(self) -> "Polynomial":
-        return Polynomial(self.ring, {self.exps: self.ring.field.one()})
-
-    def __str__(self):
-        return self.ring.format_exponents(self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps \
-            and self.ring.variables == other.ring.variables
-
-    def __hash__(self):
-        return hash((self.ring.variables, self.exps))
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
@@ -618,8 +589,10 @@ class Polynomial:
 
     def sorted_terms(self):
         """The terms, leading term first in the ring's order."""
-        key = self.ring.order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        top = max((x for e in self.terms for x in e), default=0)
+        weights = self.ring.order.int_weights(self.ring.nvars, top.bit_length())
+        return sorted(self.terms.items(), reverse=True,
+                      key=lambda t: sum(map(mul, weights, t[0])))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)

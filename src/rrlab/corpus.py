@@ -384,7 +384,7 @@ def _ex110(rec, cfg, rng):
     rec.check("closedness check fails at the first step with witness "
               "X^7*Y^3",
               isinstance(v, FailsAt) and v.n == 1
-              and getattr(v.witness, "exps", None) == (7, 3),
+              and v.witness == R.monomial((7, 3)),
               witness=v.to_dict())
 
 

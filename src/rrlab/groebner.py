@@ -10,10 +10,10 @@ starts and ends (``_pack`` and ``_unpack``).  A packed monomial is a
 ``core.Packing`` int: guarded exponent fields, ``w`` bits per variable, and
 above them the order key of ``MonomialOrder.int_weights`` for digits of
 ``w - 1`` bits.  Every exponent is below ``2**(w - 1)``, so that key is
-injective and sorts like the order's key tuples.  ``pack(a * b) =
-pack(a) + pack(b)``, so multiplying a term by a monomial is one int add,
-and no key function runs.  The key sits above the exponent bits, so the
-largest packed monomial of a polynomial is its leading term.
+injective and sorts like the order.  ``pack(a * b) = pack(a) + pack(b)``,
+so multiplying a term by a monomial is one int add, and no key function
+runs.  The key sits above the exponent bits, so the largest packed
+monomial of a polynomial is its leading term.
 
 Widening.  Two monomials whose fields are below the guard bits add to
 fields below ``2**w``, which never carry into the next field or into the
@@ -49,11 +49,11 @@ Colons.  A : b is (A cap (b)) / b, one elimination, and A : (b_1, ..., b_d)
 intersects those d parts, d - 1 more.  ``IdealHandle.colon`` eliminates only
 where a membership test cannot settle a step: when every generator g of the
 colon C found so far has g * b in A, C lies in A : b, and b costs only
-normal forms against A's basis, which a power on a chain's ``PowerLadder``
-computes once.  A colon returns the reduced basis of the colon either way:
-the t-free part of an intersection is that basis, and when no intersection
-ran C's own reduced basis is returned, so printed generators and witnesses
-do not depend on which steps were skipped or on the number of generators.
+normal forms against A's basis, which a handle computes once.  A colon
+returns the reduced basis of the colon either way: the t-free part of an
+intersection is that basis, and when no intersection ran C's own reduced
+basis is returned, so printed generators and witnesses do not depend on
+which steps were skipped or on the number of generators.
 """
 
 from __future__ import annotations
@@ -65,9 +65,8 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import (Exponents, Ideal, Monomial, MonomialOrder, Packing,
-                   Polynomial, PrimeFieldElement, RingDescriptor,
-                   shared_packing)
+from .core import (Exponents, Ideal, MonomialOrder, Packing, Polynomial,
+                   PrimeFieldElement, RingDescriptor, shared_packing)
 from .errors import (PreconditionError, ResourceLimitError,
                      UnsupportedOperationError, ZeroIdealError)
 from .monomial import MonomialIdeal
@@ -330,14 +329,13 @@ def _reduced_basis(gens: Sequence[dict], order: MonomialOrder, nvars: int,
 
 
 class GroebnerBasis:
-    """A reduced basis: its monic polynomials, ascending by leading term,
-    each with its leading term first, and the packed reducers that
-    normal_form runs on, rebuilt wider when an input needs it."""
+    """A reduced basis in its ring's order: its monic polynomials, ascending
+    by leading term, each with its leading term first, and the packed
+    reducers that normal_form runs on, rebuilt wider when an input needs
+    it."""
 
-    def __init__(self, ring: RingDescriptor, order: MonomialOrder,
-                 pk: Packing, basis: List[dict]):
+    def __init__(self, ring: RingDescriptor, pk: Packing, basis: List[dict]):
         self.ring = ring
-        self.order = order
         self._polys = [_unpack(pk, g) for g in basis]
         self._packing = pk
         self._reducers = [_reducer(g, pk) for g in basis]
@@ -357,7 +355,7 @@ class GroebnerBasis:
                 self._packing = pk
                 self._reducers = [_reducer(_pack(pk, g), pk) for g in self._polys]
             return _unpack(pk, _normal_form(_pack(pk, f.terms), self._reducers, pk))
-        return _packed(self.order, self.ring.nvars, [f.terms], run,
+        return _packed(self.ring.order, self.ring.nvars, [f.terms], run,
                        width=self._packing.width)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -371,11 +369,13 @@ class GroebnerBasis:
 
 
 class IdealHandle(Ideal):
-    """Generators plus ring context; reduced GB cached per order.  In a
-    quotient ring the handle is built with the regular element that its
-    closure chains need (check_regular).  A + B and A : B, which contain A,
-    carry x_A; A * B (so I^n) and A cap B carry x_A * x_B, since a product
-    of non-zerodivisors is one; times and gen_powers carry none."""
+    """Generators plus ring context; the reduced basis, in the ring's
+    order, is computed once.  A basis in another order is that of a handle
+    on ``ring.replace(order=...)``.  In a quotient ring the handle is built
+    with the regular element that its closure chains need (check_regular).
+    A + B and A : B, which contain A, carry x_A; A * B (so I^n) and A cap B
+    carry x_A * x_B, since a product of non-zerodivisors is one; the unit
+    ideal carries 1; times and gen_powers carry none."""
 
     def __init__(self, ring: RingDescriptor, gens: Sequence[Polynomial],
                  regular_element=None):
@@ -386,14 +386,13 @@ class IdealHandle(Ideal):
         self.gens = tuple(gens)
         self.regular_element = regular_element
         self._regular = False  # check_regular has passed
-        self._gb: Dict[object, GroebnerBasis] = {}
+        self._gb: Optional[GroebnerBasis] = None
 
     # -- construction helpers ---------------------------------------------
 
     @staticmethod
     def from_monomial(I: MonomialIdeal) -> "IdealHandle":
-        one = I.ring.field.one()
-        return IdealHandle(I.ring, [Polynomial(I.ring, {g: one}) for g in I.gens])
+        return IdealHandle(I.ring, list(map(I.ring.monomial, I.gens)))
 
     def to_monomial_ideal(self) -> MonomialIdeal:
         if self.ring.quotient:
@@ -406,23 +405,15 @@ class IdealHandle(Ideal):
 
     # -- Groebner bases -----------------------------------------------------
 
-    def _order_sig(self, order: MonomialOrder):
-        return (order.kind, order.resolved_priority(self.ring.nvars))
-
     def _effective_gens(self) -> List[dict]:
         return [g.terms for g in self.gens + self.ring.quotient]
 
-    def groebner_basis(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
-        order = order or self.ring.order
-        sig = self._order_sig(order)
-        gb = self._gb.get(sig)
-        if gb is not None:
-            return gb
-        pk, basis = _reduced_basis(self._effective_gens(), order,
-                                   self.ring.nvars)
-        gb = GroebnerBasis(self.ring, order, pk, basis)
-        self._gb[sig] = gb
-        return gb
+    def groebner_basis(self) -> GroebnerBasis:
+        if self._gb is None:
+            pk, basis = _reduced_basis(self._effective_gens(), self.ring.order,
+                                       self.ring.nvars)
+            self._gb = GroebnerBasis(self.ring, pk, basis)
+        return self._gb
 
     # -- predicates ----------------------------------------------------------
 
@@ -433,8 +424,6 @@ class IdealHandle(Ideal):
         return self.groebner_basis().reduces_to_zero(f)
 
     def element(self, m) -> Polynomial:
-        if isinstance(m, Monomial):
-            return m.as_polynomial()
         if isinstance(m, Polynomial):
             return m
         raise UnsupportedOperationError(f"cannot probe with {type(m).__name__}")
@@ -471,7 +460,9 @@ class IdealHandle(Ideal):
     # -- arithmetic -----------------------------------------------------------
 
     def unit(self) -> "IdealHandle":
-        return IdealHandle(self.ring, [self.ring.one()])
+        """The unit ideal, with 1 as its regular element."""
+        one = self.ring.one()
+        return IdealHandle(self.ring, [one], one)
 
     def __add__(self, other: "IdealHandle") -> "IdealHandle":
         """The generators of both, each one once."""
@@ -569,13 +560,13 @@ class IdealHandle(Ideal):
         result.regular_element = self.regular_element
         return result
 
-    def leading_term_ideal(self, order: Optional[MonomialOrder] = None) -> MonomialIdeal:
+    def leading_term_ideal(self) -> MonomialIdeal:
         if self.ring.quotient:
             raise UnsupportedOperationError(
                 "leading term ideals are defined over the polynomial ring only")
         if not self.gens:
             raise ZeroIdealError("zero ideal")
-        gb = self.groebner_basis(order)
+        gb = self.groebner_basis()
         return MonomialIdeal.from_gens(self.ring, gb.leading_exponents())
 
     def __str__(self):

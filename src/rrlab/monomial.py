@@ -83,9 +83,9 @@ import operator
 from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import (Exponents, Ideal, Monomial, Packing, Polynomial,
-                   PowerLadder, Record, RingDescriptor, exps_divides,
-                   exps_mul, shared_packing)
+from .core import (Exponents, Ideal, Packing, Polynomial, PowerLadder,
+                   Record, RingDescriptor, exps_divides, exps_mul,
+                   shared_packing)
 from .errors import (PreconditionError, RingMismatchError,
                      UnsupportedOperationError, ZeroIdealError)
 
@@ -194,10 +194,7 @@ class MonomialIdeal(Ideal, Record):
         return any(exps_divides(g, e) for g in self.gens)
 
     def element(self, m) -> Exponents:
-        """The exponent vector of a Monomial, a one-term Polynomial or a
-        tuple."""
-        if isinstance(m, Monomial):
-            return m.exps
+        """The exponent vector of a one-term Polynomial or a tuple."""
         if isinstance(m, Polynomial):
             if len(m.terms) != 1:
                 raise UnsupportedOperationError(
@@ -229,8 +226,8 @@ class MonomialIdeal(Ideal, Record):
         self._check(other)
         return self.gens == other.gens
 
-    def gens_outside(self, other: "MonomialIdeal") -> Iterator[Monomial]:
-        return (Monomial(self.ring, g) for g in self._outside(other))
+    def gens_outside(self, other: "MonomialIdeal") -> Iterator[Polynomial]:
+        return map(self.ring.monomial, self._outside(other))
 
     # -- semiring ops ------------------------------------------------------
 

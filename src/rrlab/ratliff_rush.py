@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .core import Monomial, Polynomial, Record, exps_mul
+from .core import Polynomial, Record, exps_mul
 from .errors import PreconditionError, UnsupportedOperationError
 from .monomial import MonomialIdeal, variable_ideal
 
@@ -292,11 +292,6 @@ class RRDefect(Record):
     def is_empty(self) -> bool:
         return not self.representatives
 
-    def contains(self, f) -> bool:
-        """True when f represents a nonzero class of the defect module."""
-        e = self.ideal.element(f)
-        return self.numerator.contains(e) and not self.denominator.contains(e)
-
 
 def rr_defect(I, n: int, cfg: ClosureConfig = DEFAULT_CONFIG) -> RRDefect:
     if n < 0:
@@ -343,7 +338,7 @@ def depth_zero_witness_search(I: MonomialIdeal,
             if m in inside or not In.contains(m):
                 continue
             if all(In2.contains(exps_mul(m, g)) for g in I.gens):
-                return FailsAt(n, Monomial(I.ring, m))
+                return FailsAt(n, I.ring.monomial(m))
     return Holds(cfg.n_max)
 
 

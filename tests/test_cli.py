@@ -89,6 +89,29 @@ def test_gb_orders(tmp_path, capsys):
     assert lex != swapped  # elimination order changes the basis
 
 
+def _gb_basis(path, capsys, *flags):
+    assert main(["gb", path, "--format", "json", *flags]) == EXIT_OK
+    (command,) = json.loads(capsys.readouterr().out)["commands"]
+    return command["basis"]
+
+
+def test_gb_prints_each_element_leading_term_first_in_its_order(
+        tmp_path, capsys):
+    # the basis is computed in the requested order and printed in it, not
+    # in the ring's grevlex
+    path = _write(tmp_path, "ring R = QQ[X, Y];\n"
+                            "ideal I = (X^2 - Y^3, X*Y - 1);\n")
+    assert _gb_basis(path, capsys, "--order", "lex") == ["Y^5 - 1", "X - Y^4"]
+    assert main(["gb", path, "--order", "lex"]) == EXIT_OK
+    assert "X - Y^4" in capsys.readouterr().out
+    path = _write(tmp_path, "ring R = QQ[X, Y];\n"
+                            "ideal I = (2*X - Y, 3*Y^2 - X);\n", "vars.rr")
+    assert _gb_basis(path, capsys, "--order", "lex", "--vars", "Y,X") \
+        == ["X^2 - 1/12*X", "Y - 2*X"]
+    assert _gb_basis(path, capsys, "--vars", "Y,X") \
+        == ["Y - 2*X", "X^2 - 1/12*X"]
+
+
 # the last ideal is a polynomial one though the last ring declared is not,
 # and the other way round
 GB_POLY_LAST_IDEAL = ("ring R = QQ[X, Y];\nideal I = (X^2 - Y, Y^2);\n"

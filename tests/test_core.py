@@ -97,36 +97,9 @@ def test_large_prime_fields():
         Field(PRIME_TEST_BOUND)
 
 
-def test_monomial_orders_disagree_where_expected():
-    R = RingDescriptor(("X", "Y", "Z"))
-    lex = MonomialOrder("lex")
-    grevlex = MonomialOrder("grevlex")
-    grlex = MonomialOrder("grlex")
-    a, b = (1, 0, 0), (0, 2, 0)  # X vs Y^2
-    assert lex.compare(a, b) > 0       # X beats Y^2 under lex
-    assert grevlex.compare(a, b) < 0   # degree wins under graded orders
-    assert grlex.compare(a, b) < 0
-    # grlex and grevlex differ on same-degree ties: X*Z^2 vs Y^2*Z.
-    c, d = (1, 0, 2), (0, 2, 1)
-    assert grlex.compare(c, d) > 0
-    assert grevlex.compare(c, d) < 0
-
-
-def test_order_priority_permutes_variables():
-    R = RingDescriptor(("X", "Y"))
-    y_first = MonomialOrder("lex", (1, 0))
-    assert y_first.compare((3, 0), (0, 1)) < 0  # Y beats any power of X
-
-
-def test_order_rejects_bad_priority():
-    with pytest.raises(PreconditionError):
-        MonomialOrder("lex", (0, 0)).key((1, 2))
-    with pytest.raises(PreconditionError):
-        MonomialOrder("grevlex", (0, 1)).key((1, 2, 3))  # wrong length
-
-
 def _reference_key(kind, prio, exps):
-    """The order key written out from its definition."""
+    """The order key written out from its definition: the specification
+    that core's one order key, ``MonomialOrder.int_weights``, is held to."""
     if kind == "lex":
         return tuple(exps[i] for i in prio)
     if kind == "grlex":
@@ -134,23 +107,73 @@ def _reference_key(kind, prio, exps):
     return (sum(exps),) + tuple(-exps[i] for i in reversed(prio))
 
 
+def _reference(order, nvars):
+    """The reference key of order on nvars variables."""
+    prio = order.resolved_priority(nvars)
+    return lambda e: _reference_key(order.kind, prio, e)
+
+
+def _int_key(order, nvars, bits=4):
+    """core's int key of order, for exponents below 2**bits."""
+    weights = order.int_weights(nvars, bits)
+    return lambda e: sum(c * x for c, x in zip(weights, e))
+
+
+def _compare(order, a, b):
+    """The sign of a against b under order by the reference key, which the
+    int key must give too."""
+    ref, key = _reference(order, len(a)), _int_key(order, len(a))
+    sign = (ref(a) > ref(b)) - (ref(a) < ref(b))
+    assert sign == (key(a) > key(b)) - (key(a) < key(b))
+    return sign
+
+
+def test_monomial_orders_disagree_where_expected():
+    lex = MonomialOrder("lex")
+    grevlex = MonomialOrder("grevlex")
+    grlex = MonomialOrder("grlex")
+    a, b = (1, 0, 0), (0, 2, 0)  # X vs Y^2
+    assert _compare(lex, a, b) > 0       # X beats Y^2 under lex
+    assert _compare(grevlex, a, b) < 0   # degree wins under graded orders
+    assert _compare(grlex, a, b) < 0
+    # grlex and grevlex differ on same-degree ties: X*Z^2 vs Y^2*Z.
+    c, d = (1, 0, 2), (0, 2, 1)
+    assert _compare(grlex, c, d) > 0
+    assert _compare(grevlex, c, d) < 0
+
+
+def test_order_priority_permutes_variables():
+    y_first = MonomialOrder("lex", (1, 0))
+    assert _compare(y_first, (3, 0), (0, 1)) < 0  # Y beats any power of X
+
+
+def test_order_rejects_bad_priority():
+    with pytest.raises(PreconditionError):
+        MonomialOrder("lex", (0, 0)).int_weights(2, 3)
+    with pytest.raises(PreconditionError):
+        MonomialOrder("grevlex", (0, 1)).int_weights(3, 3)  # wrong length
+
+
 def test_order_key_matches_definition():
+    # on random vectors and priorities, the int key orders every pair as
+    # the reference key does
     rng = random.Random(11)
     for nvars in (1, 2, 3, 4):
         prios = [None, tuple(rng.sample(range(nvars), nvars))]
         for kind in ("lex", "grlex", "grevlex"):
             for prio in prios:
                 order = MonomialOrder(kind, prio)
-                resolved = prio or tuple(range(nvars))
                 for _ in range(30):
-                    e = tuple(rng.randint(0, 5) for _ in range(nvars))
-                    assert order.key(e) == _reference_key(kind, resolved, e)
+                    a, b = (tuple(rng.randint(0, 5) for _ in range(nvars))
+                            for _ in range(2))
+                    _compare(order, a, b)
 
 
 def test_int_key_sorts_like_key_tuples():
     # 500 seeded vectors, entries up to the digit bound 2**bits - 1; the int
-    # key sum(c_i * e_i) must sort them exactly as the key tuples do, and
-    # with eliminate as the block order with the appended variable first.
+    # key sum(c_i * e_i) must sort them exactly as the reference key does,
+    # and with eliminate as the block order with the appended variable
+    # first.
     rng = random.Random(17)
     nvars, bits = 4, 3
     vectors = [tuple(rng.randint(0, 2 ** bits - 1) for _ in range(nvars + 1))
@@ -158,7 +181,7 @@ def test_int_key_sorts_like_key_tuples():
     for kind in ("lex", "grlex", "grevlex"):
         for prio in (None, (2, 0, 3, 1)):
             order = MonomialOrder(kind, prio)
-            key = order.key
+            key = _reference(order, nvars)
             weights = order.int_weights(nvars, bits)
             elim = order.int_weights(nvars, bits, eliminate=True)
             cases = [
@@ -180,9 +203,28 @@ def test_order_total_on_samples():
     for kind in ("lex", "grlex", "grevlex"):
         order = MonomialOrder(kind)
         exps = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)]
-        ordered = sorted(set(exps), key=order.key)
+        ordered = sorted(set(exps), key=_int_key(order, 3, 3))
         for u, v in zip(ordered, ordered[1:]):
-            assert order.compare(u, v) < 0
+            assert _compare(order, u, v) < 0
+
+
+def test_polynomials_print_in_descending_reference_order():
+    # str(p) lists the terms leading term first: descending reference key,
+    # under each kind, with and without a priority, for exponents of
+    # several bit lengths
+    rng = random.Random(19)
+    names = ("X", "Y", "Z")
+    for kind in ("lex", "grlex", "grevlex"):
+        for prio in (None, (2, 0, 1)):
+            order = MonomialOrder(kind, prio)
+            R = RingDescriptor(names, order=order)
+            ref = _reference(order, 3)
+            for top in (1, 3, 8, 300):
+                exps = {tuple(rng.randint(0, top) for _ in names)
+                        for _ in range(6)}
+                p = Polynomial(R, {e: 1 for e in exps})
+                expected = sorted(exps, key=ref, reverse=True)
+                assert str(p) == " + ".join(map(R.format_exponents, expected))
 
 
 def test_exponent_helpers():
@@ -194,7 +236,7 @@ def test_monomial_quotient_and_compare():
     a, b = (3, 2), (1, 2)
     P = Packing(2, 3)
     assert [P.unpack(q) for q in P.quotients([P.pack(a)], P.pack(b))] == [(2, 0)]
-    assert MonomialOrder("grevlex").compare(a, b) > 0
+    assert _compare(MonomialOrder("grevlex"), a, b) > 0
 
 
 # -- core.Packing against tuple definitions ---------------------------------
@@ -248,7 +290,8 @@ def test_keyed_packing_sorts_like_the_order():
     for kind in ("lex", "grlex", "grevlex"):
         order = MonomialOrder(kind)
         P = Packing(nvars, width, order.int_weights(nvars, width - 1))
-        assert sorted(vectors, key=P.pack) == sorted(vectors, key=order.key)
+        assert sorted(vectors, key=P.pack) == sorted(vectors,
+                                                     key=_reference(order, nvars))
     # unkeyed, ascending packed order is the lexicographic order
     assert sorted(vectors, key=Packing(nvars, width).pack) == sorted(vectors)
 

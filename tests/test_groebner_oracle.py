@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rrlab.core import Field, MonomialOrder, Polynomial, RingDescriptor  # noqa: E402
 from rrlab.groebner import IdealHandle  # noqa: E402
+from test_core import _reference_key  # noqa: E402
 
 MODULUS = 7
 
@@ -48,6 +49,11 @@ def _monic(terms, key, characteristic):
     return frozenset((e, Fraction(c) / lc) for e, c in terms.items())
 
 
+def _key(problem):
+    """The problem's order as the reference key of tests/test_core.py."""
+    return lambda e: _reference_key(problem["kind"], problem["priority"], e)
+
+
 def _ring(problem):
     order = MonomialOrder(problem["kind"], problem["priority"])
     return RingDescriptor([f"x{i}" for i in range(problem["nvars"])],
@@ -63,10 +69,9 @@ def _handle(ring, gens):
 def _rrlab_reduced(handle, problem):
     """The reduced basis of handle in its ring's order, normalized."""
     p = problem["characteristic"]
-    order = handle.ring.order
-    key = order.key
+    key = _key(problem)
     basis = set()
-    for g in handle.groebner_basis(order).polynomials:
+    for g in handle.groebner_basis().polynomials:
         terms = {e: (c.residue if p else c) for e, c in g.terms.items()}
         basis.add(_monic(terms, key, p))
     return basis
@@ -98,7 +103,7 @@ def _sympy_reduced(exprs, problem):
     gens_sorted = [xs[i] for i in problem["priority"]]
     G = sympy.groebner(exprs, *gens_sorted, order=problem["kind"],
                        **_modulus(problem))
-    key = MonomialOrder(problem["kind"], problem["priority"]).key
+    key = _key(problem)
     basis = set()
     for g in G.exprs:
         poly = sympy.Poly(g, *xs, **_modulus(problem))

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from rrlab.core import Monomial, RingDescriptor
+from rrlab.core import RingDescriptor
 from rrlab.errors import PreconditionError
 from rrlab.groebner import IdealHandle
 from rrlab.monomial import MonomialIdeal
@@ -108,7 +108,7 @@ def test_is_rr_closed_witness():
     I = _mono((10, 0), (0, 5), (1, 4), (8, 1))
     v = is_rr_closed(I)
     assert isinstance(v, FailsAt)
-    assert v.n == 1 and v.witness.exps == (7, 3)
+    assert v.n == 1 and v.witness == I.ring.monomial((7, 3))
     closed = _mono((2, 0), (1, 1), (0, 2))
     assert is_rr_closed(closed) == Holds(12)
 
@@ -117,9 +117,11 @@ def test_rr_defect_detects_open_square():
     I = _mono((4, 0), (3, 1), (1, 3), (0, 4))
     D0 = rr_defect(I, 0)
     assert not D0.is_empty()
-    assert any(r.exps == (2, 2) for r in D0.representatives)
-    assert D0.contains((2, 2))
-    assert not D0.contains((4, 0))
+    assert I.ring.monomial((2, 2)) in D0.representatives
+    # X^2*Y^2 represents a nonzero class of the defect module, X^4 none
+    assert D0.numerator.contains((2, 2))
+    assert not D0.denominator.contains((2, 2))
+    assert D0.denominator.contains((4, 0))
     C = _mono((2, 0), (1, 1), (0, 2))
     assert rr_defect(C, 0).is_empty()
     assert rr_defect(C, 1).is_empty()
@@ -140,7 +142,7 @@ def test_superficial_probe_holds_and_fails():
     # failure of (I^3 : Y^3) cap I = I^2.
     I = _mono((3, 0), (1, 2), (0, 3))
     v = superficial_probe((0, 3), I, ClosureConfig(n_max=6, window=2))
-    assert v == FailsAt(3, Monomial(I.ring, (5, 1)))
+    assert v == FailsAt(3, I.ring.monomial((5, 1)))
 
 
 def test_gr_nzd_probe_degree_checks():
@@ -162,9 +164,9 @@ def test_depth_zero_witness_search():
 def test_depth_zero_witnesses():
     cfg = ClosureConfig(n_max=2)
     I = _mono((5, 0), (4, 1), (1, 4), (0, 5))
-    assert depth_zero_witness_search(I, cfg) == FailsAt(1, Monomial(I.ring, (3, 7)))
+    assert depth_zero_witness_search(I, cfg) == FailsAt(1, I.ring.monomial((3, 7)))
     I = _mono((7, 0), (6, 1), (3, 5), (2, 6))
-    assert depth_zero_witness_search(I, cfg) == FailsAt(1, Monomial(I.ring, (7, 9)))
+    assert depth_zero_witness_search(I, cfg) == FailsAt(1, I.ring.monomial((7, 9)))
 
 
 def _box_scan_depth_zero(gens, n_max):
@@ -222,7 +224,7 @@ def test_depth_zero_witness_search_matches_box_scan():
             ("X", "Y", "Z")[:len(gens[0])]), gens)
         found = _box_scan_depth_zero(I.gens, 2)
         expected = Holds(2) if found is None else FailsAt(
-            found[0], Monomial(I.ring, found[1]))
+            found[0], I.ring.monomial(found[1]))
         assert depth_zero_witness_search(I, ClosureConfig(n_max=2)) == expected, I
         outcomes.add(type(expected))
     assert outcomes == {Holds, FailsAt}
@@ -289,6 +291,15 @@ def test_derived_handles_keep_a_regular_element():
     for D in (H.times(x), H.gen_powers(2)):
         with pytest.raises(PreconditionError, match="regular element"):
             rr_closure(D)
+
+
+def test_the_unit_handle_carries_one_as_its_regular_element():
+    # I^0 is the unit ideal, which contains the non-zerodivisor 1: its
+    # closure runs in the quotient ring, and is the unit ideal
+    R = _ex13_ring()
+    unit = _ex13_ideal(R, "X").power(0)
+    assert unit.regular_element == R.one()
+    assert rr_closure(unit).value.contains(R.one())
 
 
 def test_quotient_ring_reduction_invariants():

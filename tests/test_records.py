@@ -11,15 +11,15 @@ import sys
 import pytest
 
 from rrlab.cli import EXIT_USAGE, main
-from rrlab.core import (Field, Monomial, MonomialOrder, PrimeFieldElement,
-                        Record, RingDescriptor)
+from rrlab.core import (Field, MonomialOrder, PrimeFieldElement, Record,
+                        RingDescriptor)
 from rrlab.corpus import _CASES, run_corpus
 from rrlab.errors import PreconditionError
 from rrlab.monomial import MonomialIdeal
 from rrlab.parser import RingDecl, SemiringDecl, Token, parse_program
 from rrlab.ratliff_rush import (BoundReached, ClosureConfig, ClosureResult,
                                 FailsAt, Holds, Member, NotMemberUpTo,
-                                StabilizedWindow)
+                                RRDefect, StabilizedWindow)
 from rrlab.reductions import EquivalenceReport, ReductionReport
 from rrlab.semigroup import (AffineIdeal, AffineSemigroup2D,
                              NumericalSemigroup, SemigroupIdeal)
@@ -54,7 +54,8 @@ def _instances():
         (R, "variables"),
         (Field(7), "characteristic"),
         (MonomialOrder("lex"), "kind"),
-        (Monomial(R, (1, 0)), "exps"),
+        (RRDefect(I, 0, ClosureResult(I, BoundReached(5), ()), I, I, ()),
+         "representatives"),
         (I, "gens"),
         (E, "v"),
         (A, "gens"),
@@ -218,7 +219,7 @@ def test_validate_runs_on_construction_and_on_replace():
         (Field(7), lambda: Field(6), {"characteristic": 6}),
         (MonomialOrder("lex"), lambda: MonomialOrder("revlex"),
          {"kind": "revlex"}),
-        (Monomial(R, (1, 0)), lambda: Monomial(R, (1, -1)), {"exps": (1,)}),
+        (R, lambda: RingDescriptor(["X", "X"]), {"variables": ("X", "X")}),
         (ClosureConfig(), lambda: ClosureConfig(4, 5), {"n_max": 0}),
     ]
     for good, make_bad, bad in checked:
